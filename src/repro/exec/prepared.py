@@ -23,6 +23,9 @@ that work once and keeps three layers of reusable state:
    the rewritten program reads (see
    :meth:`~repro.engine.database.Database.epochs`), so updating the
    database silently invalidates exactly the dependent entries.
+   :meth:`PreparedQuery.run` is "look up" then "evaluate and store";
+   :meth:`PreparedQuery.lookup` is the first half alone, which the
+   serving layer runs on the submitter's thread.
 3. **Counting-set memoization.**  With a
    :class:`~repro.exec.cache.CountingTableStore` attached, the
    pointer/cyclic evaluators skip phase 1 (the left-graph DFS and
@@ -176,6 +179,37 @@ def _substitute_rule(rule, mapping):
     )
 
 
+class _FormKey:
+    """Structural identity of a query form, hashed once.
+
+    The parts end in ``program.rules``, and a tuple re-hashes its
+    elements on every dict probe — for a cache key that walked every
+    rule of the program per lookup.  Taking the hash at prepare time
+    leaves equality structural (two prepared instances of one form
+    still exchange cache entries) and makes a probe with the owning
+    instance's key an identity match.
+    """
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, *parts):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, _FormKey)
+            and other._hash == self._hash
+            and other.parts == self.parts
+        )
+
+    def __repr__(self):
+        return "_FormKey(%s/%d, %s, %s)" % (self.parts[0] + self.parts[1:3])
+
+
 class _ScopedTableStore:
     """Adapter presenting a :class:`CountingTableStore` to one engine run.
 
@@ -252,7 +286,7 @@ class PreparedQuery:
         )
         #: Structural identity of the query form; shared caches use it
         #: so two prepared instances of the same form exchange entries.
-        self._form_key = (
+        self._form_key = _FormKey(
             goal.key, self.template.adornment(), self.method, program.rules
         )
         self._runs = 0
@@ -417,33 +451,17 @@ class PreparedQuery:
             raise TypeError("PreparedQuery.run() requires a database")
         constants = self._normalize(constants, db)
         started = time.perf_counter()
+        key, hit = self._probe(constants, db, started)
+        if hit is not None:
+            return hit
         stats = EvalStats()
-        key = None
-        if self.cache is not None:
-            key = (self._form_key, constants, db.epochs(self.read_keys))
-            # Entries are validated by lineage, not object identity:
-            # snapshots of the same database — and a durably *recovered*
-            # database, which restores its lineage from disk — share the
-            # token, so a warm cache survives recovery; an unrelated
-            # database that merely has equal epochs does not match.
-            cached = self.cache.get(
-                key, valid=lambda entry: entry[0] == db.lineage
-            )
-            if cached is not None:
-                stats.cache_hits = 1
-                extras = dict(cached[2])
-                extras["cache_hit"] = True
-                return ExecutionResult(
-                    self.method, cached[1], stats, extras,
-                    elapsed=time.perf_counter() - started,
-                )
         stats.cache_misses = 1
         if self._runs:
             stats.prepare_reuse = 1
         self._runs += 1
         result = self._execute(constants, db, stats, budget, started,
                                workers=workers, recovery=recovery)
-        if self.cache is not None:
+        if key is not None:
             extras = {
                 name: value
                 for name, value in result.extras.items()
@@ -451,6 +469,49 @@ class PreparedQuery:
             }
             self.cache.put(key, (db.lineage, result.answers, extras))
         return result
+
+    def lookup(self, constants=None, db=None):
+        """The look-up half of :meth:`run` alone: the cached
+        :class:`~repro.exec.strategies.ExecutionResult` for one binding
+        (``stats.cache_hits == 1``, no join work), or ``None`` on a
+        miss or without a cache — nothing is evaluated or stored.
+
+        By Theorems 1-2 every strategy answers a bound query with the
+        same set, so the entry *is* the answer; the serving layer
+        resolves hits from it on the submitter's thread and queues only
+        the misses.  Each call is one ``AnswerCache`` probe, so a miss
+        here followed by :meth:`run` counts two lookups.
+        """
+        if db is None:
+            raise TypeError("PreparedQuery.lookup() requires a database")
+        constants = self._normalize(constants, db)
+        return self._probe(constants, db, time.perf_counter())[1]
+
+    def _probe(self, constants, db, started):
+        """``(cache key, hit result or None)``; both ``None`` without
+        a cache."""
+        if self.cache is None:
+            return None, None
+        key = (self._form_key, constants, db.epochs(self.read_keys))
+        # Entries are validated by lineage, not object identity:
+        # snapshots of the same database — and a durably *recovered*
+        # database, which restores its lineage from disk — share the
+        # token, so a warm cache survives recovery; an unrelated
+        # database that merely has equal epochs does not match.
+        lineage = db.lineage
+        cached = self.cache.get(
+            key, valid=lambda entry: entry[0] == lineage
+        )
+        if cached is None:
+            return key, None
+        stats = EvalStats()
+        stats.cache_hits = 1
+        extras = dict(cached[2])
+        extras["cache_hit"] = True
+        return key, ExecutionResult(
+            self.method, cached[1], stats, extras,
+            elapsed=time.perf_counter() - started,
+        )
 
     def run_batch(self, bindings, db=None, budget=None, workers=None,
                   recovery=None):

@@ -1,79 +1,95 @@
 """A concurrent, overload-safe, multi-tenant front end over prepared
 queries.
 
-:class:`QueryService` serves prepared query forms from a pool of worker
-threads, with the failure modes of a production query tier designed in
-rather than bolted on:
+:class:`QueryService` admits every request on the submitter's thread
+and serves it on one of **two paths**, chosen by what the answer cache
+holds and never by an option:
+
+* **A cache hit, on the submitter's thread.**  Once the closed check,
+  the quota gates and the generation refresh have admitted a request,
+  :meth:`QueryService.submit` probes the form's
+  :class:`~repro.exec.cache.AnswerCache` with the look-up half of
+  ``PreparedQuery.run``.  A hit is counted, resolved and audited there
+  and ``submit`` returns a resolved future: no lane slot, no scheduling
+  deficit, no worker, no ``retry_after`` EMA sample.  By the paper's
+  equivalence theorems every strategy answers a bound query with the
+  same set, so the entry *is* the answer whichever strategy would have
+  run — a hit neither consults nor records on the tenant's breakers.
+* **Everything else, queued for a worker thread**: misses, forms
+  without a cache (or stand-ins without ``lookup``), and requests
+  admitted with no time left, which are owed the ``expired`` shed.  The
+  worker calls ``prepared.run`` unchanged and so looks the binding up
+  once more — queued duplicates of an uncached binding evaluate once —
+  which makes ``AnswerCache.lookups`` count probes, not requests.
+
+Both end in :meth:`QueryService._finish` (terminal counter → future →
+audit row) and share the failure modes of a production query tier,
+designed in rather than bolted on:
 
 * **Admission control / load shedding** — every tenant owns a bounded
   admission lane.  A submit that finds its lane full fails *fast* with
-  a typed :class:`~repro.errors.Overloaded` error (carrying the tenant
-  and a ``retry_after`` hint) instead of piling latency onto every
-  queued request behind it.  Queue depth can therefore never exceed the
-  configured capacity, no matter the offered load.
+  a typed :class:`~repro.errors.Overloaded` (carrying the tenant and a
+  ``retry_after`` hint) instead of piling latency onto every request
+  queued behind it, so queue depth never exceeds the capacity.
 * **Weighted-fair scheduling** — workers drain the lanes by deficit
-  round-robin (:class:`~repro.tenancy.scheduler.FairScheduler`), so
-  under saturation each tenant's long-run service is proportional to
-  its quota weight and a hog's backlog cannot starve a well-behaved
-  neighbour.  An untenanted service has a single default lane, which
-  degenerates to exactly the old FIFO queue.
+  round-robin (:class:`~repro.tenancy.scheduler.FairScheduler`): under
+  saturation a tenant's long-run service is proportional to its quota
+  weight and a hog's backlog cannot starve a neighbour.  An untenanted
+  service has one default lane — a plain FIFO queue.
 * **Tenant quotas** — token-bucket request rates, concurrent-slot caps
   and cumulative resource pools (facts / rounds / wall-clock seconds,
-  charged post-paid from each attempt's budget usage) shed with typed
-  :class:`~repro.errors.QuotaExceeded` carrying the refill time as
-  ``retry_after``.  One tenant exhausting its allowance never affects
-  another's admissions.
-* **Form registry** — with a
-  :class:`~repro.tenancy.forms.FormRegistry` attached, tenants submit
-  ``(form_name, constants)``; the form's static cost class prices its
-  deficit-round-robin cost, so heavy forms drain a tenant's scheduling
-  weight faster than cheap lookups.
-* **Deadline propagation** — each request carries a deadline.  It is
-  threaded into every evaluation attempt as a derived
-  :class:`~repro.engine.guard.ResourceBudget`
-  (:meth:`~repro.engine.guard.ResourceBudget.child` clamps each
-  attempt to the request's remaining allowance), and a queued request
-  whose deadline already passed is shed by the worker without spending
-  any join work on it.
+  charged post-paid per attempt, a hit's seconds included) shed with a
+  typed :class:`~repro.errors.QuotaExceeded` carrying the refill time
+  as ``retry_after`` — before any cache look-up, and never affecting
+  another tenant's admissions.
+* **Form registry** — with a :class:`~repro.tenancy.forms.FormRegistry`
+  attached, tenants submit ``(form_name, constants)``; the form's static
+  cost class prices its round-robin cost, so heavy forms drain a
+  tenant's weight faster.
+* **Deadline propagation** — each request's deadline is threaded into
+  every attempt as a derived :class:`~repro.engine.guard.ResourceBudget`
+  (``child`` clamps it to the remaining allowance); a request already
+  past its deadline when a worker dequeues it is shed unevaluated.
 * **Retries with seeded backoff** — attempts that die on a
   timing-dependent budget abort are retried under a
   :class:`~repro.serve.retry.RetryPolicy`; delays are deterministic per
   ``(seed, request id, tenant stream)``, so one tenant's schedule
-  replays identically whatever its neighbours do.  Deterministic aborts
-  (:class:`~repro.errors.FactBudgetExceeded` /
-  :class:`~repro.errors.RoundBudgetExceeded`) fail fast — against the
-  request's pinned snapshot a retry would fail identically.
+  replays identically whatever its neighbours do.  Fact/round-cap
+  aborts fail fast: against the pinned snapshot a retry fails the same.
 * **Per-strategy circuit breakers, per tenant** — strategy failures
   feed a :class:`~repro.serve.breaker.BreakerBoard` scoped to the
   tenant, so one tenant poisoning a strategy (feeding it data that
   turned cyclic, say) trips only its own board.
-* **Snapshot isolation** — requests evaluate against an epoch-pinned
+* **Snapshot isolation** — requests read an epoch-pinned
   :meth:`~repro.engine.database.Database.snapshot` generation, so a
-  concurrent writer can never show a worker a half-applied mutation;
-  the generation is refreshed (cheaply, only when epochs actually
-  moved) at admission time.
-* **Atomic observability** — admission counters, breaker boards the
-  service created, and the ``inflight`` gauge all share one metrics
-  lock, so a :meth:`counters` snapshot is a single consistent cut: at
-  every snapshot ``admitted == completed + failed + cancelled +
-  shed_expired + inflight`` exactly.
+  concurrent writer never shows a half-applied mutation; admission
+  re-pins it (only when epochs moved) before the cache probe.
+* **Atomic observability** — admission counters, the breaker boards
+  the service created and the ``inflight`` gauge share one metrics
+  lock, so a :meth:`counters` snapshot is one consistent cut: always
+  ``admitted == completed + failed + cancelled + shed_expired +
+  inflight``, with ``inline_hits`` of ``completed`` off the first path.
 * **Graceful drain** — :meth:`QueryService.drain` stops admissions,
   lets workers finish queued and in-flight work, and after an optional
-  grace period flips the straggling requests'
+  grace period flips the stragglers'
   :class:`~repro.engine.guard.CancellationToken`\\ s so evaluation
   stops at the next round boundary.  Every admitted request resolves
   exactly once — answered, shed, or cancelled.
 
 Answers served concurrently are byte-identical to single-threaded
-evaluation of the same requests — the overload and multi-tenant
-benchmarks (``benchmarks/bench_s4_service_overload.py``,
-``benchmarks/bench_s6_multitenant.py``) enforce exactly that.
+evaluation of the same requests — ``bench_s4_service_overload.py`` and
+``bench_s6_multitenant.py`` under ``benchmarks/`` enforce exactly that.
 """
 
 import threading
 import time
 import zlib
 
+from ..durability.audit import (
+    epoch_hash,
+    jsonable_constants,
+    result_fingerprint,
+)
 from ..engine.guard import CancellationToken, ResourceBudget
 from ..errors import (
     BudgetExceededError,
@@ -85,7 +101,6 @@ from ..errors import (
     NotApplicableError,
     Overloaded,
     QuotaExceeded,
-    ReproError,
     RoundBudgetExceeded,
     ServiceClosed,
 )
@@ -133,29 +148,20 @@ class ServiceStats:
     snapshot atomic with its breaker boards too.
     """
 
-    __slots__ = ("_lock", "submitted", "admitted", "shed_overload",
-                 "shed_expired", "shed_quota", "rejected_closed",
-                 "completed", "failed", "cancelled", "retried",
-                 "fallbacks", "refreshes", "max_queue_depth",
-                 "inflight")
+    #: Every counter, in ``as_dict`` order.  ``inline_hits`` are the
+    #: ``completed`` requests answered from the answer cache on the
+    #: submitter's thread (they never saw the queue or a worker);
+    #: ``inflight`` is the gauge of admitted requests not yet terminal.
+    FIELDS = ("submitted", "admitted", "shed_overload", "shed_expired",
+              "shed_quota", "rejected_closed", "completed", "inline_hits",
+              "failed", "cancelled", "retried", "fallbacks", "refreshes",
+              "max_queue_depth", "inflight")
+    __slots__ = ("_lock",) + FIELDS
 
     def __init__(self, lock=None):
         self._lock = lock if lock is not None else threading.Lock()
-        self.submitted = 0
-        self.admitted = 0
-        self.shed_overload = 0
-        self.shed_expired = 0
-        self.shed_quota = 0
-        self.rejected_closed = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.retried = 0
-        self.fallbacks = 0
-        self.refreshes = 0
-        self.max_queue_depth = 0
-        #: Admitted requests not yet terminal (queued or being served).
-        self.inflight = 0
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
     def bump(self, name, amount=1):
         with self._lock:
@@ -176,12 +182,6 @@ class ServiceStats:
             setattr(self, name, getattr(self, name) + 1)
             self.inflight -= 1
 
-    def retract_admitted(self):
-        """Undo a provisional admission (the lane refused the offer)."""
-        with self._lock:
-            self.admitted -= 1
-            self.inflight -= 1
-
     def note_depth(self, depth):
         with self._lock:
             if depth > self.max_queue_depth:
@@ -189,22 +189,7 @@ class ServiceStats:
 
     def as_dict(self):
         with self._lock:
-            return {
-                "submitted": self.submitted,
-                "admitted": self.admitted,
-                "shed_overload": self.shed_overload,
-                "shed_expired": self.shed_expired,
-                "shed_quota": self.shed_quota,
-                "rejected_closed": self.rejected_closed,
-                "completed": self.completed,
-                "failed": self.failed,
-                "cancelled": self.cancelled,
-                "retried": self.retried,
-                "fallbacks": self.fallbacks,
-                "refreshes": self.refreshes,
-                "max_queue_depth": self.max_queue_depth,
-                "inflight": self.inflight,
-            }
+            return {name: getattr(self, name) for name in self.FIELDS}
 
     def __repr__(self):
         return "ServiceStats(%s)" % ", ".join(
@@ -222,10 +207,15 @@ class QueryFuture:
     """
 
     __slots__ = ("request_id", "_done", "_result", "_error", "_token")
+    #: ``token=None`` makes the future of a request answered inside
+    #: ``submit``, with nothing to wait for or cancel; they share this
+    #: set event — creating one costs as much as the cache probe.
+    _ANSWERED = threading.Event()
+    _ANSWERED.set()
 
     def __init__(self, request_id, token):
         self.request_id = request_id
-        self._done = threading.Event()
+        self._done = self._ANSWERED if token is None else threading.Event()
         self._result = None
         self._error = None
         self._token = token
@@ -237,13 +227,9 @@ class QueryFuture:
         """The :class:`~repro.exec.strategies.ExecutionResult`, or the
         request's typed error re-raised.  Raises ``TimeoutError`` if
         the outcome does not land within ``timeout`` seconds."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                "request %d not done within %gs" % (self.request_id,
-                                                    timeout)
-            )
-        if self._error is not None:
-            raise self._error
+        error = self.exception(timeout)
+        if error is not None:
+            raise error
         return self._result
 
     def exception(self, timeout=None):
@@ -258,7 +244,8 @@ class QueryFuture:
 
     def cancel(self):
         """Request cooperative cancellation of this request."""
-        self._token.cancel()
+        if self._token is not None:
+            self._token.cancel()
 
     def _resolve(self, result=None, error=None):
         self._result = result
@@ -326,6 +313,13 @@ class _Request:
         self.eval_workers = eval_workers
 
 
+def _service_extras(request, attempts, fallback=False, **more):
+    """The ``extras["service"]`` block of every served result."""
+    return dict(attempts=attempts, fallback=fallback,
+                generation=id(request.db),
+                eval_workers=request.eval_workers, **more)
+
+
 class QueryService:
     """Serve prepared query forms concurrently to multiple tenants.
 
@@ -335,8 +329,9 @@ class QueryService:
         The default query form, served to submits that name no
         ``form``.  Anything duck-typing its ``method`` /
         ``run(constants, db=..., budget=...)`` / ``bind`` surface works
-        (tests exploit this).  May be ``None`` when a ``registry`` is
-        attached — then every submit must name a form.
+        (tests exploit this; without ``lookup`` every request queues).
+        May be ``None`` when a ``registry`` is attached — then every
+        submit must name a form.
     db : :class:`~repro.engine.database.Database`
         The live database.  Requests are evaluated against epoch-pinned
         snapshot generations of it (unless ``snapshots=False``).
@@ -460,6 +455,8 @@ class QueryService:
         #: Admitted-but-unfinished requests, for drain cancellation.
         self._outstanding = {}
         self._generation = db.snapshot() if snapshots else db
+        #: (generation, its epoch_hash) of the last audited request.
+        self._epoch_memo = (None, None)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -502,7 +499,8 @@ class QueryService:
 
     def submit(self, constants=None, timeout=None, budget=None,
                tenant=None, form=None, version=None, eval_workers=None):
-        """Admit one request; returns a :class:`QueryFuture`.
+        """Admit one request; returns a :class:`QueryFuture`, already
+        resolved on an answer-cache hit (module docstring: two paths).
 
         ``eval_workers`` asks for data-parallel evaluation with that
         many processes (``None`` inherits the service default).  The
@@ -535,65 +533,88 @@ class QueryService:
         if timeout is None:
             timeout = self.default_timeout
         deadline = None if timeout is None else now + timeout
-        token = CancellationToken()
         with self._admit_lock:
             # The whole admission decision — submitted bump through
             # admitted/shed outcome — sits in one metrics-lock critical
             # section, so both ledger identities (``submitted ==
             # admitted + sheds + rejected`` and ``admitted ==
             # terminals + inflight``) hold at *every* counters()
-            # snapshot, never just at quiescence.  Without this a
-            # worker could serve a freshly offered request and count
-            # its terminal before the submitter counted the admission.
+            # snapshot, never just at quiescence: a worker that already
+            # serves a freshly offered request cannot count its
+            # terminal before the submitter has counted the admission.
             with self._metrics_lock:
-                self.stats.bump("submitted")
-                if tstate.stats is not None:
-                    tstate.stats.bump("submitted")
+                self._bump(tstate, "submitted")
                 if self._closed:
-                    self._shed(tstate, "rejected_closed")
+                    self._bump(tstate, "rejected_closed")
                     raise ServiceClosed(
                         "service is draining; admissions are closed"
                     )
                 self._check_quota(tstate)
                 request_id = self._next_id
                 self._next_id += 1
+                generation = self._refreshed_generation()
+                # A request admitted with no time left is owed the
+                # worker's ``expired`` shed, not an answer.
+                hit = None if deadline is not None and deadline <= now \
+                    else self._cached(prepared, constants, generation)
+                token = CancellationToken() if hit is None else None
                 future = QueryFuture(request_id, token)
                 request = _Request(
                     request_id, prepared, constants, deadline, budget,
-                    token, future, self._refreshed_generation(), now,
-                    tenant, tstate, form_name, cost,
-                    eval_workers=self._granted_workers(
-                        tstate, eval_workers
-                    ),
+                    token, future, generation, now, tenant, tstate,
+                    form_name, cost,
+                    eval_workers=self._granted_workers(tstate, eval_workers),
                 )
+                if hit is None:
+                    self._enqueue(request)
                 self.stats.note_admitted()
                 if tstate.stats is not None:
                     tstate.stats.note_admitted()
-                if not self._scheduler.offer(tenant, request,
-                                             cost=cost):
-                    self.stats.retract_admitted()
-                    if tstate.stats is not None:
-                        tstate.stats.retract_admitted()
-                    self._shed(tstate, "shed_overload")
-                    raise Overloaded(
-                        "admission lane%s at capacity (%d queued); "
-                        "request shed" % (
-                            "" if tenant is None else " of tenant %r"
-                            % tenant,
-                            self._scheduler.lane_depth(tenant),
-                        ),
-                        reason="queue_full",
-                        tenant=tenant,
-                        retry_after=self._drain_hint(
-                            self._scheduler.lane_depth(tenant)
-                        ),
-                    )
-                self._outstanding[request_id] = request
-                tstate.in_system += 1
+            if hit is not None:
+                # Still under the admission lock, which drain() takes
+                # to close admissions: a hit admitted before the close
+                # is counted and audited before drain() flushes the log.
+                # Post-paid pools are charged it like any attempt.
+                self._charge(request, None, None, self._clock() - now)
+                hit.extras["service"] = _service_extras(request, 1)
+                self._finish(request, "completed", hit, None, now)
+                self._bump(tstate, "inline_hits")
+                return future
         self.stats.note_depth(self._scheduler.depth())
         if tstate.stats is not None:
             tstate.stats.note_depth(self._scheduler.lane_depth(tenant))
         return future
+
+    @staticmethod
+    def _cached(prepared, constants, generation):
+        """The binding's cached answer for the pinned generation, by
+        ``PreparedQuery.lookup`` (the code ``run`` looks up with), or
+        ``None`` — also for a stand-in without it: the request queues."""
+        lookup = getattr(prepared, "lookup", None)
+        if lookup is None:
+            return None
+        try:
+            return lookup(constants, db=generation)
+        except Exception:
+            # E.g. an unhashable constant.  The worker's own look-up
+            # raises it again and fails the request through its future.
+            return None
+
+    def _enqueue(self, request):
+        """Offer an admitted miss to its tenant's lane, or shed it."""
+        tenant, tstate = request.tenant, request.tstate
+        if not self._scheduler.offer(tenant, request, cost=request.cost):
+            self._bump(tstate, "shed_overload")
+            depth = self._scheduler.lane_depth(tenant)
+            raise Overloaded(
+                "admission lane%s at capacity (%d queued); request shed"
+                % ("" if tenant is None else " of tenant %r" % tenant,
+                   depth),
+                reason="queue_full", tenant=tenant,
+                retry_after=self._drain_hint(depth),
+            )
+        self._outstanding[request.id] = request
+        tstate.in_system += 1
 
     def run(self, constants=None, timeout=None, budget=None,
             tenant=None, form=None, version=None, wait=None,
@@ -651,7 +672,8 @@ class QueryService:
             )
         return constants
 
-    def _shed(self, tstate, counter):
+    def _bump(self, tstate, counter):
+        """Count on the service-wide ledger and the tenant's own."""
         self.stats.bump(counter)
         if tstate.stats is not None:
             tstate.stats.bump(counter)
@@ -668,7 +690,7 @@ class QueryService:
         for name in _POOL_ORDER:
             pool = tstate.pools.get(name)
             if pool is not None and not pool.admits():
-                self._shed(tstate, "shed_quota")
+                self._bump(tstate, "shed_quota")
                 raise QuotaExceeded(
                     "tenant %r exhausted its %s pool (balance %.4g)"
                     % (tstate.name, name, pool.balance()),
@@ -677,7 +699,7 @@ class QueryService:
                 )
         limit = tstate.quota.max_concurrent
         if limit is not None and tstate.in_system >= limit:
-            self._shed(tstate, "shed_quota")
+            self._bump(tstate, "shed_quota")
             raise QuotaExceeded(
                 "tenant %r at its concurrency cap (%d in system)"
                 % (tstate.name, tstate.in_system),
@@ -685,7 +707,7 @@ class QueryService:
                 retry_after=self._drain_hint(1),
             )
         if tstate.bucket is not None and not tstate.bucket.try_take():
-            self._shed(tstate, "shed_quota")
+            self._bump(tstate, "shed_quota")
             raise QuotaExceeded(
                 "tenant %r over its request rate (%.4g/s)"
                 % (tstate.name, tstate.bucket.rate),
@@ -750,69 +772,58 @@ class QueryService:
                     self._outstanding.pop(request.id, None)
                     request.tstate.in_system -= 1
 
-    def _terminal(self, request, name):
-        self.stats.note_terminal(name)
-        if request.tstate.stats is not None:
-            request.tstate.stats.note_terminal(name)
-
     def _serve(self, request):
+        """Decide one dequeued request's outcome and finish it."""
         now = self._clock()
+        outcome, result, error = "completed", None, None
+        evaluated = False
         if request.token.cancelled:
             # Cancelled while still queued (future.cancel() before any
             # worker dequeued it): resolve without evaluation.  Without
             # this check the request would be fully evaluated and its
             # cancellation only honoured if a budget checkpoint
             # happened to fire mid-run.
-            self._terminal(request, "cancelled")
-            error = EvaluationCancelled(
+            outcome, error = "cancelled", EvaluationCancelled(
                 "request %d cancelled while queued" % request.id
             )
-            request.future._resolve(error=error)
-            self._audit_record(request, "cancelled", error=error,
-                               started=now)
-            return
-        if request.deadline is not None and now >= request.deadline:
+        elif request.deadline is not None and now >= request.deadline:
             # Shed without evaluation: the deadline passed while the
             # request sat in the queue.
-            self._terminal(request, "shed_expired")
-            error = Overloaded(
+            outcome, error = "expired", Overloaded(
                 "deadline expired after %.4fs in queue; request shed "
                 "unevaluated" % (now - request.submitted_at),
-                reason="expired",
-                tenant=request.tenant,
+                reason="expired", tenant=request.tenant,
             )
-            request.future._resolve(error=error)
-            self._audit_record(request, "expired", error=error,
-                               started=now)
-            return
-        try:
-            result = self._attempts(request)
-        except EvaluationCancelled as exc:
-            self._terminal(request, "cancelled")
-            request.future._resolve(error=exc)
-            self._audit_record(request, "cancelled", error=exc,
-                               started=now)
-        except ReproError as exc:
-            self._terminal(request, "failed")
-            request.future._resolve(error=exc)
-            self._audit_record(request, "failed", error=exc, started=now)
-        except BaseException as exc:
-            # An untyped bug escaping an attempt must not kill the
-            # worker thread: that would shrink the pool permanently,
-            # leave the future unresolved (hanging result() callers
-            # forever), and unbalance the admission ledger.  Resolve
-            # the future with the raw error instead.
-            self._terminal(request, "failed")
-            request.future._resolve(error=exc)
-            self._audit_record(request, "failed", error=exc, started=now)
         else:
-            self._terminal(request, "completed")
-            request.future._resolve(result=result)
-            self._audit_record(request, "completed", result=result,
-                               started=now)
-        self._note_service_time(self._clock() - now)
+            evaluated = True
+            try:
+                result = self._attempts(request)
+            except EvaluationCancelled as exc:
+                outcome, error = "cancelled", exc
+            except BaseException as exc:
+                # A typed ReproError, or an untyped bug — which must
+                # not kill the worker thread: that would shrink the
+                # pool for good, leave the future unresolved (hanging
+                # result() callers forever) and unbalance the ledger.
+                outcome, error = "failed", exc
+        self._finish(request, outcome, result, error, now)
+        if evaluated:
+            self._note_service_time(self._clock() - now)
+
+    def _finish(self, request, outcome, result, error, started):
+        """The one terminal path, for every outcome on either thread:
+        terminal counter (with the inflight gauge), future, audit row —
+        a client that saw its result also sees it counted."""
+        counter = "shed_expired" if outcome == "expired" else outcome
+        self.stats.note_terminal(counter)
+        if request.tstate.stats is not None:
+            request.tstate.stats.note_terminal(counter)
+        request.future._resolve(result=result, error=error)
+        self._audit_record(request, outcome, result, error, started)
 
     def _note_service_time(self, elapsed):
+        """Feed the ``retry_after`` EMA: how fast the *queue* drains,
+        so hits answered on the submitter's thread stay out of it."""
         if elapsed < 0:
             return
         with self._metrics_lock:
@@ -823,8 +834,7 @@ class QueryService:
                     0.8 * self._ema_service + 0.2 * elapsed
                 )
 
-    def _audit_record(self, request, outcome, result=None, error=None,
-                      started=None):
+    def _audit_record(self, request, outcome, result, error, started):
         """Append one request's outcome to the audit trail (if any).
 
         Auditing is observability, never control flow: any failure to
@@ -834,12 +844,6 @@ class QueryService:
         if self.audit is None:
             return
         try:
-            from ..durability.audit import (
-                epoch_hash,
-                jsonable_constants,
-                result_fingerprint,
-            )
-
             constants = (
                 request.constants
                 if request.constants is not None
@@ -852,12 +856,12 @@ class QueryService:
                 "form": request.form,
                 "constants": rendered,
                 "replayable": replayable,
-                "epoch_hash": epoch_hash(request.db),
+                "epoch_hash": self._epoch_hash(request.db),
                 "lineage": getattr(request.db, "lineage", None),
                 "outcome": outcome,
                 "execution_time_ms": round(
                     (self._clock() - started) * 1000.0, 4
-                ) if started is not None else None,
+                ),
             }
             if error is not None:
                 entry["error"] = "%s: %s" % (type(error).__name__, error)
@@ -872,6 +876,15 @@ class QueryService:
             self.audit.record(entry)
         except Exception:  # pragma: no cover - defensive
             pass
+
+    def _epoch_hash(self, db):
+        """``epoch_hash(db)`` — a digest over the whole epoch table —
+        taken once per pinned generation, which never changes; the
+        live database (``snapshots=False``) is hashed per request."""
+        memo = self._epoch_memo
+        if memo[0] is not db or not self.snapshots:
+            memo = self._epoch_memo = (db, epoch_hash(db))
+        return memo[1]
 
     def _budget_for(self, request):
         """A fresh per-attempt budget carrying the request's remaining
@@ -891,17 +904,17 @@ class QueryService:
         """Post-paid quota charge for one attempt, success or not.
 
         Facts and rounds come from the attempt's budget usage (the
-        engine's checkpoint count and derived-fact tally); wall-clock
-        is the service-measured attempt time, which also covers
-        evaluators that never reached a budget checkpoint.  Charging
-        after the fact is what lets one expensive query drive a pool
-        into debt — the debt then blocks the *next* admission, which is
-        the isolation contract.
+        engine's checkpoint count and derived-fact tally; none for a
+        cache hit, which has no budget); wall-clock is the service-
+        measured time, which also covers evaluators that never reached
+        a budget checkpoint.  Charging after the fact is what lets one
+        expensive query drive a pool into debt — the debt then blocks
+        the *next* admission, which is the isolation contract.
         """
         pools = request.tstate.pools
         if not pools:
             return
-        usage = budget.usage(stats)
+        usage = {} if budget is None else budget.usage(stats)
         usage["seconds"] = elapsed
         for name, pool in pools.items():
             amount = usage.get(name)
@@ -966,9 +979,7 @@ class QueryService:
                     self._clock() + delay >= request.deadline
                 ):
                     raise
-                self.stats.bump("retried")
-                if request.tstate.stats is not None:
-                    request.tstate.stats.bump("retried")
+                self._bump(request.tstate, "retried")
                 self._sleep(delay)
                 continue
             except _STRATEGY_ERRORS:
@@ -982,20 +993,13 @@ class QueryService:
                          getattr(result, "stats", None),
                          self._clock() - attempt_started)
             breaker.record_success()
-            result.extras["service"] = {
-                "attempts": attempt,
-                "fallback": False,
-                "generation": id(request.db),
-                "eval_workers": request.eval_workers,
-            }
+            result.extras["service"] = _service_extras(request, attempt)
             return result
 
     def _fallback(self, request, skip):
         """Degrade through the resilient chain (minus ``skip``), with
         the tenant's breaker board and request-derived budgets."""
-        self.stats.bump("fallbacks")
-        if request.tstate.stats is not None:
-            request.tstate.stats.bump("fallbacks")
+        self._bump(request.tstate, "fallbacks")
         chain = tuple(m for m in DEFAULT_CHAIN if m != skip)
         if request.eval_workers is not None and skip != "parallel":
             # A granted request degrades *through* the sharded fixpoint
@@ -1013,13 +1017,10 @@ class QueryService:
             budget_factory=lambda: self._budget_for(request),
         )
         result = report.result
-        result.extras["service"] = {
-            "attempts": len(report.attempts),
-            "fallback": True,
-            "resilient": report.summary(),
-            "generation": id(request.db),
-            "eval_workers": request.eval_workers,
-        }
+        result.extras["service"] = _service_extras(
+            request, len(report.attempts), fallback=True,
+            resilient=report.summary(),
+        )
         return result
 
     # -- shutdown ------------------------------------------------------
@@ -1027,12 +1028,13 @@ class QueryService:
     def drain(self, grace=None):
         """Stop admissions, finish accepted work, cancel stragglers.
 
-        Admissions close immediately (subsequent submits raise
-        :class:`~repro.errors.ServiceClosed`); queued and in-flight
-        requests run to completion — the scheduler keeps dispatching
-        its remaining lane contents after close and only then releases
-        the workers.  With ``grace`` set, workers still alive after
-        that many (real) seconds get their requests' cancellation
+        Admissions close at once (later submits raise
+        :class:`~repro.errors.ServiceClosed`), after any cache hit
+        still being finished on its submitter's thread is counted and
+        audited; queued and in-flight requests run to completion — the
+        scheduler dispatches what its lanes still hold and only then
+        releases the workers.  With ``grace`` set, workers still alive
+        after that many (real) seconds get their requests' cancellation
         tokens flipped, which aborts in-flight evaluation at the next
         budget checkpoint and resolves still-queued requests as
         cancelled when a worker picks them up — every admitted request
@@ -1056,23 +1058,21 @@ class QueryService:
             # Grace expired: flip every outstanding token and wait for
             # the workers to notice at their next round boundary (or,
             # for still-queued requests, at dequeue).
-            self._cancel_outstanding()
+            with self._admit_lock:
+                outstanding = list(self._outstanding.values())
+            for request in outstanding:
+                request.token.cancel()
             for worker in self._workers:
                 worker.join()
         if self.audit is not None:
-            # Workers are parked; every recorded entry reaches disk.
+            # Workers are parked and hits finish under the admission
+            # lock taken above: every recorded entry reaches disk.
             self.audit.flush()
         return graceful
 
     def close(self, grace=None):
         """Alias for :meth:`drain` (context-manager exit path)."""
         return self.drain(grace=grace)
-
-    def _cancel_outstanding(self):
-        with self._admit_lock:
-            requests = list(self._outstanding.values())
-        for request in requests:
-            request.token.cancel()
 
     def __enter__(self):
         return self

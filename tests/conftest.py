@@ -1,8 +1,17 @@
 """Shared fixtures: the paper's example programs and databases."""
 
+import threading
+
 import pytest
 
-from repro import Database, parse_query
+from repro import (
+    AnswerCache,
+    Database,
+    PreparedQuery,
+    QueryService,
+    parse_query,
+)
+from repro.data.workloads import WORKLOADS, sg_forest
 from repro.engine.faults import FaultInjector
 
 
@@ -17,6 +26,51 @@ def fault_injector():
     injector = FaultInjector(seed=0)
     yield injector
     injector.uninstall()
+
+
+class GatedPrepared:
+    """A real ``PreparedQuery`` whose ``run`` — the service's worker
+    path — can be held on a gate; ``lookup`` and everything else pass
+    through to the wrapped form."""
+
+    def __init__(self, prepared, gate=None):
+        self._prepared = prepared
+        self.gate = gate
+        self.started = threading.Event()
+        self.runs = 0
+
+    def __getattr__(self, name):
+        return getattr(self._prepared, name)
+
+    def run(self, constants, db=None, budget=None, **options):
+        self.runs += 1
+        self.started.set()
+        if self.gate is not None:
+            assert self.gate.wait(30.0)
+        return self._prepared.run(constants, db=db, budget=budget,
+                                  **options)
+
+
+@pytest.fixture
+def cached_service():
+    """Factory for a one-worker ``QueryService`` over a real cached
+    form on ``sg_forest``: ``make(gate=None, trees=3, **options)``
+    returns ``(service, prepared, cache, db)``, ``prepared`` being a
+    :class:`GatedPrepared`.  The caller drains the service."""
+
+    def make(gate=None, trees=3, **options):
+        db, _source = sg_forest(trees=trees, fanout=2, depth=3)
+        cache = AnswerCache(capacity=64)
+        prepared = GatedPrepared(
+            PreparedQuery(WORKLOADS["sg_forest"].query, db,
+                          cache=cache),
+            gate,
+        )
+        options.setdefault("workers", 1)
+        service = QueryService(prepared, db, **options)
+        return service, prepared, cache, db
+
+    return make
 
 
 @pytest.fixture

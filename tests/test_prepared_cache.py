@@ -3,7 +3,10 @@
 import io
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro import parse_query
 from repro.cli import main as cli_main
 from repro.data.workloads import (
     WORKLOADS,
@@ -330,6 +333,152 @@ class TestCountingTableStore:
         assert store.hit_rate == 0.5
         assert "1 hits" in repr(store)
         store.assert_consistent()
+
+
+# -- lookup: the look-up half of run, and the hash-once form key -------
+
+class TestLookup:
+    def test_lookup_is_the_look_up_half_of_run(self):
+        db = make_chain()
+        cache = AnswerCache()
+        prepared = PreparedQuery(WORKLOADS["sg_chain"].query, db,
+                                 cache=cache)
+        # A miss evaluates nothing and stores nothing.
+        assert prepared.lookup(("a",), db=db) is None
+        assert len(cache) == 0
+        ran = prepared.run(("a",), db=db)
+        looked_up = prepared.lookup(("a",), db=db)
+        rerun = prepared.run(("a",), db=db)
+        for hit in (looked_up, rerun):
+            assert hit.answers == ran.answers
+            assert hit.method == prepared.method
+            assert hit.stats.cache_hits == 1
+            assert hit.stats.cache_misses == 0
+            assert hit.stats.total_work == 0
+            assert hit.extras["cache_hit"] is True
+        assert looked_up.extras == rerun.extras
+        # ``lookups`` counts probes: the lookup that missed, run's own
+        # probe before evaluating, and the two hits.
+        snap = cache.stats()
+        assert (snap["lookups"], snap["hits"], snap["misses"]) == (4, 2, 2)
+
+    def test_hit_extras_are_private_to_the_caller(self):
+        db = make_chain()
+        prepared = PreparedQuery(WORKLOADS["sg_chain"].query, db,
+                                 cache=AnswerCache())
+        prepared.run(db=db)
+        prepared.lookup(db=db).extras["scribble"] = True
+        assert "scribble" not in prepared.lookup(db=db).extras
+
+    def test_lookup_without_a_cache_is_none(self):
+        db = make_chain()
+        prepared = PreparedQuery(WORKLOADS["sg_chain"].query, db)
+        prepared.run(db=db)
+        assert prepared.lookup(db=db) is None
+
+    def test_lookup_checks_its_arguments_like_run(self):
+        db = make_chain()
+        prepared = PreparedQuery(WORKLOADS["sg_chain"].query, db,
+                                 cache=AnswerCache())
+        with pytest.raises(ValueError):
+            prepared.lookup(("a", "b"), db=db)
+        with pytest.raises(TypeError):
+            prepared.lookup(("a",))  # no database
+
+    def test_lookup_validates_epochs_and_lineage(self):
+        db_one = make_chain()
+        db_two = make_chain()  # same facts, same epochs, different db
+        cache = AnswerCache()
+        prepared = PreparedQuery(WORKLOADS["sg_chain"].query, db_one,
+                                 cache=cache)
+        prepared.run(db=db_one)
+        assert prepared.lookup(db=db_one.snapshot()) is not None
+        assert prepared.lookup(db=db_two) is None
+        assert cache.invalidations == 1
+        prepared.run(db=db_one)
+        db_one.add_fact("flat", "a", "fresh_peer")
+        assert prepared.lookup(db=db_one) is None
+
+
+FORM_RULES = (
+    """
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+    q(X, Y) :- f(X, Y).
+    q(X, Y) :- f(X, Z), q(Z, Y).
+    """,
+    """
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- f(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+    q(X, Y) :- f(X, Y).
+    q(X, Y) :- f(X, Z), q(Z, Y).
+    """,
+)
+#: Goal templates: two predicates, two adornments; ``%s`` is the goal's
+#: own constant, which is the default binding and no part of the form.
+FORM_GOALS = ("p(%s, Y)", "p(X, %s)", "q(%s, Y)")
+form_specs = st.tuples(
+    st.sampled_from(FORM_RULES), st.sampled_from(FORM_GOALS),
+    st.sampled_from(("a", "b")),
+    st.sampled_from(("magic", "sup_magic", "naive")),
+)
+form_edges = st.lists(
+    st.tuples(st.sampled_from(("e", "f")),
+              st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))),
+    max_size=12,
+)
+
+
+class TestFormKey:
+    @staticmethod
+    def _prepared(spec, db, cache):
+        rules, goal, constant, method = spec
+        query = parse_query("%s\n?- %s." % (rules, goal % constant))
+        return PreparedQuery(query, db, method=method, cache=cache)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(form_specs, form_specs, form_edges)
+    @example((FORM_RULES[0], FORM_GOALS[0], "a", "magic"),
+             (FORM_RULES[0], FORM_GOALS[0], "b", "magic"),
+             [("e", ("a", "b")), ("e", ("b", "c"))])
+    def test_key_is_structural_and_hashed_once(self, one, two, edges):
+        db = Database.from_facts(edges)
+        cache = AnswerCache()
+        first = self._prepared(one, db, cache)
+        second = self._prepared(two, db, cache)
+        same_form = all(
+            part(first) == part(second) for part in (
+                lambda p: p.template.goal.key,
+                lambda p: p.template.adornment(),
+                lambda p: p.method,
+                lambda p: p.template.program.rules,
+            )
+        )
+        key, other = first._form_key, second._form_key
+        hashed = hash(key)
+        assert (key == other) == same_form
+        assert (key != other) != same_form
+        if same_form:
+            assert hash(other) == hashed
+        # Equal forms — and only they — exchange cache entries.
+        ran = first.run(("a",), db=db)
+        shared = second.lookup(("a",), db=db)
+        assert (shared is not None) == same_form
+        if same_form:
+            assert shared.answers == ran.answers
+        assert second.run(("a",), db=db).answers == run_strategy(
+            second.method, second.bind(("a",)), db
+        ).answers
+        assert hash(key) == hashed
+
+    def test_key_is_not_its_parts(self):
+        db = make_chain()
+        prepared = PreparedQuery(WORKLOADS["sg_chain"].query, db)
+        key = prepared._form_key
+        assert key != key.parts and key.parts != key
+        assert prepared.method in repr(key)
 
 
 # -- batches and the forest workload -----------------------------------

@@ -4,11 +4,14 @@ retries, circuit breakers and graceful drain.
 Fake prepared objects (anything with ``method`` / ``run`` / ``bind``)
 drive the deterministic control-flow tests; the real
 ``PreparedQuery`` over an ``sg_forest`` database backs the
-answers-identical and breaker/fallback integration tests.  Thread
+answers-identical and breaker/fallback integration tests and — with an
+answer cache, through conftest's ``cached_service`` — the tests of
+cache hits answered on the submitter's thread.  Thread
 timing never decides an assertion: blocking fakes gate on events, and
 deadlines/breakers run on injectable fake clocks.
 """
 
+import sys
 import threading
 import time
 
@@ -21,6 +24,12 @@ from repro.data.workloads import (
     forest_root,
     poison_forest,
     sg_forest,
+)
+from repro.durability.audit import (
+    AuditLog,
+    epoch_hash,
+    read_audit,
+    verify_audit,
 )
 from repro.engine.guard import CancellationToken, ResourceBudget
 from repro.errors import (
@@ -118,6 +127,19 @@ class CancellableFake(FakePrepared):
 
 def tiny_db():
     return Database.from_text("flat(a, b).")
+
+
+def assert_ledger(counters):
+    assert counters["submitted"] == (
+        counters["admitted"] + counters["shed_overload"]
+        + counters["shed_quota"] + counters["rejected_closed"]
+    )
+    assert counters["admitted"] == (
+        counters["completed"] + counters["failed"]
+        + counters["cancelled"] + counters["shed_expired"]
+        + counters["inflight"]
+    )
+    assert counters["inline_hits"] <= counters["completed"]
 
 
 class TestCancellationToken:
@@ -867,6 +889,312 @@ class TestDrain:
         assert future.done()
         with pytest.raises(ServiceClosed):
             service.submit()
+
+
+class TestCallerThreadHits:
+    """An admitted request whose binding the answer cache holds is
+    answered inside ``submit``; everything else takes the queue."""
+
+    WARM = (forest_root(0),)
+    COLD = (forest_root(1),)
+
+    def test_hit_resolves_inside_submit_with_the_worker_blocked(
+            self, cached_service):
+        gate = threading.Event()
+        gate.set()
+        service, prepared, cache, _db = cached_service(gate)
+        try:
+            evaluated = service.run(self.WARM, wait=60.0)
+            gate.clear()
+            prepared.started.clear()
+            blocker = service.submit(self.COLD)
+            assert prepared.started.wait(30.0)  # the only worker is held
+            lookups = cache.stats()["lookups"]
+            future = service.submit(self.WARM)
+            assert future.done()
+            result = future.result(0)
+            assert future.exception(0) is None
+            future.cancel()  # nothing left to cancel: a no-op
+            assert not blocker.done()
+            counters = service.counters()
+            assert_ledger(counters)
+            assert counters["inline_hits"] == 1
+            assert counters["completed"] == 2
+            assert counters["inflight"] == 1
+            assert cache.stats()["lookups"] == lookups + 1
+            assert prepared.runs == 2  # the hit never reached run()
+        finally:
+            gate.set()
+            service.drain()
+        assert result.answers == evaluated.answers
+        assert result.method == evaluated.method
+        assert result.stats.cache_hits == 1
+        assert result.stats.cache_misses == 0
+        assert result.stats.total_work == 0
+        assert result.extras["cache_hit"] is True
+        assert result.extras["service"] == {
+            "attempts": 1, "fallback": False, "eval_workers": None,
+            "generation": evaluated.extras["service"]["generation"],
+        }
+        # One id sequence, in admission order, across both paths.
+        assert future.request_id == blocker.request_id + 1
+        assert blocker.result(0).stats.cache_misses == 1
+
+    def test_lookups_count_probes_not_requests(self, cached_service):
+        service, _prepared, cache, _db = cached_service()
+        try:
+            miss = service.run(self.WARM, wait=60.0)
+            hit = service.run(self.WARM, wait=60.0)
+        finally:
+            service.drain()
+        # The miss was probed at admission and once more by the worker.
+        snap = cache.stats()
+        assert (snap["lookups"], snap["hits"], snap["misses"]) == (3, 1, 2)
+        assert miss.stats.cache_misses == 1 and miss.stats.cache_hits == 0
+        assert hit.stats.cache_misses == 0 and hit.stats.cache_hits == 1
+        assert service.counters()["inline_hits"] == 1
+
+    def test_expired_and_closed_sheds_on_a_cached_binding(
+            self, cached_service):
+        service, prepared, cache, _db = cached_service()
+        try:
+            service.run(self.WARM, wait=60.0)
+            lookups = cache.stats()["lookups"]
+            doomed = service.submit(self.WARM, timeout=0)
+            with pytest.raises(Overloaded) as excinfo:
+                doomed.result(30.0)
+            assert excinfo.value.reason == "expired"
+        finally:
+            service.drain()
+        with pytest.raises(ServiceClosed):
+            service.submit(self.WARM)
+        counters = service.counters()
+        assert_ledger(counters)
+        assert counters["shed_expired"] == 1
+        assert counters["rejected_closed"] == 1
+        assert counters["inline_hits"] == 0
+        # Neither refusal looked the binding up or evaluated it.
+        assert cache.stats()["lookups"] == lookups
+        assert prepared.runs == 1
+
+    def test_open_breaker_cached_from_cache_uncached_falls_back(self):
+        db, _source = sg_forest(trees=2, fanout=2, depth=3)
+        prepared = PreparedQuery(WORKLOADS["sg_forest"].query, db,
+                                 cache=AnswerCache())
+        board = BreakerBoard(threshold=1, cooldown=1e9)
+        service = QueryService(prepared, db, workers=1, breakers=board)
+        try:
+            evaluated = service.run(self.WARM, wait=60.0)
+            board.get(prepared.method).record_failure()
+            assert board.get(prepared.method).state == OPEN
+            hit = service.run(self.WARM, wait=60.0)
+            after_hit = service.counters()
+            degraded = service.run(self.COLD, wait=60.0)
+        finally:
+            service.drain()
+        # The entry is the answer whatever the breaker says (every
+        # strategy computes the same set): not consulted, not recorded.
+        assert hit.answers == evaluated.answers
+        assert hit.stats.cache_hits == 1
+        assert hit.extras["service"]["fallback"] is False
+        assert after_hit["inline_hits"] == 1
+        assert after_hit["breaker_rejections"] == 0
+        assert after_hit["fallbacks"] == 0
+        assert board.get(prepared.method).state == OPEN
+        # An uncached binding still degrades through the chain.
+        assert degraded.extras["service"]["fallback"] is True
+        assert degraded.answers == run_strategy(
+            "naive", prepared.bind(self.COLD), db
+        ).answers
+        counters = service.counters()
+        assert counters["breaker_rejections"] == 1
+        assert counters["fallbacks"] == 1
+
+    def test_audit_rows_of_both_paths_agree_and_replay(
+            self, cached_service, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        audit = AuditLog(path, flush_every=1)
+        service, prepared, _cache, db = cached_service(audit=audit)
+        try:
+            service.run(self.WARM, wait=60.0)
+            service.run(self.WARM, wait=60.0)
+        finally:
+            service.drain()
+            audit.close()
+        assert service.counters()["inline_hits"] == 1
+        (worker_row, caller_row), torn = read_audit(path)
+        assert torn is None
+        assert set(worker_row) == set(caller_row)
+        for field in set(worker_row) - {"request_id",
+                                        "execution_time_ms"}:
+            assert worker_row[field] == caller_row[field], field
+        assert worker_row["result_fingerprint"]
+        assert worker_row["epoch_hash"] == epoch_hash(db)
+        assert (worker_row["request_id"],
+                caller_row["request_id"]) == (0, 1)
+        report = verify_audit(path, prepared, db)
+        assert report["checked"] == 2
+        assert report["mismatched"] == []
+
+    @pytest.mark.parametrize("snapshots", [True, False])
+    def test_audited_epoch_hash_follows_the_database(
+            self, cached_service, tmp_path, snapshots):
+        path = str(tmp_path / "audit.jsonl")
+        audit = AuditLog(path, flush_every=1)
+        service, _prepared, _cache, db = cached_service(
+            audit=audit, snapshots=snapshots
+        )
+        try:
+            service.run(self.WARM, wait=60.0)
+            service.run(self.WARM, wait=60.0)
+            before = epoch_hash(db)
+            db.add_fact("flat", forest_root(0), "audit_new_peer")
+            service.run(self.WARM, wait=60.0)
+        finally:
+            service.drain()
+            audit.close()
+        hashes = [row["epoch_hash"] for row in read_audit(path)[0]]
+        assert hashes == [before, before, epoch_hash(db)]
+        assert before != epoch_hash(db)
+
+    def test_write_between_reads_makes_the_second_a_miss(self, cached_service):
+        service, _prepared, _cache, db = cached_service()
+        try:
+            service.run(self.WARM, wait=60.0)
+            hit = service.run(self.WARM, wait=60.0)
+            db.add_fact("flat", forest_root(0), "svc_new_peer")
+            # The generation is refreshed before the probe, so the
+            # stale entry cannot be served.
+            after = service.run(self.WARM, wait=60.0)
+            again = service.run(self.WARM, wait=60.0)
+        finally:
+            service.drain()
+        assert hit.stats.cache_hits == 1
+        assert ("svc_new_peer",) not in hit.answers
+        assert after.stats.cache_hits == 0
+        assert after.stats.cache_misses == 1
+        assert ("svc_new_peer",) in after.answers
+        assert again.stats.cache_hits == 1
+        assert again.answers == after.answers
+        counters = service.counters()
+        assert counters["refreshes"] == 1
+        assert counters["inline_hits"] == 2
+
+    def test_queued_duplicates_evaluate_once(self, cached_service):
+        gate = threading.Event()
+        service, prepared, _cache, _db = cached_service(
+            gate, queue_capacity=16
+        )
+        try:
+            blocker = service.submit((forest_root(2),))
+            assert prepared.started.wait(30.0)
+            futures = [service.submit(self.COLD) for _ in range(10)]
+            assert not any(future.done() for future in futures)
+            gate.set()
+            results = [future.result(60.0) for future in futures]
+            blocker.result(60.0)
+        finally:
+            gate.set()
+            service.drain()
+        # All ten missed at admission; the worker's own look-up turns
+        # the nine behind the first into hits.
+        assert [r.stats.cache_hits for r in results] == [0] + [1] * 9
+        assert [r.stats.total_work > 0 for r in results] == \
+            [True] + [False] * 9
+        assert len({r.answers for r in results}) == 1
+        counters = service.counters()
+        assert counters["inline_hits"] == 0
+        assert counters["completed"] == 11
+
+    def test_a_failing_probe_fails_the_request_not_the_ledger(
+            self, cached_service):
+        service, _prepared, _cache, _db = cached_service()
+        try:
+            service.run(self.WARM, wait=60.0)
+            future = service.submit((["unhashable"],))
+            with pytest.raises(TypeError):
+                future.result(30.0)
+            # The worker survived and the cache still answers inline.
+            assert service.run(self.WARM,
+                               wait=60.0).stats.cache_hits == 1
+        finally:
+            service.drain()
+        counters = service.counters()
+        assert_ledger(counters)
+        assert counters["failed"] == 1
+        assert counters["inline_hits"] == 1
+
+    def test_drain_waits_for_hits_finishing_on_caller_threads(
+            self, cached_service, tmp_path):
+        # Regression: a hit admitted just before drain() closed
+        # admissions must be counted and have its (buffered) audit row
+        # flushed by the time drain() returns, although no worker ever
+        # saw it.
+        class SlowAudit(AuditLog):
+            """Stretches the window between a request's terminal
+            counter and its audit row, where the race lived."""
+
+            def record(self, entry):
+                time.sleep(0.0005)
+                super().record(entry)
+
+        path = str(tmp_path / "audit.jsonl")
+        audit = SlowAudit(path)  # buffered: only drain's flush writes
+        service, _prepared, _cache, _db = cached_service(
+            audit=audit, workers=2
+        )
+        bindings = [(forest_root(index),) for index in range(3)]
+        for binding in bindings:
+            service.run(binding, wait=60.0)
+        clients = 4
+        futures = [[] for _ in range(clients)]
+        warmed_up = threading.Semaphore(0)
+
+        def client(index):
+            mine = futures[index]
+            while True:
+                try:
+                    mine.append(
+                        service.submit(bindings[len(mine) % 3])
+                    )
+                except ServiceClosed:
+                    return
+                if len(mine) == 20:
+                    warmed_up.release()
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for _ in range(clients):
+                assert warmed_up.acquire(timeout=60.0)
+            assert service.drain() is True
+            rows, torn = read_audit(path)
+            counters = service.counters()
+        finally:
+            sys.setswitchinterval(interval)
+            service.drain()
+            for thread in threads:
+                thread.join(60.0)
+            audit.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn is None
+        assert_ledger(counters)
+        assert counters["inflight"] == 0
+        assert counters["admitted"] == counters["completed"]
+        assert len(rows) == counters["completed"]
+        assert counters["inline_hits"] >= 20 * clients
+        issued = [future for mine in futures for future in mine]
+        assert len(issued) == counters["completed"] - len(bindings)
+        assert all(future.done() for future in issued)
+        assert all(future.result(0).stats.cache_hits == 1
+                   for future in issued)
+        # Resolved exactly once: one audit row per request id.
+        assert sorted(row["request_id"] for row in rows) == \
+            list(range(counters["completed"]))
 
 
 class TestWorkerSurvival:

@@ -560,6 +560,148 @@ class TestTenantAdmission:
             service.drain()
 
 
+class TestHitsUnderQuotas:
+    """Cache hits answered inside ``submit`` pass the same quota gates
+    first, are charged post-paid, and cost no lane slot or deficit."""
+
+    WARM = (forest_root(0),)
+    COLD = (forest_root(1),)
+
+    @staticmethod
+    def _refused(service, cache, binding, resource):
+        lookups = cache.stats()["lookups"]
+        with pytest.raises(QuotaExceeded) as info:
+            service.submit(binding, tenant="acme")
+        assert info.value.resource == resource
+        assert info.value.tenant == "acme"
+        # Refused before the probe: no look-up was counted.
+        assert cache.stats()["lookups"] == lookups
+
+    def test_rate_quota_refuses_a_cached_binding(self, cached_service):
+        service, _prepared, cache, _db = cached_service(
+            clock=FakeClock(),
+            tenants={"acme": TenantQuota(rate=1.0, burst=2)},
+        )
+        try:
+            service.run(self.WARM, tenant="acme", wait=60.0)
+            hit = service.run(self.WARM, tenant="acme", wait=60.0)
+            assert hit.stats.cache_hits == 1
+            self._refused(service, cache, self.WARM, "rate")
+        finally:
+            service.drain()
+        block = service.counters()["tenants"]["acme"]
+        assert block["shed_quota"] == 1
+        assert block["inline_hits"] == 1
+
+    def test_concurrency_cap_refuses_a_cached_binding(
+            self, cached_service):
+        gate = threading.Event()
+        gate.set()
+        service, prepared, cache, _db = cached_service(
+            gate, tenants={"acme": TenantQuota(max_concurrent=1)},
+        )
+        try:
+            service.run(self.WARM, tenant="acme", wait=60.0)
+            gate.clear()
+            prepared.started.clear()
+            holder = service.submit(self.COLD, tenant="acme")
+            assert prepared.started.wait(30.0)
+            self._refused(service, cache, self.WARM, "concurrency")
+            gate.set()
+            holder.result(60.0)
+            # A hit itself never holds a slot: any number in a row fit
+            # under a cap of one.
+            for _ in range(3):
+                assert service.submit(self.WARM, tenant="acme").done()
+        finally:
+            gate.set()
+            service.drain()
+
+    def test_pool_debt_refuses_and_hits_are_charged(self, cached_service):
+        class TickingClock(FakeClock):
+            """Every reading is 10 ms after the last."""
+
+            def __call__(self):
+                self.now += 0.01
+                return self.now
+
+        service, _prepared, cache, _db = cached_service(
+            clock=TickingClock(),
+            tenants={"acme": TenantQuota(seconds=(1.0, 0.0)),
+                     "other": TenantQuota()},
+        )
+
+        def pool():
+            return service.counters()["tenants"]["acme"]["quota"][
+                "pools"]["seconds"]
+
+        try:
+            service.run(self.WARM, tenant="acme", wait=60.0)
+            charged = pool()["charged"]
+            assert service.submit(self.WARM, tenant="acme").done()
+            # The hit's elapsed seconds were charged post-paid.
+            assert pool()["charged"] > charged
+            while pool()["balance"] > 0:
+                assert service.submit(self.WARM, tenant="acme").done()
+            self._refused(service, cache, self.WARM, "seconds")
+            # Another tenant's hits are untouched by the debt.
+            assert service.submit(self.WARM, tenant="other").done()
+        finally:
+            service.drain()
+        tenants = service.counters()["tenants"]
+        assert tenants["acme"]["shed_quota"] == 1
+        assert tenants["acme"]["inline_hits"] == \
+            tenants["acme"]["completed"] - 1
+        assert tenants["other"]["inline_hits"] == 1
+
+    def test_hits_cost_no_lane_slot_and_no_deficit(self, cached_service):
+        service, _prepared, _cache, _db = cached_service(
+            tenants={"acme": TenantQuota(queue_capacity=1)},
+        )
+        try:
+            service.run(self.WARM, tenant="acme", wait=60.0)
+            lane = service.counters()["tenants"]["acme"]["queue"]
+            for _ in range(5):
+                assert service.submit(self.WARM, tenant="acme").done()
+            block = service.counters()["tenants"]["acme"]
+        finally:
+            service.drain()
+        assert block["queue"] == lane  # offered/served/served_cost
+        assert block["inline_hits"] == 5
+        assert block["max_queue_depth"] <= 1
+        assert service.counters()["inline_hits"] == 5
+
+    def test_hits_stay_out_of_the_retry_after_ema(self, cached_service):
+        clock = FakeClock()
+        gate = threading.Event()
+        gate.set()
+        service, prepared, _cache, _db = cached_service(
+            gate, clock=clock, queue_capacity=1,
+        )
+        evaluate = prepared.run
+
+        def timed_run(*args, **options):
+            clock.advance(0.1)  # every evaluation "takes" 100 ms
+            return evaluate(*args, **options)
+
+        prepared.run = timed_run
+        try:
+            service.run(self.WARM, wait=60.0)  # EMA seeded at 0.1s
+            for _ in range(20):  # zero-time hits must not drag it down
+                assert service.submit(self.WARM).done()
+            gate.clear()
+            prepared.started.clear()
+            service.submit(self.COLD)
+            assert prepared.started.wait(30.0)  # in flight, lane empty
+            service.submit((forest_root(2),))   # fills the 1-deep lane
+            with pytest.raises(Overloaded) as info:
+                service.submit(self.COLD)
+            assert info.value.retry_after == pytest.approx(0.2)
+        finally:
+            gate.set()
+            service.drain()
+
+
 class TestRetryAfterHints:
     def test_queue_full_hint_tracks_service_time_ema(self):
         clock = FakeClock()
@@ -795,6 +937,7 @@ class TestAtomicCounters:
             + counters["cancelled"] + counters["shed_expired"]
             + counters["inflight"]
         )
+        assert counters["inline_hits"] <= counters["completed"]
 
     def test_every_snapshot_is_a_consistent_cut(self, fault_injector):
         db, _source = sg_forest(trees=2, fanout=2, depth=3)
@@ -847,7 +990,16 @@ class TestAtomicCounters:
             service.drain()
         assert samples[0] > 0
         assert violations == []
-        self._assert_ledger(service.counters())
+        counters = service.counters()
+        self._assert_ledger(counters)
+        # Both paths raced the sampler: the bindings cycle over two
+        # roots, so most requests were hits answered on their
+        # submitter's thread, the rest went through the workers.
+        assert 0 < counters["inline_hits"] < counters["completed"]
+        assert counters["inline_hits"] == sum(
+            block["inline_hits"]
+            for block in counters["tenants"].values()
+        )
 
 
 # ---------------------------------------------------------------------
