@@ -14,8 +14,10 @@ Concurrency: mutators (:meth:`Database.add_fact` / :meth:`add_facts` /
 take :meth:`Database.snapshot` — a cheap epoch-pinned read view whose
 relations never change, so a reader can never observe a half-applied
 ``add_facts`` batch.  The snapshot is lazy: pinning records only the
-per-relation epochs (taken under the mutation lock); row sets
-materialize from each relation's insertion log on first access.
+per-relation epochs (taken under the mutation lock); on first access
+each relation's frozen view is derived from the previous generation's
+view plus the rows logged since (see
+:meth:`~repro.engine.relation.Relation.pinned`).
 """
 
 import os
@@ -202,9 +204,16 @@ class Database:
         returned :class:`DatabaseSnapshot` serves every read from that
         frozen point: rows added afterwards (or whole new relations)
         are invisible, and a concurrent :meth:`add_facts` batch is
-        either fully visible or fully absent.  Row sets materialize
-        lazily from the relations' insertion logs on first access, so
-        snapshots of relations the reader never touches stay free.
+        either fully visible or fully absent.  Frozen views materialize
+        lazily on first access, so snapshots of relations the reader
+        never touches stay free, and each one *extends* the view of the
+        newest snapshot still held (:meth:`~repro.engine.relation.
+        Relation.pinned`): a relation nobody wrote since keeps the same
+        view object with every index built on it; a relation that grew
+        copies the tuple set and the indexes at C level and applies
+        only the new rows.  Views are read-only and are kept alive by
+        the snapshots alone — once the last snapshot is dropped the
+        database holds no frozen copy of anything.
         """
         return DatabaseSnapshot(self)
 
@@ -264,17 +273,19 @@ class Database:
 class _PinnedRelation:
     """A lazy, read-only view of one relation frozen at a pinned epoch.
 
-    Creation is O(1): it stores the source and the epoch to pin at.
-    The first read access materializes a frozen
-    :class:`~repro.engine.relation.Relation` from the source's
-    insertion log (safe against concurrent appends — the log is
-    append-only and the pin never reaches past its epoch) and delegates
-    everything to it from then on.  Should two threads race the
-    materialization, both build equivalent frozen relations and the
-    last assignment wins — wasted work, never wrong answers.
+    Creation is O(1): it stores the source, the epoch to pin at and the
+    source's newest frozen view.  The first read access asks the source
+    for its view at that epoch — the same object when the relation has
+    not grown since, otherwise that view extended by the log suffix
+    (:meth:`~repro.engine.relation.Relation.pinned`; safe against
+    concurrent appends — the log is append-only and the pin never
+    reaches past its epoch) — and delegates everything to it from then
+    on.  Should two threads race the materialization, both get
+    equivalent frozen relations and the last assignment wins — wasted
+    work, never wrong answers.
     """
 
-    __slots__ = ("name", "arity", "epoch", "_source", "_frozen")
+    __slots__ = ("name", "arity", "epoch", "_source", "_frozen", "_base")
 
     def __init__(self, source, epoch):
         self.name = source.name
@@ -284,12 +295,19 @@ class _PinnedRelation:
         self.epoch = epoch
         self._source = source
         self._frozen = None
+        #: The source only remembers its newest view weakly.  Resolved
+        #: here — under the source database's lock, while the previous
+        #: generation still holds that view — so the starting point
+        #: survives until this pin has materialized from it, even if
+        #: the previous generation is dropped first.
+        self._base = source.newest_view()
 
     def _rel(self):
         rel = self._frozen
         if rel is None:
             rel = self._source.pinned(self.epoch)
             self._frozen = rel
+            self._base = None
         return rel
 
     def __len__(self):

@@ -38,6 +38,9 @@ prefix pinning for epoch snapshots, and a vectorized id-scan primitive
 (:meth:`Relation.scan_ids`).
 """
 
+import weakref
+from operator import itemgetter
+
 from .columnar import ColumnStore, columnar_enabled
 
 
@@ -62,7 +65,7 @@ class Relation:
     """
 
     __slots__ = ("name", "arity", "tuples", "_indexes", "use_indexes",
-                 "epoch", "_log", "_pool", "_ids")
+                 "epoch", "_log", "_pool", "_ids", "_view")
 
     def __init__(self, name, arity, use_indexes=True, pool=None):
         self.name = name
@@ -70,6 +73,12 @@ class Relation:
         self.tuples = set()
         self._indexes = {}
         self.use_indexes = use_indexes
+        #: Weak reference to the newest frozen view :meth:`pinned` has
+        #: derived (None before the first pin) — the starting point of
+        #: the next one.  Weak, so the relation never keeps a frozen
+        #: copy alive by itself: views live exactly as long as the
+        #: snapshots holding them.
+        self._view = None
         #: Intern pool used for the columnar id mirror (None for plain
         #: row storage — e.g. engine-internal derived relations).
         self._pool = pool
@@ -295,38 +304,93 @@ class Relation:
         }
         return clone
 
+    def newest_view(self):
+        """The newest frozen view :meth:`pinned` derived, while some
+        snapshot still holds it; None otherwise."""
+        ref = self._view
+        return None if ref is None else ref()
+
     def pinned(self, epoch):
-        """A frozen clone holding exactly the first ``epoch`` rows.
+        """The frozen, read-only view holding exactly the first
+        ``epoch`` rows.
 
         The insertion log records one row per epoch bump, so the prefix
         of length ``epoch`` is precisely the relation's contents when
         its epoch had that value — the building block of
         :meth:`~repro.engine.database.Database.snapshot` read views.
-        Safe to call while another thread appends: the log is
-        append-only and the slice never reaches past ``epoch``.  The
-        clone starts with no indexes (the source's indexes may already
-        reflect newer rows); readers build their own lazily as usual.
+
+        Relations are append-only, so a view is derived by *extending*
+        the newest view still alive (:meth:`newest_view`, the base)
+        instead of rebuilding it.  A base already at the requested
+        epoch is returned as it is — a relation nobody wrote keeps its
+        view, and every index readers built on it, across snapshot
+        generations.  From an older base the new view takes C-level
+        copies of the tuple set and of each index the base has, and
+        only the log suffix between the two epochs is applied row by
+        row.  A touched index bucket is *replaced* by a longer list,
+        never appended to in place: untouched buckets are shared by
+        reference with the base, which readers of the previous
+        generation may still be probing.
+        With no usable base — the first pin, or an older pin
+        materializing after a newer one — the same code extends the
+        empty view, which is the from-scratch build; readers then build
+        indexes lazily as on any relation.
+
+        Safe to call while another thread appends (the log is
+        append-only and no slice reaches past ``epoch``) or builds an
+        index on the base (an index is published whole and never
+        changes afterwards).  Two threads racing to pin one epoch may
+        both build; whichever view is published, each is correct on its
+        own — wasted work, never wrong answers.
         """
         if epoch < 0 or epoch > len(self._log):
             raise ValueError(
                 "cannot pin %s at epoch %d (log holds %d rows)"
                 % (self.name, epoch, len(self._log))
             )
-        clone = Relation(self.name, self.arity,
-                         use_indexes=self.use_indexes, pool=self._pool)
-        rows = self._log[:epoch]
-        clone.tuples = set(rows)
-        clone._log = rows
-        # Columnar prefix: the pinned view slices the id columns as raw
+        base = self.newest_view()
+        if base is not None and base.epoch == epoch:
+            return base
+        view = _FrozenRelation(self.name, self.arity,
+                               use_indexes=self.use_indexes,
+                               pool=self._pool)
+        if base is None or base.epoch > epoch:
+            # No usable base: the new, still empty view is its own.
+            base = view
+        suffix = self._log[base.epoch:epoch]
+        view.tuples = base.tuples.copy()
+        view.tuples.update(suffix)
+        # ``dict.copy`` of the index table first: a reader of the base
+        # may be publishing a freshly built index into it right now.
+        view._indexes = {
+            positions: index.copy()
+            for positions, index in base._indexes.copy().items()
+        }
+        for positions, index in view._indexes.items():
+            # One position -> the bare value, several -> a tuple in
+            # position order: exactly the key convention of ``add``.
+            key_of = itemgetter(*positions)
+            for row in suffix:
+                key = key_of(row)
+                index[key] = [*index.get(key, ()), row]
+        view._log = self._log[:epoch]
+        # Columnar prefix: the view slices the id columns as raw
         # machine words — no per-row re-encode.  Safe against
         # concurrent appends for the same reason the log slice is: ids
         # are appended before the epoch bump, so the first ``epoch``
         # ordinals are complete by the time a reader holds ``epoch``.
-        clone._ids = (
+        view._ids = (
             None if self._ids is None else self._ids.prefix(epoch)
         )
-        clone.epoch = epoch
-        return clone
+        view.epoch = epoch
+        # Publish as the next starting point — unless a racing reader
+        # got there first (share its view) or a newer generation has
+        # materialized meanwhile (the newest view stays the base).
+        newest = self.newest_view()
+        if newest is not None and newest.epoch >= epoch:
+            return newest if newest.epoch == epoch else view
+        self._view = weakref.ref(view)
+        return view
 
     # -- columnar view ------------------------------------------------
 
@@ -414,6 +478,31 @@ class Relation:
             self.arity,
             len(self.tuples),
         )
+
+
+class _FrozenRelation(Relation):
+    """What :meth:`Relation.pinned` returns: a relation that can no
+    longer change.
+
+    Neighbouring snapshot generations share index buckets by
+    reference, so an insert into one view would leak into the others;
+    the type rules it out at no cost to :meth:`Relation.add` on the
+    fixpoint's hot path.  Everything else — probes, lazily built
+    indexes, counters — is the plain :class:`Relation`, and
+    :meth:`Relation.copy` of a view is a detached, mutable one.
+    """
+
+    # The live relation remembers its newest view weakly.
+    __slots__ = ("__weakref__",)
+
+    def add(self, _rows):
+        raise TypeError(
+            "%s/%d is a frozen view pinned at epoch %d; copy() it or "
+            "mutate the source relation" % (self.name, self.arity,
+                                            self.epoch)
+        )
+
+    add_all = add
 
 
 class EmptyRelation:

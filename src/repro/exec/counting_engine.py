@@ -251,6 +251,16 @@ class CountingEngine:
         #: — a later engine over a different database would otherwise
         #: probe the first database's relations.
         self._bound = {}
+
+        # A closure over ``get_relation`` alone, not a bound method:
+        # the runners in ``_bound`` capture the resolver, and a
+        # reference back to the engine would make every engine cyclic
+        # garbage that pins ``get_relation`` — a whole snapshot
+        # generation — until the collector runs.
+        def resolver(_index, atom):
+            return get_relation(atom.key)
+
+        self._resolver = resolver
         #: Optional node-keyed counting-table store (``get(node)`` /
         #: ``put(node, table)``): when the source node was already
         #: explored by an earlier run, phase 1 (the left-graph DFS and
@@ -279,9 +289,6 @@ class CountingEngine:
         self._exit_entries = {}
 
     # -- phase 1: counting set ---------------------------------------
-
-    def _resolver(self, _index, atom):
-        return self.get_relation(atom.key)
 
     def _query(self, site, rule, body, in_names, out_names):
         """The cached bound runner for one (call site, rule).

@@ -1,5 +1,6 @@
 """Shared fixtures: the paper's example programs and databases."""
 
+import gc
 import threading
 
 import pytest
@@ -26,6 +27,18 @@ def fault_injector():
     injector = FaultInjector(seed=0)
     yield injector
     injector.uninstall()
+
+
+@pytest.fixture
+def refcount_only():
+    """The cycle collector is off for the test: whatever the test
+    expects to be freed must be freed by reference counting alone —
+    no cycle may keep it alive until some later collection."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class GatedPrepared:

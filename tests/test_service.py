@@ -14,6 +14,7 @@ deadlines/breakers run on injectable fake clocks.
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -1195,6 +1196,88 @@ class TestCallerThreadHits:
         # Resolved exactly once: one audit row per request id.
         assert sorted(row["request_id"] for row in rows) == \
             list(range(counters["completed"]))
+
+
+class TestGenerationsBesideWrites:
+    """A write moves the service to a new snapshot generation that
+    extends the previous one: requests in flight keep reading theirs,
+    the next read inherits the indexes, the old one is freed."""
+
+    WARM = (forest_root(0),)
+    COLD = (forest_root(1),)
+    PEER = ("churn_new_peer",)
+
+    def test_held_request_answers_as_of_its_generation(
+            self, cached_service, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        audit = AuditLog(path, flush_every=1)
+        gate = threading.Event()
+        gate.set()
+        service, prepared, _cache, db = cached_service(
+            gate, workers=2, audit=audit
+        )
+        assert prepared.method == "pointer_counting"
+        as_of_g = run_strategy(prepared.method, prepared.bind(self.COLD),
+                               db).answers
+        try:
+            # Generation g builds every index the form probes.
+            service.run(self.WARM, wait=60.0)
+            gate.clear()
+            prepared.started.clear()
+            held = service.submit(self.COLD)  # pinned to g at admission
+            assert prepared.started.wait(30.0)
+            prepared.gate = None  # later requests pass ungated
+            db.add_fact("flat", self.COLD[0], self.PEER[0])
+            served = service.run(self.COLD, wait=60.0)  # on g+1
+            assert not held.done()
+            gate.set()
+            first = held.result(60.0)
+        finally:
+            gate.set()
+            service.drain()
+            audit.close()
+        assert first.answers == as_of_g
+        assert self.PEER not in first.answers
+        assert self.PEER in served.answers
+        assert (first.extras["service"]["generation"]
+                != served.extras["service"]["generation"])
+        # g+1 extended g's indexes instead of rebuilding them, and
+        # deriving it took nothing away from g.
+        assert served.stats.index_builds == 0
+        assert first.stats.index_builds == 0
+        counters = service.counters()
+        assert_ledger(counters)
+        assert counters["refreshes"] == 1
+        assert counters["completed"] == 3
+        # Only the read served at the final state is replayable.
+        report = verify_audit(path, prepared, db)
+        assert report["checked"] == 1
+        assert report["skipped"] == 2
+        assert report["mismatched"] == []
+
+    def test_one_generation_alive_after_a_write_and_a_read(
+            self, cached_service, refcount_only):
+        service, prepared, _cache, db = cached_service()
+        assert prepared.method == "pointer_counting"
+        try:
+            service.run(self.WARM, wait=60.0)
+            old = weakref.ref(service._generation)
+            old_flat = weakref.ref(
+                service._generation.get(("flat", 2))._rel()
+            )
+            up = service._generation.get(("up", 2))._rel()
+            db.add_fact("flat", self.WARM[0], self.PEER[0])
+            after = service.run(self.WARM, wait=60.0)
+            assert self.PEER in after.answers
+            assert after.stats.index_builds == 0
+            # By refcount alone: no cycle through the engine keeps the
+            # previous generation or its copied views alive.
+            assert old() is None
+            assert old_flat() is None
+            # The relation nobody wrote kept its view.
+            assert service._generation.get(("up", 2))._rel() is up
+        finally:
+            service.drain()
 
 
 class TestWorkerSurvival:

@@ -5,6 +5,8 @@ ones; here every applicable strategy is compared against naive
 evaluation on every workload at several sizes.
 """
 
+import weakref
+
 import pytest
 
 from repro.data import WORKLOADS
@@ -50,6 +52,23 @@ def test_strategy_matches_naive(name, params, strategy):
     expected = run_naive(workload.query, db).answers
     result = run_strategy(strategy, workload.query, db)
     assert result.answers == expected
+
+
+class TestSnapshotReleased:
+    """No strategy leaves a reference cycle through the database it
+    read: a snapshot generation (frozen tuple sets and indexes) must be
+    freed by refcount when its last reader is done, not whenever the
+    cycle collector next runs."""
+
+    @pytest.mark.parametrize("method", sorted(STRATEGIES))
+    def test_snapshot_dies_with_the_result(self, method, sg_query, sg_db,
+                                           refcount_only):
+        snap = sg_db.snapshot()
+        alive = weakref.ref(snap)
+        result = run_strategy(method, sg_query, snap)
+        assert result.answers
+        del result, snap
+        assert alive() is None
 
 
 class TestInapplicability:
