@@ -97,58 +97,6 @@ def run_resilience_probe():
     return records
 
 
-def run_storage_probe():
-    """Run one fixed cell under both storage backends.
-
-    The ``storage`` block of the artifact: per backend, the wall-clock
-    time, the semantic work counters, and the database's
-    ``storage_info()`` descriptor — so the perf trajectory records the
-    columnar speedup run over run, and a counter divergence between
-    the backends (they must be identical) shows up in the diff.
-    """
-    from ..engine.columnar import columnar_enabled, use_backend
-    from ..exec.strategies import run_strategy
-
-    cells = (
-        ("multi_rule", {"depth": 32}, "pointer_counting"),
-        ("sg_tree", {"fanout": 2, "depth": 6}, "magic"),
-    )
-    sides = {}
-    for enabled, label in ((False, "rows"), (True, "columnar")):
-        records = []
-        for name, kwargs, method in cells:
-            workload = WORKLOADS[name]
-            with use_backend(enabled):
-                db, _source = workload.make_db(**kwargs)
-                result = run_strategy(method, workload.query, db)
-            info = db.storage_info()
-            records.append(
-                {
-                    "label": name,
-                    "method": method,
-                    "backend": info["backend"],
-                    "column_bytes": info["column_bytes"],
-                    "answers": len(result.answers),
-                    "work": result.stats.total_work,
-                    "facts_derived": result.stats.facts_derived,
-                    "elapsed": result.elapsed,
-                }
-            )
-        sides[label] = records
-    counters_match = all(
-        rows["answers"] == cols["answers"]
-        and rows["work"] == cols["work"]
-        and rows["facts_derived"] == cols["facts_derived"]
-        for rows, cols in zip(sides["rows"], sides["columnar"])
-    )
-    return {
-        "default_backend": "columnar" if columnar_enabled() else "rows",
-        "rows": sides["rows"],
-        "columnar": sides["columnar"],
-        "counters_match": counters_match,
-    }
-
-
 def run_guard_overhead():
     """Measure the resource-guard overhead on one fixed cell.
 
@@ -562,7 +510,6 @@ def write_smoke(directory=".", tag=None):
         "tag": tag,
         "python": platform.python_version(),
         "records": records,
-        "storage": run_storage_probe(),
         "resilience": run_resilience_probe(),
         "guard_overhead": run_guard_overhead(),
         "query_cache": run_query_cache_probe(),

@@ -45,9 +45,10 @@ _FRAME = struct.Struct("<Q")
 def _column_blob(rel, pool):
     """Id-encode one relation's insertion log as a ColumnStore blob.
 
-    Columnar-backend relations already hold the id mirror; the rows
-    backend encodes on the fly (assigning pool ids on first use —
-    that's why the value table is pickled *after* the blobs).
+    Database relations already hold the id mirror; a relation without
+    one, or whose mirror does not cover its whole log, encodes on the
+    fly, assigning pool ids on first use — that's why the value table
+    is pickled *after* the blobs.
     """
     # Epoch-pinned snapshot relations wrap the real relation; unwrap.
     frozen = getattr(rel, "_rel", None)

@@ -25,8 +25,7 @@
   4. replay-checks the audit log against the recovered state
      (:func:`~repro.durability.audit.verify_audit`) — zero mismatches.
 
-Exit code 0 on success.  The drill inherits ``REPRO_COLUMNAR`` from
-the environment, so CI runs it under both storage backends.
+Exit code 0 on success.
 """
 
 import argparse

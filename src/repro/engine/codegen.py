@@ -1,73 +1,117 @@
-"""Specialized executors generated from compiled rule bodies.
+"""The rule executor: specialized Python functions generated per body.
 
-The interpreted executor in :mod:`repro.engine.compile` walks a stack
-of per-step generators and re-dispatches on an op tuple for every
-candidate row.  That interpretation overhead — a ``next()`` call, a
-generator frame resume, and a loop over ``(pos, kind, data)`` tuples
-per row — is pure bookkeeping: the set of probes, writes, and checks is
-fully known at compile time.  This module emits a *specialized Python
-function* per body instead: nested ``for`` loops with the key
-expressions, slot writes, and equality checks inlined as straight-line
-code, compiled once with :func:`compile` and reused for every
-evaluation of the rule.
+:mod:`repro.engine.compile` analyses a rule body once into a tuple of
+*step specs*; this module turns the specs into a *specialized Python
+function* per body — nested ``for`` loops with the key expressions,
+slot writes and equality checks inlined as straight-line code —
+compiled once with :func:`compile` and reused for every evaluation of
+the rule.  It is the only executor the engine has: the set of probes,
+writes and checks is fully known at compile time, so nothing is left
+to interpret per candidate row.
+
+Step specs
+----------
+
+Each step is a tuple whose first element names its kind:
+
+* ``("scan", lit_index, atom, positions, key_parts, ops)`` — an index
+  probe of the relation ``resolver(lit_index, atom)`` on ``positions``.
+  ``key_parts`` holds one ``(KEY_*, data)`` pair per bound position
+  (a constant, a slot index, or a ``slots -> value`` function) and
+  ``ops`` one ``(pos, OP_*, data)`` triple per open position (write a
+  slot, check against a slot, or run a ``(value, slots) -> bool``
+  matcher);
+* ``("filter", test)`` / ``("rfilter", test)`` — keep the candidate
+  when ``test(slots)`` / ``test(slots, resolver)`` is true;
+* ``("assign", slot, fn)`` — ``slots[slot] = fn(slots)``;
+* ``("each", gen)`` — continue once per item of ``gen(slots)``.
 
 Two forms are generated:
 
-* a **runner** — a drop-in for :meth:`CompiledBody.execute`: yields the
-  shared slot array once per body match, in exactly the legacy
-  enumeration order;
-* an **emitter** — the vectorized form used by the set-at-a-time rule
-  pass and by :class:`~repro.engine.compile.BoundQuery`: when the last
-  body step is a plain scan (writes and checks only), the innermost
-  loop collapses into a list comprehension that projects whole result
-  batches — one list per innermost index bucket — with the projection's
-  slot reads substituted by direct row indexing.  The comprehension's
-  loop bookkeeping runs in C, which is where the "emit whole column
-  slices instead of per-row slot writes" speedup comes from.
+* a **runner** — yields the shared slot array once per body match, in
+  the enumeration order of :func:`repro.engine.join.evaluate_body`;
+* the **batched** forms (emitter and the collectors) used by the
+  set-at-a-time rule pass and by
+  :class:`~repro.engine.compile.BoundQuery`: when the last body step is
+  a plain scan (writes and checks only), the innermost loop collapses
+  into a list comprehension that projects whole result batches — one
+  list per innermost index bucket — with the projection's slot reads
+  substituted by direct row indexing.  The comprehension's loop
+  bookkeeping runs in C, which is where the "emit whole column slices
+  instead of per-row slot writes" speedup comes from.
 
 Equivalence contract
 --------------------
 
-Generated code must be *observably identical* to the interpreted
-executor: same enumeration order (``reversed`` over each candidate
-batch), same ``tuples_scanned``/``batch_rows``/``index_*`` counter
-updates at the same points, same visibility of in-pass relation
-mutations.  The batch granularity of the emitter is safe on that last
-point because ``reversed(bucket)`` already snapshots its start index:
-rows appended to a live bucket during its own enumeration were
-invisible to the interpreted executor too, so draining one bucket's
-derivations after the bucket is enumerated (instead of interleaved)
-cannot change what any probe sees.  Bodies outside the generatable
-shape simply keep the interpreted path — generation failure is never an
-error.
+Generated code must be *observably identical* to the reference
+evaluator in :mod:`repro.engine.join`: same enumeration order
+(``reversed`` over each candidate batch reproduces its stack
+discipline), same ``tuples_scanned``/``index_*`` counter updates at
+the same points, same visibility of in-pass relation mutations.  The
+batch granularity of the emitter is safe on that last point because
+``reversed(bucket)`` already snapshots its start index: rows appended
+to a live bucket during its own enumeration are invisible to a
+row-at-a-time enumeration too, so draining one bucket's derivations
+after the bucket is enumerated (instead of interleaved) cannot change
+what any probe sees.
+
+A runner exists for every body.  The batched forms exist only for the
+shape described above and are ``None`` otherwise; any other failure to
+generate is a bug and raises.
 """
 
+#: Per-position op kinds inside a scan step.
+OP_WRITE = 0
+OP_CHECK = 1
+OP_MATCH = 2
+
+#: Probe-key part kinds.
+KEY_CONST = 0
+KEY_SLOT = 1
+KEY_EVAL = 2
+
+#: CPython refuses a code object with more than 20 statically nested
+#: blocks.  A generated function opens at most this many loops; a
+#: runner hands the steps beyond them to a tail runner, and the batched
+#: forms are not generated for such bodies.
+_MAX_LOOPS = 16
+
+
+def _namespace():
+    return {"_reversed": reversed, "_len": len, "_getattr": getattr,
+            "_none": None, "__builtins__": {}}
+
+
 def _key_expr(i, positions, key_parts, ns):
-    """The probe-key expression for scan ``i``; mirrors ``_make_key_fn``."""
+    """The probe-key expression for scan ``i``.
+
+    Single-position keys are scalars (see :meth:`Relation.lookup`);
+    wider keys are tuples in ascending position order.
+    """
     if not positions:
         return "None"
     if len(key_parts) == 1:
         kind, data = key_parts[0]
-        if kind == 0:  # _KEY_CONST
+        if kind == KEY_CONST:
             name = "_kc%d" % i
             ns[name] = data
             return name
-        if kind == 1:  # _KEY_SLOT
+        if kind == KEY_SLOT:
             return "slots[%d]" % data
-        name = "_kf%d" % i  # _KEY_EVAL
+        name = "_kf%d" % i
         ns[name] = data
         return "%s(slots)" % name
-    if all(kind == 0 for kind, _ in key_parts):
+    if all(kind == KEY_CONST for kind, _ in key_parts):
         name = "_kt%d" % i
         ns[name] = tuple(data for _, data in key_parts)
         return name
     parts = []
     for j, (kind, data) in enumerate(key_parts):
-        if kind == 0:
+        if kind == KEY_CONST:
             name = "_kc%d_%d" % (i, j)
             ns[name] = data
             parts.append(name)
-        elif kind == 1:
+        elif kind == KEY_SLOT:
             parts.append("slots[%d]" % data)
         else:
             name = "_kf%d_%d" % (i, j)
@@ -83,11 +127,10 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
     cached in a local for the rest of the call: every in-tree resolver
     is a fixed ``(index, atom) -> relation`` mapping for the duration
     of one rule pass (relations mutate in place, their identity does
-    not change), so re-resolving per invocation — what the interpreted
-    executor does — only costs time.  Lazy rather than up-front so a
-    scan that is never reached never resolves, exactly like the
-    interpreted path (resolution can materialize empty derived
-    relations as a side effect).
+    not change), so re-resolving per invocation only costs time.  Lazy
+    rather than up-front so a scan that is never reached never
+    resolves, exactly like the reference evaluator (resolution can
+    materialize empty derived relations as a side effect).
 
     With ``state_alloc`` (the bound form, see
     :func:`generate_bound_collector`) the resolved relation and its
@@ -99,7 +142,7 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
     mapping for as long as it uses the binding, and both view kinds
     are maintained in place by ``Relation.add``.
     """
-    lit_index, atom, positions, key_parts, _ops = spec
+    _kind, lit_index, atom, positions, key_parts, _ops = spec
     ns["_atom%d" % i] = atom
     ns["_pos%d" % i] = tuple(positions)
     key = _key_expr(i, positions, key_parts, ns)
@@ -169,16 +212,15 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
 
 def _scan_loop(i, spec, ns, w, pad, state_alloc=None):
     """Emit the row loop with inlined ops; returns the body indent."""
-    _lit_index, _atom, _positions, _key_parts, ops = spec
     _scan_prologue(i, spec, ns, w, pad, state_alloc)
     w(pad, "for _r%d in _reversed(_c%d):" % (i, i))
     inner = pad + 1
-    for j, (pos, kind, data) in enumerate(ops):
-        if kind == 0:  # _OP_WRITE
+    for j, (pos, kind, data) in enumerate(spec[5]):
+        if kind == OP_WRITE:
             w(inner, "slots[%d] = _r%d[%d]" % (data, i, pos))
-        elif kind == 1:  # _OP_CHECK
+        elif kind == OP_CHECK:
             w(inner, "if _r%d[%d] != slots[%d]: continue" % (i, pos, data))
-        else:  # _OP_MATCH
+        else:
             name = "_m%d_%d" % (i, j)
             ns[name] = data
             w(inner, "if not %s(_r%d[%d], slots): continue"
@@ -186,34 +228,29 @@ def _scan_loop(i, spec, ns, w, pad, state_alloc=None):
     return inner
 
 
-def _generic_loop(i, step, ns, w, pad, abort):
-    """Emit a non-scan step; returns the body indent.
+def _step(i, step, ns, w, pad, abort, state_alloc=None):
+    """Emit step ``i``; returns the body indent (deeper iff it loops).
 
-    Steps carrying an ``inline_spec`` (pure filters and single-binding
-    assignments — see the comparison compiler in
-    :mod:`repro.engine.compile`) are emitted as direct calls instead of
-    a generator loop; anything else runs through its step generator
-    exactly like the interpreted executor.  ``abort`` is the statement
-    that skips the current candidate when a filter fails — ``continue``
-    inside a loop, the enclosing function's empty return outside one.
+    ``abort`` is the statement that skips the current candidate when a
+    filter fails — ``continue`` inside a loop, the enclosing function's
+    empty return outside one.
     """
-    spec = getattr(step, "inline_spec", None)
-    if spec is not None:
-        kind = spec[0]
-        name = "_f%d" % i
-        if kind == "assign":
-            ns[name] = spec[2]
-            w(pad, "slots[%d] = %s(slots)" % (spec[1], name))
-            return pad
-        ns[name] = spec[1]
-        call = ("%s(slots)" if kind == "filter"
-                else "%s(slots, resolver)") % name
-        w(pad, "if not %s: %s" % (call, abort))
+    kind = step[0]
+    if kind == "scan":
+        return _scan_loop(i, step, ns, w, pad, state_alloc)
+    name = "_f%d" % i
+    if kind == "assign":
+        ns[name] = step[2]
+        w(pad, "slots[%d] = %s(slots)" % (step[1], name))
         return pad
-    name = "_step%d" % i
-    ns[name] = step
-    w(pad, "for _ in %s(slots, resolver, stats):" % name)
-    return pad + 1
+    ns[name] = step[1]
+    if kind == "each":
+        w(pad, "for _ in %s(slots):" % name)
+        return pad + 1
+    call = ("%s(slots)" if kind == "filter"
+            else "%s(slots, resolver)") % name
+    w(pad, "if not %s: %s" % (call, abort))
+    return pad
 
 
 #: Source -> code-object cache.  The generated source is fully
@@ -243,13 +280,14 @@ def _compile_fn(lines, ns, tag, scan_indexes=()):
 
 
 def generate_runner(steps):
-    """A generated ``execute`` equivalent, or None if generation fails.
+    """The generated runner for ``steps`` — every body has one.
 
     Yields the (shared, mutated-in-place) slot list once per body
-    match, exactly like the interpreted executor.
+    match.  A body with more loops than one code object may nest
+    (``_MAX_LOOPS``) continues in a tail runner, driven over the same
+    slot list once per match of the steps before it.
     """
-    ns = {"_reversed": reversed, "_len": len, "_getattr": getattr,
-          "_none": None, "__builtins__": {}}
+    ns = _namespace()
     lines = []
 
     def w(depth, text):
@@ -257,19 +295,17 @@ def generate_runner(steps):
 
     w(0, "def _run(resolver, slots, stats):")
     pad = 1
-    if not steps:
-        w(pad, "yield slots")
-        return _compile_fn(lines, ns, "runner")
     scans = []
     for i, step in enumerate(steps):
-        spec = getattr(step, "scan_spec", None)
-        if spec is not None:
+        if pad > _MAX_LOOPS:
+            ns["_tail"] = generate_runner(steps[i:])
+            w(pad, "yield from _tail(resolver, slots, stats)")
+            break
+        if step[0] == "scan":
             scans.append(i)
-            pad = _scan_loop(i, spec, ns, w, pad)
-        else:
-            abort = "continue" if pad > 1 else "return"
-            pad = _generic_loop(i, step, ns, w, pad, abort)
-    w(pad, "yield slots")
+        pad = _step(i, step, ns, w, pad, "continue" if pad > 1 else "return")
+    else:
+        w(pad, "yield slots")
     return _compile_fn(lines, ns, "runner", scans)
 
 
@@ -279,7 +315,7 @@ def _projection_exprs(projection, written, ns):
     ``written`` maps slot index -> row-index expression for slots the
     innermost scan writes.  Returns None when the projection cannot be
     evaluated without performing those writes (an eval fn reads one of
-    them) — callers fall back to the runner.
+    them) — callers drive the runner instead.
     """
     exprs = []
     for j, entry in enumerate(projection):
@@ -305,9 +341,9 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     """Shared emitter/collector generation; None outside the shape.
 
     Requirements: the last step is a scan whose ops are writes and
-    checks only, and every projection entry is computable without
-    actually performing the innermost writes (slot reads are
-    substituted by row indexing).
+    checks only, every projection entry is computable without actually
+    performing the innermost writes (slot reads are substituted by row
+    indexing), and the body's loops fit one code object.
 
     ``entry`` — ``(nslots, loader)`` — switches the signature to
     ``(resolver, values, stats)``: the slot list is allocated and the
@@ -322,18 +358,17 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     view between calls.  The generated function carries the state size
     as ``_state_size``.
     """
-    if not steps:
-        last_spec = None
-    else:
-        last_spec = getattr(steps[-1], "scan_spec", None)
-        if last_spec is None:
+    last_spec = steps[-1] if steps else None
+    if last_spec is not None:
+        if last_spec[0] != "scan":
             return None
-        if any(kind == 2 for _pos, kind, _data in last_spec[4]):
+        if any(kind == OP_MATCH for _pos, kind, _data in last_spec[5]):
             return None  # matcher ops mutate slots; cannot substitute
+        if sum(step[0] in ("scan", "each") for step in steps) > _MAX_LOOPS:
+            return None
 
     tag = "collector" if eager else "emitter"
-    ns = {"_reversed": reversed, "_len": len, "_getattr": getattr,
-          "_none": None, "__builtins__": {}}
+    ns = _namespace()
     lines = []
     state_alloc = [1] if bound else None
 
@@ -374,26 +409,22 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
         w(pad, "_out = []")
     scans = []
     for i, step in enumerate(steps[:-1]):
-        spec = getattr(step, "scan_spec", None)
-        if spec is not None:
+        if step[0] == "scan":
             scans.append(i)
-            pad = _scan_loop(i, spec, ns, w, pad, state_alloc)
+        if pad > 1:
+            abort = "continue"
         else:
-            if pad > 1:
-                abort = "continue"
-            else:
-                abort = "return _out" if eager else "return"
-            pad = _generic_loop(i, step, ns, w, pad, abort)
+            abort = "return _out" if eager else "return"
+        pad = _step(i, step, ns, w, pad, abort, state_alloc)
 
     i = len(steps) - 1
     scans.append(i)
-    ops = last_spec[4]
     # Walk the ops in order, tracking which slots the scan would have
     # written so later checks and the projection read the row directly.
     written = {}
     conds = []
-    for pos, kind, data in ops:
-        if kind == 0:
+    for pos, kind, data in last_spec[5]:
+        if kind == OP_WRITE:
             written[data] = "_r%d[%d]" % (i, pos)
         else:
             rhs = written.get(data, "slots[%d]" % data)

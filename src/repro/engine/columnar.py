@@ -4,93 +4,20 @@ The paper's counting methods assume tuple access is "a direct access to
 the memory"; the biggest remaining gap between that model and this
 engine was row storage — Python tuples of interned objects, hashed
 object-at-a-time.  This module provides the dense half of the storage
-layer: every relation can mirror its rows as parallel ``array('q')``
-columns of **intern-pool ids** (see
+layer: every relation built over an intern pool mirrors its rows as
+parallel ``array('q')`` columns of **intern-pool ids** (see
 :meth:`~repro.engine.interning.InternPool.ident`).  Planning and the
-value-level join semantics stay exactly as they were; the id columns
-are a parallel, losslessly decodable view used for
+value-level join semantics read the value rows; the id columns are a
+parallel, losslessly decodable view used for
 
 * O(rows) machine-word serialization (:meth:`ColumnStore.to_bytes`) —
-  the substrate for shard exchange and mmap persistence (ROADMAP items
-  2 and 4);
+  the substrate of shard exchange (:mod:`repro.parallel.executor`) and
+  of checkpoints (:mod:`repro.durability.checkpoint`);
 * columnar prefix pinning: an epoch snapshot of a relation slices its
-  column arrays instead of re-encoding rows;
-* vectorized scans over a single column without touching row objects
-  (:meth:`ColumnStore.matching`), with an optional numpy fast path.
-
-Feature flags
--------------
-
-``REPRO_COLUMNAR`` (default on) selects the columnar backend: id
-columns are maintained on database relations and the compiled join
-executor uses the generated nested-loop/vectorized-emit form
-(:mod:`repro.engine.codegen`).  Setting ``REPRO_COLUMNAR=0`` restores
-the legacy row-at-a-time storage and the interpreted slot-array
-executor — kept as an ablation and as the differential-testing
-baseline; both backends are required to produce byte-identical rendered
-answers and identical work counters.
-
-``REPRO_NUMPY`` (default off) additionally routes
-:meth:`ColumnStore.matching` through numpy when it is importable.  The
-flag is off by default so the default build has zero third-party
-dependencies; enabling it never changes results, only the scan speed.
+  column arrays instead of re-encoding rows.
 """
 
-import os
 from array import array
-
-#: Module-level backend switch, initialized from the environment once.
-_COLUMNAR = os.environ.get("REPRO_COLUMNAR", "1") != "0"
-
-_NUMPY_WANTED = os.environ.get("REPRO_NUMPY", "0") != "0"
-_numpy = None
-if _NUMPY_WANTED:  # pragma: no cover - depends on the environment
-    try:
-        import numpy as _numpy
-    except ImportError:
-        _numpy = None
-
-
-def columnar_enabled():
-    """True when the columnar backend is selected."""
-    return _COLUMNAR
-
-
-def set_columnar(enabled):
-    """Flip the backend switch; returns the previous value.
-
-    Only relations and compiled bodies *created after* the flip observe
-    the new value — existing objects keep the backend they were built
-    with, which is what lets the differential suite hold one relation
-    per backend side by side.
-    """
-    global _COLUMNAR
-    previous = _COLUMNAR
-    _COLUMNAR = bool(enabled)
-    return previous
-
-
-class use_backend:
-    """Context manager pinning the backend flag for a ``with`` block."""
-
-    __slots__ = ("_enabled", "_previous")
-
-    def __init__(self, enabled):
-        self._enabled = bool(enabled)
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = set_columnar(self._enabled)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        set_columnar(self._previous)
-        return False
-
-
-def numpy_active():
-    """True when the optional numpy fast path is available and enabled."""
-    return _numpy is not None
 
 
 class ColumnStore:
@@ -156,45 +83,6 @@ class ColumnStore:
         return ColumnStore(
             self.arity, tuple(array("q", c) for c in self._columns)
         )
-
-    def matching(self, positions, ids):
-        """Row ordinals whose ``positions`` hold exactly ``ids``.
-
-        The vectorized scan primitive: each bound column is compared
-        wholesale.  With numpy enabled the comparison runs as a fused
-        boolean mask; the portable path walks the first bound column at
-        C speed and verifies the remaining positions per candidate.
-        """
-        if not positions:
-            return list(range(len(self)))
-        if _numpy is not None:  # pragma: no cover - optional fast path
-            mask = None
-            for position, ident in zip(positions, ids):
-                column = _numpy.frombuffer(
-                    self._columns[position], dtype=_numpy.int64
-                )
-                this = column == ident
-                mask = this if mask is None else (mask & this)
-            return _numpy.nonzero(mask)[0].tolist()
-        first, rest = positions[0], positions[1:]
-        column = self._columns[first]
-        target = ids[0]
-        ordinals = []
-        start = 0
-        while True:
-            try:
-                ordinal = column.index(target, start)
-            except ValueError:
-                break
-            start = ordinal + 1
-            ok = True
-            for position, ident in zip(rest, ids[1:]):
-                if self._columns[position][ordinal] != ident:
-                    ok = False
-                    break
-            if ok:
-                ordinals.append(ordinal)
-        return ordinals
 
     def nbytes(self):
         """Total machine bytes held by the columns."""

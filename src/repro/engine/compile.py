@@ -1,10 +1,11 @@
-"""Set-at-a-time rule compilation: batched hash joins over slot arrays.
+"""Set-at-a-time rule compilation: the analysis behind the generated
+executors.
 
-The tuple-at-a-time path in :mod:`repro.engine.join` re-resolves and
-re-unifies every atom argument once per candidate row, paying several
-Python-level calls and a dict copy per binding.  This module performs
-that analysis **once per rule**: each body-literal position is
-classified as
+Evaluating a rule body tuple at a time (:mod:`repro.engine.join`)
+re-resolves and re-unifies every atom argument once per candidate row,
+paying several Python-level calls and a dict copy per binding.  This
+module performs that analysis **once per rule**: each body-literal
+position is classified as
 
 * a *key part* — a constant, an already-bound variable, or a structured
   term whose variables are all bound — contributing to the hash-index
@@ -14,28 +15,37 @@ classified as
 * a *check* — a repeated variable, compiled to an equality test against
   its slot;
 * a *matcher* — a structured term such as ``[(r1, C) | L]``, compiled to
-  a small closure that decomposes the stored value and falls back to
-  full unification semantics.
+  a small closure that decomposes the stored value with full
+  unification semantics.
 
 Substitutions become flat slot arrays indexed by position instead of
 name-keyed dicts of terms, and candidate rows arrive in batches from
 :meth:`Relation.lookup` probes instead of one generator hop per row.
+The result of the analysis is a tuple of *step specs* (their layout is
+documented in :mod:`repro.engine.codegen`, which generates the code
+that runs them); nothing here executes a body.
 
 Equivalence contract
 --------------------
 
-The compiled engine is a drop-in replacement for
-:func:`repro.engine.join.evaluate_body` on the supported fragment: it
-enumerates **the same results in the same order** (the legacy stack
-discipline visits each level's candidates in reverse; the executor here
-replicates that) and updates ``tuples_scanned`` / ``facts_*`` counters
-identically — the work counters are the paper's currency, so the
-optimization must not change *what* is computed, only how fast.
-Constructs outside the fragment (non-ground negation, comparisons over
-unbound terms, head arguments that cannot be proven ground) make
-:func:`compile_body` / :class:`CompiledRule` report failure and callers
-fall back to the legacy path, which raises the same errors it always
-did.
+A compiled body enumerates **the same results in the same order** as
+:func:`repro.engine.join.evaluate_body` — the reference the
+differential tests compare against — and updates ``tuples_scanned`` /
+``index_*`` / ``facts_*`` counters identically: the work counters are
+the paper's currency, so the optimization must not change *what* is
+computed, only how fast.
+
+Compilation is total over the language.  A literal the reference
+evaluator would raise on (non-ground negation, a comparison over
+unbound terms, ``is``/``in`` with an unbound right side, a head
+argument that cannot be proven ground) compiles to a step that raises
+the same typed :class:`~repro.errors.EvaluationError` *when it is
+reached*: ``p(X) :- q(X), Y < 3.`` over an empty ``q`` stays silent.
+One shape differs from the reference: ``X = Y`` with both sides
+unbound, which the dict evaluator answers by aliasing the variables,
+raises — slots hold values, not terms, and
+:func:`repro.datalog.safety.check_rule_safety` rejects the rule with
+the same message.
 """
 
 from ..datalog.atoms import Atom, Comparison, Negation
@@ -52,13 +62,18 @@ from ..datalog.unify import resolve
 from ..errors import EvaluationError
 from .builtins import _ordered
 from .codegen import (
+    KEY_CONST,
+    KEY_EVAL,
+    KEY_SLOT,
+    OP_CHECK,
+    OP_MATCH,
+    OP_WRITE,
     generate_bound_collector,
     generate_collector,
     generate_emitter,
     generate_entry_collector,
     generate_runner,
 )
-from .columnar import columnar_enabled
 
 #: Direct implementations of the binary arithmetic functors; ``min`` /
 #: ``max`` and any future n-ary forms stay on the generic
@@ -70,19 +85,6 @@ _ARITH_BINOPS = {
     "//": lambda a, b: a // b,
 }
 
-#: Sentinel returned by the executor's ``next`` calls on exhaustion.
-_DONE = object()
-
-#: Per-position op kinds inside a scan (see module docstring).
-_OP_WRITE = 0
-_OP_CHECK = 1
-_OP_MATCH = 2
-
-#: Key-part kinds.
-_KEY_CONST = 0
-_KEY_SLOT = 1
-_KEY_EVAL = 2
-
 
 # -- term helpers ----------------------------------------------------
 
@@ -92,13 +94,31 @@ def _vars_within(term, names):
     return all(name in names for name in term.iter_variables())
 
 
+def _raises(prefix, terms, slot_of, bound, error=EvaluationError):
+    """A ``slots -> value`` function that raises when it is called.
+
+    The message is ``prefix`` followed by ``terms`` rendered the way
+    the reference evaluator renders them: resolved under the bindings
+    made so far (``bound``, the names whose slots are loaded when the
+    step is reached).
+    """
+    loaded = tuple((name, slot_of[name]) for name in bound)
+
+    def fail(slots):
+        subst = {name: Constant(slots[i]) for name, i in loaded}
+        raise error(prefix + ", ".join(
+            repr(resolve(term, subst)) for term in terms
+        ))
+
+    return fail
+
 
 def _compile_eval(term, slot_of):
     """Compile ``term`` (variables all slotted) to ``slots -> value``.
 
     Mirrors :func:`repro.datalog.terms.ground_value` exactly, including
     the errors it raises, so the compiled path fails the same way the
-    legacy ``resolve`` fold does.
+    reference evaluator's ``resolve`` fold does.
     """
     if isinstance(term, Constant):
         value = term.value
@@ -161,11 +181,12 @@ def _compile_match(term, slot_of, live, alloc):
 
     ``live`` is the set of variable names bound at the point the matcher
     runs; names the pattern binds are added to it (pattern positions are
-    processed left to right, matching the legacy unification chain).
-    Semantics mirror ``unify(pattern, Constant(value))``: cons cells
-    decompose non-empty tuples, tuple terms decompose width-matched
-    tuples, and anything else — notably arithmetic functors, which the
-    legacy unifier never evaluates inside patterns — fails.
+    processed left to right, matching the unification chain of the
+    reference evaluator).  Semantics mirror ``unify(pattern,
+    Constant(value))``: cons cells decompose non-empty tuples, tuple
+    terms decompose width-matched tuples, and anything else — notably
+    arithmetic functors, which the unifier never evaluates inside
+    patterns — fails.
     """
     if isinstance(term, Constant):
         value = term.value
@@ -221,7 +242,7 @@ def _compile_match(term, slot_of, live, alloc):
         return match_tuple
 
     # Arithmetic and unknown functors never match a stored value — the
-    # legacy unifier returns None for them without evaluating.
+    # unifier returns None for them without evaluating.
     def match_never(_candidate, _slots):
         return False
 
@@ -231,37 +252,8 @@ def _compile_match(term, slot_of, live, alloc):
 # -- literal compilation ---------------------------------------------
 
 
-def _make_key_fn(key_parts):
-    """Build ``slots -> probe key`` for the bound positions of a scan.
-
-    Single-position keys are scalars (see :meth:`Relation.lookup`);
-    wider keys are tuples in ascending position order.
-    """
-    if len(key_parts) == 1:
-        kind, data = key_parts[0]
-        if kind == _KEY_CONST:
-            return lambda slots: data
-        if kind == _KEY_SLOT:
-            return lambda slots: slots[data]
-        return data
-    if all(kind == _KEY_CONST for kind, _ in key_parts):
-        constant_key = tuple(data for _, data in key_parts)
-        return lambda slots: constant_key
-    spec = tuple(key_parts)
-
-    def key_fn(slots):
-        return tuple(
-            data
-            if kind == _KEY_CONST
-            else (slots[data] if kind == _KEY_SLOT else data(slots))
-            for kind, data in spec
-        )
-
-    return key_fn
-
-
 def _compile_scan(lit_index, atom, slot_of, bound, alloc):
-    """Compile one positive body atom into a batched index scan step."""
+    """Analyse one positive body atom into a batched index scan step."""
     prefix = frozenset(bound)
     live = set(bound)
     positions = []
@@ -270,257 +262,127 @@ def _compile_scan(lit_index, atom, slot_of, bound, alloc):
     for pos, arg in enumerate(atom.args):
         if isinstance(arg, Constant):
             positions.append(pos)
-            key_parts.append((_KEY_CONST, arg.value))
+            key_parts.append((KEY_CONST, arg.value))
         elif isinstance(arg, Variable):
             name = arg.name
             if name in prefix:
                 positions.append(pos)
-                key_parts.append((_KEY_SLOT, slot_of[name]))
+                key_parts.append((KEY_SLOT, slot_of[name]))
             elif name in live:
-                ops.append((pos, _OP_CHECK, slot_of[name]))
+                ops.append((pos, OP_CHECK, slot_of[name]))
             else:
                 live.add(name)
-                ops.append((pos, _OP_WRITE, alloc(name)))
+                ops.append((pos, OP_WRITE, alloc(name)))
         else:
             if _vars_within(arg, prefix):
                 positions.append(pos)
-                key_parts.append((_KEY_EVAL, _compile_eval(arg, slot_of)))
+                key_parts.append((KEY_EVAL, _compile_eval(arg, slot_of)))
             else:
                 ops.append(
-                    (pos, _OP_MATCH,
+                    (pos, OP_MATCH,
                      _compile_match(arg, slot_of, live, alloc))
                 )
     bound |= live
-    positions = tuple(positions)
-    key_parts = tuple(key_parts)
-    key_fn = _make_key_fn(key_parts) if positions else None
-    only_writes = all(kind == _OP_WRITE for _, kind, _ in ops)
-    write_pairs = tuple(
-        (pos, data) for pos, kind, data in ops if kind == _OP_WRITE
-    )
-    ops = tuple(ops)
-    # Everything the specializing code generator needs to reproduce
-    # this scan as inline source (see repro.engine.codegen); attached
-    # to the closure so CompiledBody can hand its steps over wholesale.
-    spec = (lit_index, atom, positions, key_parts, ops)
-
-    if only_writes:
-
-        def scan(slots, resolver, stats):
-            relation = resolver(lit_index, atom)
-            candidates = relation.lookup(
-                positions, key_fn(slots) if key_fn is not None else None,
-                stats,
-            )
-            if stats is not None:
-                batch = len(candidates)
-                stats.tuples_scanned += batch
-                stats.batch_rows += batch
-            for row in reversed(candidates):
-                for pos, slot in write_pairs:
-                    slots[slot] = row[pos]
-                yield None
-
-        scan.scan_spec = spec
-        return scan
-
-    def scan(slots, resolver, stats):
-        relation = resolver(lit_index, atom)
-        candidates = relation.lookup(
-            positions, key_fn(slots) if key_fn is not None else None, stats
-        )
-        if stats is not None:
-            batch = len(candidates)
-            stats.tuples_scanned += batch
-            stats.batch_rows += batch
-        for row in reversed(candidates):
-            ok = True
-            for pos, kind, data in ops:
-                value = row[pos]
-                if kind == _OP_WRITE:
-                    slots[data] = value
-                elif kind == _OP_CHECK:
-                    if value != slots[data]:
-                        ok = False
-                        break
-                elif not data(value, slots):
-                    ok = False
-                    break
-            if ok:
-                yield None
-
-    scan.scan_spec = spec
-    return scan
+    return ("scan", lit_index, atom, tuple(positions), tuple(key_parts),
+            tuple(ops))
 
 
 def _compile_negation(lit_index, negation, slot_of, bound):
-    """Compile ``not atom``; None if the atom is not statically ground."""
+    """Analyse ``not atom`` into a membership test on its relation."""
     atom = negation.atom
-    fns = []
-    for arg in atom.args:
-        if not _vars_within(arg, bound):
-            return None
-        fns.append(_compile_eval(arg, slot_of))
-    fns = tuple(fns)
+    if not all(_vars_within(arg, bound) for arg in atom.args):
+        return ("filter", _raises(
+            "negated atom %s not ground at evaluation time" % atom.pred,
+            (), slot_of, bound,
+        ))
+    fns = tuple(_compile_eval(arg, slot_of) for arg in atom.args)
 
     def negate_test(slots, resolver):
         relation = resolver(lit_index, atom)
         return tuple(fn(slots) for fn in fns) not in relation
 
-    def negate(slots, resolver, stats):
-        if negate_test(slots, resolver):
-            yield None
-
-    negate.inline_spec = ("rfilter", negate_test)
-    return negate
+    return ("rfilter", negate_test)
 
 
 def _compile_comparison(comparison, slot_of, bound, alloc):
-    """Compile a comparison literal; None when outside the fragment.
+    """Analyse a comparison literal into a filter, assign or each step.
 
-    The supported fragment covers every comparison the legacy evaluator
-    handles without raising: both-sides-ground tests, ``=``/``is``/``in``
-    binding a fresh flat variable or decomposing into a structured
-    pattern.  Comparisons the legacy path would *raise* on (non-ground
-    ordering operands, unbound right sides of ``is``/``in``) are left to
-    the fallback so the error surface is unchanged.
+    Covers every comparison the reference evaluator handles: tests over
+    ground sides, and ``=``/``is``/``in`` binding a fresh flat variable
+    or decomposing into a structured pattern.  Comparisons it raises on
+    (non-ground ordering operands, unbound right sides of
+    ``is``/``in``) become steps raising the same error when reached.
     """
     op = comparison.op
     left, right = comparison.left, comparison.right
     left_ground = _vars_within(left, bound)
     right_ground = _vars_within(right, bound)
 
-    if op in ("<", "<=", ">", ">="):
+    if op in ("<", "<=", ">", ">=", "!="):
         if not (left_ground and right_ground):
-            return None
+            return ("filter", _raises(
+                "comparison %s on non-ground terms " % op, (left, right),
+                slot_of, bound,
+            ))
         left_fn = _compile_eval(left, slot_of)
         right_fn = _compile_eval(right, slot_of)
+        if op == "!=":
+            return ("filter",
+                    lambda slots: left_fn(slots) != right_fn(slots))
+        return ("filter",
+                lambda slots: _ordered(op, left_fn(slots), right_fn(slots)))
 
-        def ordered_test(slots):
-            return _ordered(op, left_fn(slots), right_fn(slots))
-
-        def ordered(slots, resolver, stats):
-            if ordered_test(slots):
-                yield None
-
-        ordered.inline_spec = ("filter", ordered_test)
-        return ordered
-
-    if op == "!=":
-        if not (left_ground and right_ground):
-            return None
-        left_fn = _compile_eval(left, slot_of)
-        right_fn = _compile_eval(right, slot_of)
-
-        def differs_test(slots):
-            return left_fn(slots) != right_fn(slots)
-
-        def differs(slots, resolver, stats):
-            if differs_test(slots):
-                yield None
-
-        differs.inline_spec = ("filter", differs_test)
-        return differs
-
-    if op in ("=", "is"):
-        # ``is`` additionally requires a ground right side; when it is
-        # not, the legacy path raises — fall back for error parity.
-        if not right_ground:
-            if op == "is" or not left_ground:
-                return None
-            left, right = right, left
-            left_ground, right_ground = False, True
-        right_fn = _compile_eval(right, slot_of)
-        if left_ground:
-            left_fn = _compile_eval(left, slot_of)
-
-            def equals_test(slots):
-                return left_fn(slots) == right_fn(slots)
-
-            def equals(slots, resolver, stats):
-                if equals_test(slots):
-                    yield None
-
-            equals.inline_spec = ("filter", equals_test)
-            return equals
-        if isinstance(left, Variable):
-            index = alloc(left.name)
-            bound.add(left.name)
-
-            def binds(slots, resolver, stats):
-                slots[index] = right_fn(slots)
-                yield None
-
-            binds.inline_spec = ("assign", index, right_fn)
-            return binds
-        if isinstance(left, Compound):
-            matcher = _compile_match(left, slot_of, bound, alloc)
-
-            def decomposes_test(slots):
-                return matcher(right_fn(slots), slots)
-
-            def decomposes(slots, resolver, stats):
-                if decomposes_test(slots):
-                    yield None
-
-            decomposes.inline_spec = ("filter", decomposes_test)
-            return decomposes
-        return None
+    if not right_ground:
+        if op != "=":
+            return ("filter", _raises(
+                "right side of %r is not ground: " % op, (right,),
+                slot_of, bound,
+            ))
+        if not left_ground:
+            free = {
+                name for side in (left, right)
+                for name in side.iter_variables() if name not in bound
+            }
+            return ("filter", _raises(
+                "'=' cannot bind variables %s" % sorted(free), (),
+                slot_of, bound,
+            ))
+        # '=' is symmetric: bind or decompose the right side instead.
+        left, right = right, left
+        left_ground = False
+    right_fn = _compile_eval(right, slot_of)
 
     if op == "in":
-        if not right_ground:
-            return None
-        right_fn = _compile_eval(right, slot_of)
+        def members(slots):
+            value = right_fn(slots)
+            if not isinstance(value, (tuple, frozenset, set)):
+                raise EvaluationError(
+                    "right side of 'in' is not a collection: %r" % (value,)
+                )
+            return reversed(list(value))
+
         if left_ground:
             left_fn = _compile_eval(left, slot_of)
 
-            def member_test(slots, resolver, stats):
-                members = right_fn(slots)
-                if not isinstance(members, (tuple, frozenset, set)):
-                    raise EvaluationError(
-                        "right side of 'in' is not a collection: %r"
-                        % (members,)
-                    )
+            def member_test(slots):
+                candidates = members(slots)
                 needle = left_fn(slots)
-                for member in reversed(list(members)):
-                    if member == needle:
-                        yield None
+                return (None for member in candidates if member == needle)
 
-            return member_test
-        if isinstance(left, Variable):
-            index = alloc(left.name)
-            bound.add(left.name)
+            return ("each", member_test)
+        matcher = _compile_match(left, slot_of, bound, alloc)
+        return ("each", lambda slots: (
+            None for member in members(slots) if matcher(member, slots)
+        ))
 
-            def member_bind(slots, resolver, stats):
-                members = right_fn(slots)
-                if not isinstance(members, (tuple, frozenset, set)):
-                    raise EvaluationError(
-                        "right side of 'in' is not a collection: %r"
-                        % (members,)
-                    )
-                for member in reversed(list(members)):
-                    slots[index] = member
-                    yield None
-
-            return member_bind
-        if isinstance(left, Compound):
-            matcher = _compile_match(left, slot_of, bound, alloc)
-
-            def member_match(slots, resolver, stats):
-                members = right_fn(slots)
-                if not isinstance(members, (tuple, frozenset, set)):
-                    raise EvaluationError(
-                        "right side of 'in' is not a collection: %r"
-                        % (members,)
-                    )
-                for member in reversed(list(members)):
-                    if matcher(member, slots):
-                        yield None
-
-            return member_match
-        return None
-
-    return None
+    if left_ground:
+        left_fn = _compile_eval(left, slot_of)
+        return ("filter", lambda slots: left_fn(slots) == right_fn(slots))
+    if isinstance(left, Variable):
+        bound.add(left.name)
+        return ("assign", alloc(left.name), right_fn)
+    matcher = _compile_match(left, slot_of, bound, alloc)
+    return ("filter", lambda slots: matcher(right_fn(slots), slots))
 
 
 # -- compiled bodies -------------------------------------------------
@@ -534,17 +396,15 @@ class CompiledBody:
     preload bindings positionally.  ``bound_after`` is the set of names
     guaranteed ground once the body has been fully matched.
 
-    When the columnar backend is enabled at construction time the body
-    additionally carries a *specialized executor* generated by
-    :mod:`repro.engine.codegen` — straight-line nested loops replacing
-    the interpreted generator stack — and can hand out batch
-    *emitters* via :meth:`emitter`.  Both produce results and counter
-    updates identical to the interpreted path; generation failure just
-    means the interpreted path is used.
+    ``steps`` are the step specs :mod:`repro.engine.codegen` generates
+    the body's executors from: the runner behind :meth:`execute`, built
+    with the body, and the batched forms (:meth:`emitter` and the
+    collectors), built on first request and ``None`` for a body whose
+    shape has no batched form.
     """
 
     __slots__ = ("body", "bound_names", "slot_of", "nslots", "steps",
-                 "bound_after", "_runner", "_emitters", "_collectors")
+                 "bound_after", "_runner", "_batched")
 
     def __init__(self, body, bound_names, slot_of, steps, bound_after):
         self.body = body
@@ -553,18 +413,8 @@ class CompiledBody:
         self.nslots = len(slot_of)
         self.steps = tuple(steps)
         self.bound_after = frozenset(bound_after)
-        # The flag is read once here so a body compiled under one
-        # backend keeps behaving identically even if the process-wide
-        # flag is flipped afterwards (the differential tests hold
-        # bodies from both backends side by side).
-        self._runner = None
-        self._emitters = {}
-        self._collectors = {}
-        if columnar_enabled():
-            try:
-                self._runner = generate_runner(self.steps)
-            except Exception:
-                self._runner = None
+        self._runner = generate_runner(self.steps)
+        self._batched = {}
 
     def make_slots(self):
         return [None] * self.nslots
@@ -572,49 +422,34 @@ class CompiledBody:
     def loader(self, names):
         """Slot indexes for preloading ``names`` positionally.
 
-        Duplicate names are allowed; the later value wins, matching the
-        successive-dict-write discipline of the legacy call sites.
+        Duplicate names are allowed; the later value wins, matching
+        successive writes into a dict substitution.
         """
         return tuple(self.slot_of[name] for name in names)
 
-    def extractor(self, names):
-        """Slot indexes projecting a result onto ``names``.
-
-        Raises ``KeyError`` when a name can never be bound by this body.
-        """
-        return tuple(self.slot_of[name] for name in names)
+    def raises(self, prefix, terms=(), error=EvaluationError):
+        """A row-spec function raising ``error`` when a match reaches it
+        (see :func:`compile_row_spec`)."""
+        return _raises(prefix, terms, self.slot_of, self.bound_after, error)
 
     def execute(self, resolver, slots, stats=None):
         """Yield ``slots`` once per match, mutated in place.
 
         The same list object is yielded every time — callers must copy
         out what they need before advancing.  Enumeration order equals
-        the legacy stack discipline exactly.
+        the stack discipline of the reference evaluator exactly.
         """
-        runner = self._runner
-        if runner is not None:
-            return runner(resolver, slots, stats)
-        return self._execute_interp(resolver, slots, stats)
+        return self._runner(resolver, slots, stats)
 
-    def _execute_interp(self, resolver, slots, stats=None):
-        """The interpreted generator-stack executor (reference path)."""
-        steps = self.steps
-        if not steps:
-            yield slots
-            return
-        last = len(steps) - 1
-        iters = [None] * len(steps)
-        iters[0] = steps[0](slots, resolver, stats)
-        depth = 0
-        while depth >= 0:
-            if next(iters[depth], _DONE) is _DONE:
-                iters[depth] = None
-                depth -= 1
-            elif depth == last:
-                yield slots
-            else:
-                depth += 1
-                iters[depth] = steps[depth](slots, resolver, stats)
+    def _generated(self, generate, projection, *entry):
+        key = (generate, projection) + entry
+        try:
+            return self._batched[key]
+        except KeyError:
+            fn = self._batched[key] = generate(
+                self.steps, projection, *entry
+            )
+            return fn
 
     def emitter(self, projection):
         """A generated batch emitter for ``projection``, or None.
@@ -625,23 +460,11 @@ class CompiledBody:
         projected result tuples per innermost scan invocation, in the
         exact enumeration order of :meth:`execute` — callers drain each
         batch (e.g. into ``relation.add``) before the next one is
-        produced, which preserves the interpreted path's visibility of
-        in-pass mutations.  Returns None when codegen is off for this
-        body or the shape is not vectorizable; callers fall back to
-        :meth:`execute`.
+        produced, which preserves row-at-a-time visibility of in-pass
+        mutations.  Returns None when the shape is not vectorizable;
+        callers drive :meth:`execute` instead.
         """
-        cached = self._emitters.get(projection)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._emitters[projection] = False
-            return None
-        try:
-            fn = generate_emitter(self.steps, projection)
-        except Exception:
-            fn = None
-        self._emitters[projection] = fn if fn is not None else False
-        return fn
+        return self._generated(generate_emitter, projection)
 
     def collector(self, projection):
         """A generated eager collector for ``projection``, or None.
@@ -654,18 +477,7 @@ class CompiledBody:
         callers that drain the whole match set without writing to the
         scanned relations (the bound-query path) may use it.
         """
-        cached = self._collectors.get(projection)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._collectors[projection] = False
-            return None
-        try:
-            fn = generate_collector(self.steps, projection)
-        except Exception:
-            fn = None
-        self._collectors[projection] = fn if fn is not None else False
-        return fn
+        return self._generated(generate_collector, projection)
 
     def entry_collector(self, projection, loader):
         """An eager collector taking ``(resolver, values, stats)``.
@@ -675,21 +487,9 @@ class CompiledBody:
         the bound-query fast path.  ``loader`` maps value position ->
         slot index.
         """
-        key = (projection, tuple(loader))
-        cached = self._collectors.get(key)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._collectors[key] = False
-            return None
-        try:
-            fn = generate_entry_collector(
-                self.steps, projection, self.nslots, loader
-            )
-        except Exception:
-            fn = None
-        self._collectors[key] = fn if fn is not None else False
-        return fn
+        return self._generated(
+            generate_entry_collector, projection, self.nslots, loader
+        )
 
     def bound_collector(self, projection, loader):
         """An eager collector taking ``(state, values, stats)``.
@@ -698,26 +498,13 @@ class CompiledBody:
         resolver) persists each scan's resolved relation and probe
         view across calls — see :meth:`BoundQuery.bind`.
         """
-        key = ("bound", projection, tuple(loader))
-        cached = self._collectors.get(key)
-        if cached is not None:
-            return cached or None
-        if self._runner is None:
-            self._collectors[key] = False
-            return None
-        try:
-            fn = generate_bound_collector(
-                self.steps, projection, self.nslots, loader
-            )
-        except Exception:
-            fn = None
-        self._collectors[key] = fn if fn is not None else False
-        return fn
+        return self._generated(
+            generate_bound_collector, projection, self.nslots, loader
+        )
 
 
 def compile_body(body, bound_names=()):
-    """Compile ``body`` given ``bound_names`` pre-bound; None if outside
-    the supported fragment (callers fall back to the legacy path)."""
+    """Compile ``body`` given ``bound_names`` pre-bound."""
     slot_of = {}
     for name in bound_names:
         if name not in slot_of:
@@ -736,53 +523,44 @@ def compile_body(body, bound_names=()):
         if isinstance(lit, Atom):
             steps.append(_compile_scan(index, lit, slot_of, bound, alloc))
         elif isinstance(lit, Negation):
-            step = _compile_negation(index, lit, slot_of, bound)
-            if step is None:
-                return None
-            steps.append(step)
+            steps.append(_compile_negation(index, lit, slot_of, bound))
         elif isinstance(lit, Comparison):
-            step = _compile_comparison(lit, slot_of, bound, alloc)
-            if step is None:
-                return None
-            steps.append(step)
+            steps.append(_compile_comparison(lit, slot_of, bound, alloc))
         else:
-            # Unknown literal kinds raise in the legacy evaluator; let
-            # the fallback produce that error.
-            return None
+            steps.append(("filter", _raises(
+                "unknown literal %r" % (lit,), (), slot_of, bound
+            )))
     return CompiledBody(
         tuple(body), tuple(dict.fromkeys(bound_names)), slot_of, steps,
         bound,
     )
 
 
-def compile_row_spec(args, compiled):
-    """Row-projection spec for argument terms, or None.
+def compile_row_spec(args, compiled, unbound):
+    """Row-projection spec for argument terms.
 
     Each entry is ``("const", value)``, ``("slot", index)``, or
     ``("fn", slots -> value, frozenset(read slot indexes))``.  The spec
-    form feeds both :func:`compile_row` (a plain closure) and the code
-    generator's batch emitters, which substitute slot reads with direct
-    row indexing.  Returns None when an argument cannot be proven
-    ground after the body — the legacy path raises at runtime in that
-    case and the caller should fall back.
+    form feeds both :func:`row_spec_fn` (a plain closure) and the code
+    generator's batched forms, which substitute slot reads with direct
+    row indexing.  An argument that cannot be proven ground after the
+    body becomes the ``fn`` entry ``unbound(arg)`` returns — built with
+    :meth:`CompiledBody.raises`, so it raises the caller's error when a
+    match reaches it, as the reference evaluator does.
     """
+    slot_of, bound = compiled.slot_of, compiled.bound_after
     spec = []
     for arg in args:
         if isinstance(arg, Constant):
             spec.append(("const", arg.value))
-        elif isinstance(arg, Variable):
-            if arg.name not in compiled.bound_after:
-                return None
-            spec.append(("slot", compiled.slot_of[arg.name]))
+        elif isinstance(arg, Variable) and arg.name in bound:
+            spec.append(("slot", slot_of[arg.name]))
         else:
-            if not _vars_within(arg, compiled.bound_after):
-                return None
-            reads = frozenset(
-                compiled.slot_of[name] for name in arg.iter_variables()
-            )
-            spec.append(
-                ("fn", _compile_eval(arg, compiled.slot_of), reads)
-            )
+            names = set(arg.iter_variables())
+            fn = (_compile_eval(arg, slot_of) if names <= bound
+                  else unbound(arg))
+            reads = frozenset(slot_of[name] for name in names & bound)
+            spec.append(("fn", fn, reads))
     return tuple(spec)
 
 
@@ -807,30 +585,7 @@ def row_spec_fn(spec):
     return build
 
 
-def compile_row(args, compiled):
-    """Compile argument terms to ``slots -> ground value tuple``.
-
-    Used for rule heads and for trace premises.  Returns None exactly
-    when :func:`compile_row_spec` does.
-    """
-    spec = compile_row_spec(args, compiled)
-    if spec is None:
-        return None
-    return row_spec_fn(spec)
-
-
 # -- bound queries (counting-engine call shape) ----------------------
-
-
-def _bind_values(names, subst):
-    """Legacy projection of a dict substitution onto ``names``."""
-    values = []
-    for name in names:
-        term = resolve(Variable(name), subst)
-        if not isinstance(term, Constant):
-            raise ValueError("variable %s not bound" % name)
-        values.append(term.value)
-    return tuple(values)
 
 
 class BoundQuery:
@@ -838,40 +593,28 @@ class BoundQuery:
 
     ``in_names`` are preloaded from the ``values`` argument of
     :meth:`run` (duplicates allowed, later wins); each result is the
-    projection of a body match onto ``out_names``.  Falls back to the
-    legacy dict-based evaluator when the body or the projection lies
-    outside the compiled fragment, preserving error behavior.
+    projection of a body match onto ``out_names``.  An out name the
+    body never binds raises ``ValueError`` when a match reaches it.
     """
 
     __slots__ = ("body", "in_names", "out_names", "compiled", "_loader",
-                 "_extract", "_out_spec", "_emit", "_nin")
+                 "_out_spec", "_project", "_emit", "_nin")
 
     def __init__(self, body, in_names, out_names):
         self.body = tuple(body)
         self.in_names = tuple(in_names)
         self.out_names = tuple(out_names)
-        compiled = compile_body(self.body, self.in_names)
-        loader = extract = out_spec = None
-        if compiled is not None:
-            try:
-                loader = compiled.loader(self.in_names)
-                extract = compiled.extractor(self.out_names)
-            except KeyError:
-                compiled = None
-            else:
-                if not set(self.out_names) <= compiled.bound_after:
-                    compiled = None
-                else:
-                    out_spec = tuple(("slot", i) for i in extract)
-        self.compiled = compiled
-        self._loader = loader
-        self._extract = extract
-        self._out_spec = out_spec
-        self._emit = (
-            compiled.entry_collector(out_spec, loader)
-            if compiled is not None else None
+        compiled = self.compiled = compile_body(self.body, self.in_names)
+        self._loader = compiled.loader(self.in_names)
+        self._out_spec = compile_row_spec(
+            [Variable(name) for name in self.out_names], compiled,
+            lambda arg: compiled.raises(
+                "variable %s not bound" % arg.name, error=ValueError
+            ),
         )
-        self._nin = len(loader) if loader is not None else 0
+        self._project = row_spec_fn(self._out_spec)
+        self._emit = compiled.entry_collector(self._out_spec, self._loader)
+        self._nin = len(self._loader)
 
     def run(self, resolver, values, stats=None):
         """``out_names`` value tuples for each body match.
@@ -890,15 +633,13 @@ class BoundQuery:
             # semantics on the slow path below.
             return emit(resolver, values, stats)
         compiled = self.compiled
-        if compiled is None:
-            return self._run_legacy(resolver, values, stats)
         slots = compiled.make_slots()
         for slot, value in zip(self._loader, values):
             slots[slot] = value
         collect = compiled.collector(self._out_spec)
         if collect is not None:
             return collect(resolver, slots, stats)
-        return self._run_execute(resolver, slots, stats)
+        return map(self._project, compiled.execute(resolver, slots, stats))
 
     def bind(self, resolver):
         """A callable ``(values, stats=None)`` pinned to ``resolver``.
@@ -919,11 +660,7 @@ class BoundQuery:
         construction.  Results and counter updates are identical to
         :meth:`run` with the same resolver.
         """
-        compiled = self.compiled
-        emit = (
-            compiled.bound_collector(self._out_spec, self._loader)
-            if compiled is not None else None
-        )
+        emit = self.compiled.bound_collector(self._out_spec, self._loader)
         if emit is None:
             def run(values, stats=None,
                     _run=self.run, _resolver=resolver):
@@ -939,39 +676,20 @@ class BoundQuery:
             return _slow(_resolver, values, stats)
         return run
 
-    def _run_execute(self, resolver, slots, stats):
-        compiled = self.compiled
-        extract = self._extract
-        for result in compiled.execute(resolver, slots, stats):
-            yield tuple(result[i] for i in extract)
 
-    def _run_legacy(self, resolver, values, stats):
-        from .join import evaluate_body
-
-        subst = {}
-        for name, value in zip(self.in_names, values):
-            subst[name] = Constant(value)
-        for result in evaluate_body(self.body, resolver, subst, stats):
-            yield _bind_values(self.out_names, result)
-
-
-#: Structural (body, in_names, out_names, backend flag) -> BoundQuery.
-#: The counting engines rebuild their canonical rules on every run, so
-#: per-engine caches recompile the same few query shapes over and over;
-#: sharing across runs is safe because a BoundQuery is immutable after
-#: construction.  The backend flag is part of the key so a query
-#: compiled under one storage backend is never served under the other
-#: (the differential tests flip the process-wide flag mid-process).
-#: Bounded defensively: real programs have few shapes, fuzzed test
-#: runs generate many.
+#: Structural (body, in_names, out_names) -> BoundQuery.  The counting
+#: engines rebuild their canonical rules on every run, so per-engine
+#: caches recompile the same few query shapes over and over; sharing
+#: across runs is safe because a BoundQuery is immutable after
+#: construction.  Bounded defensively: real programs have few shapes,
+#: fuzzed test runs generate many.
 _BOUND_QUERY_CACHE = {}
 _BOUND_QUERY_LIMIT = 2048
 
 
 def bound_query(body, in_names, out_names):
     """A shared :class:`BoundQuery`, cached on structural identity."""
-    key = (tuple(body), tuple(in_names), tuple(out_names),
-           columnar_enabled())
+    key = (tuple(body), tuple(in_names), tuple(out_names))
     try:
         query = _BOUND_QUERY_CACHE.get(key)
     except TypeError:
@@ -991,54 +709,44 @@ def bound_query(body, in_names, out_names):
 class CompiledRule:
     """A whole rule compiled for the semi-naive engine.
 
-    ``compiled`` is the body (None → fall back to the legacy rule
-    evaluator), ``head`` builds the ground head tuple from a match,
-    ``head_spec`` is the row spec the batch emitters consume, and
-    ``premises`` (built lazily, only when tracing) yields one ground
-    value tuple per positive body atom in body order.
+    ``compiled`` is the body, ``head_spec`` the row spec the batch
+    emitters consume and ``head`` the same projection as a closure over
+    a match; ``premises`` (read only when tracing) holds one such
+    closure per positive body atom, in body order.
     """
 
     __slots__ = ("rule", "compiled", "head", "head_spec", "premises")
 
     def __init__(self, rule):
         self.rule = rule
-        compiled = compile_body(rule.body)
-        head = None
-        head_spec = None
-        premises = None
-        if compiled is not None:
-            head_spec = compile_row_spec(rule.head.args, compiled)
-            if head_spec is None:
-                compiled = None
-            else:
-                head = row_spec_fn(head_spec)
-                fns = [
-                    compile_row(atom.args, compiled)
-                    for atom in rule.body_atoms()
-                ]
-                if all(fn is not None for fn in fns):
-                    premises = tuple(fns)
-        self.compiled = compiled
-        self.head = head
-        self.head_spec = head_spec if compiled is not None else None
-        self.premises = premises
-
-    @property
-    def supported(self):
-        return self.compiled is not None
-
-    @property
-    def traceable(self):
-        return self.premises is not None
+        compiled = self.compiled = compile_body(rule.body)
+        head = rule.head
+        self.head_spec = compile_row_spec(
+            head.args, compiled,
+            lambda arg: compiled.raises(
+                "head argument of %s not ground: " % head.pred, (arg,)
+            ),
+        )
+        self.head = row_spec_fn(self.head_spec)
+        self.premises = tuple(
+            row_spec_fn(compile_row_spec(
+                atom.args, compiled,
+                lambda arg, atom=atom: compiled.raises(
+                    "body atom %s not ground under result substitution"
+                    % atom.pred
+                ),
+            ))
+            for atom in rule.body_atoms()
+        )
 
 
-#: Structural (rule, backend flag) -> CompiledRule, mirroring
-#: ``_BOUND_QUERY_CACHE``: the rewritings rebuild structurally equal
-#: rule objects on every run, and a CompiledRule is immutable after
-#: construction, so sharing across engines is safe.  Rule equality
-#: ignores labels, which is fine — consumers read only structural
-#: parts (``rule.head.key``) from the cached instance; labels always
-#: come from the caller's own rule object.
+#: Structural rule -> CompiledRule, mirroring ``_BOUND_QUERY_CACHE``:
+#: the rewritings rebuild structurally equal rule objects on every run,
+#: and a CompiledRule is immutable after construction, so sharing
+#: across engines is safe.  Rule equality ignores labels, which is fine
+#: — consumers read only structural parts (``rule.head.key``) from the
+#: cached instance; labels always come from the caller's own rule
+#: object.
 _COMPILED_RULE_CACHE = {}
 _COMPILED_RULE_LIMIT = 2048
 
@@ -1046,16 +754,14 @@ _COMPILED_RULE_LIMIT = 2048
 def compiled_rule(rule, factory=None):
     """A shared :class:`CompiledRule`, cached on structural identity.
 
-    ``factory`` is a test seam: callers expose a patchable module
-    attribute and pass it through, and any factory other than the real
-    :class:`CompiledRule` bypasses the cache entirely so patched
-    instances never leak into (or out of) it.
+    Any ``factory`` other than :class:`CompiledRule` itself builds the
+    rule and bypasses the cache entirely, in both directions — the way
+    to time or inspect a cold compilation.
     """
     if factory is not None and factory is not CompiledRule:
         return factory(rule)
-    key = (rule, columnar_enabled())
     try:
-        cached = _COMPILED_RULE_CACHE.get(key)
+        cached = _COMPILED_RULE_CACHE.get(rule)
     except TypeError:
         # Unhashable constant values somewhere in the rule.
         return CompiledRule(rule)
@@ -1063,5 +769,5 @@ def compiled_rule(rule, factory=None):
         if len(_COMPILED_RULE_CACHE) >= _COMPILED_RULE_LIMIT:
             _COMPILED_RULE_CACHE.clear()
         cached = CompiledRule(rule)
-        _COMPILED_RULE_CACHE[key] = cached
+        _COMPILED_RULE_CACHE[rule] = cached
     return cached

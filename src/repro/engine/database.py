@@ -123,9 +123,9 @@ class Database:
             with self._lock:
                 rel = self._relations.get(key)
                 if rel is None:
-                    # Base relations carry the intern pool so the
-                    # columnar backend (when enabled) can mirror rows
-                    # into id columns; see repro.engine.columnar.
+                    # Base relations carry the intern pool, so they
+                    # mirror their rows into id columns; see
+                    # repro.engine.columnar.
                     rel = Relation(name, arity, pool=self.intern_pool)
                     self._relations[key] = rel
         return rel
@@ -217,30 +217,6 @@ class Database:
         """
         return DatabaseSnapshot(self)
 
-    def storage_info(self):
-        """Storage descriptor: backend, per-relation rows and bytes.
-
-        The ``storage`` block of the bench artifacts reads this to
-        record which backend a measurement ran under and how many
-        machine bytes the id columns hold.
-        """
-        relations = {}
-        column_bytes = 0
-        backend = "rows"
-        with self._lock:
-            for key, rel in sorted(self._relations.items()):
-                info = rel.storage_info()
-                relations["%s/%d" % key] = info
-                if info["backend"] == "columnar":
-                    backend = "columnar"
-                    column_bytes += info["column_bytes"]
-        return {
-            "backend": backend,
-            "relations": relations,
-            "column_bytes": column_bytes,
-            "interned_ids": len(self.intern_pool),
-        }
-
     def to_text(self):
         """Serialize as program text; inverse of :meth:`from_text`.
 
@@ -330,9 +306,6 @@ class _PinnedRelation:
 
     def probe_set(self):
         return self._rel().probe_set()
-
-    def storage_info(self):
-        return self._rel().storage_info()
 
     def ensure_index(self, positions, stats=None):
         return self._rel().ensure_index(positions, stats)

@@ -24,24 +24,23 @@ nested-loop joins, which is the performance model assumed by the paper
 (the pointer-based counting implementation is "a direct access to the
 memory").
 
-Storage backends
-----------------
+Id columns
+----------
 
-A relation constructed with an intern ``pool`` while the columnar
-backend is enabled (see :mod:`repro.engine.columnar`) additionally
-mirrors every row into parallel ``array('q')`` columns of intern-pool
-ids, in insertion-log order.  The id columns never replace the value
-rows — joins, rendering, and arithmetic read the canonical values
-exactly as before, so answers are byte-identical across backends — but
-they give the relation an O(rows) machine-word serialization, columnar
-prefix pinning for epoch snapshots, and a vectorized id-scan primitive
-(:meth:`Relation.scan_ids`).
+A relation constructed with an intern ``pool`` (every database
+relation) additionally mirrors each row into parallel ``array('q')``
+columns of intern-pool ids, in insertion-log order (see
+:mod:`repro.engine.columnar`).  The id columns never replace the value
+rows — joins, rendering, and arithmetic read the canonical values — but
+they give the relation an O(rows) machine-word serialization and
+columnar prefix pinning for epoch snapshots.  Relations built without
+a pool (the engine's derived and delta relations) hold value rows only.
 """
 
 import weakref
 from operator import itemgetter
 
-from .columnar import ColumnStore, columnar_enabled
+from .columnar import ColumnStore
 
 
 class _Wildcard:
@@ -82,15 +81,10 @@ class Relation:
         #: Intern pool used for the columnar id mirror (None for plain
         #: row storage — e.g. engine-internal derived relations).
         self._pool = pool
-        #: Parallel id columns, maintained by :meth:`add` when the
-        #: columnar backend is active.  ``_ids`` row ordinals coincide
-        #: with ``_log`` positions, so both views describe the same
-        #: insertion order.
-        self._ids = (
-            ColumnStore(arity)
-            if pool is not None and columnar_enabled()
-            else None
-        )
+        #: Parallel id columns, maintained by :meth:`add`.  ``_ids``
+        #: row ordinals coincide with ``_log`` positions, so both views
+        #: describe the same insertion order.
+        self._ids = ColumnStore(arity) if pool is not None else None
         #: Monotone mutation counter: bumped once per *new* row, so two
         #: relations with equal epochs seen by the same observer hold
         #: the same tuples.  Cross-query caches key their entries on the
@@ -295,8 +289,6 @@ class Relation:
         clone.tuples = set(self.tuples)
         clone.epoch = self.epoch
         clone._log = list(self._log)
-        # Columns copy as machine words regardless of the flag's
-        # current value — the clone keeps the backend of its source.
         clone._ids = None if self._ids is None else self._ids.copy()
         clone._indexes = {
             positions: {key: list(rows) for key, rows in index.items()}
@@ -421,28 +413,6 @@ class Relation:
             )
         return self._ids.row(ordinal)
 
-    def scan_ids(self, positions, values):
-        """Insertion ordinals of rows matching ``values`` at ``positions``.
-
-        The vectorized id-scan: ``values`` are value-level constants,
-        encoded through the pool once, then compared column-wise as
-        machine words.  A value the pool has never seen cannot match
-        any stored row, so the scan returns ``[]`` without touching
-        the columns.
-        """
-        if self._ids is None:
-            raise TypeError(
-                "%s/%d uses row storage; no id columns"
-                % (self.name, self.arity)
-            )
-        ids = []
-        for value in values:
-            ident = self._pool.peek(value)
-            if ident is None:
-                return []
-            ids.append(ident)
-        return self._ids.matching(tuple(positions), tuple(ids))
-
     def decode_ordinal(self, ordinal):
         """Decode the row at ``ordinal`` through the intern pool.
 
@@ -451,17 +421,6 @@ class Relation:
         rendered output is byte-identical whichever view produced it.
         """
         return self._pool.decode_row(self.id_row(ordinal))
-
-    def storage_info(self):
-        """Backend descriptor for observability and the bench probe."""
-        info = {
-            "backend": "columnar" if self._ids is not None else "rows",
-            "rows": len(self.tuples),
-            "indexes": len(self._indexes),
-        }
-        if self._ids is not None:
-            info["column_bytes"] = self._ids.nbytes()
-        return info
 
     def column_bytes(self):
         """Serialized id columns (see :meth:`ColumnStore.to_bytes`)."""

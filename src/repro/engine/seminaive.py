@@ -17,9 +17,8 @@ from ..datalog.analysis import ProgramAnalysis
 from ..datalog.atoms import Atom
 from ..errors import EvaluationError
 from . import faults
-from .compile import CompiledRule, compiled_rule
+from .compile import compiled_rule
 from .instrumentation import EvalStats
-from .join import evaluate_body, evaluate_rule, ground_atom, ground_head
 from .relation import EmptyRelation, Relation
 from .stratify import check_stratified
 
@@ -52,14 +51,12 @@ class SemiNaiveEngine:
         self.trace = trace
         self.analysis = ProgramAnalysis(program)
         check_stratified(self.analysis)
-        #: Rule → :class:`CompiledRule` cache, filled on first use.
-        #: Rules whose bodies lie outside the compiled fragment keep
-        #: ``supported=False`` and run through the legacy evaluator.
-        #: Callers that evaluate the same rule objects repeatedly (the
-        #: prepared-query layer) may pass a pre-populated
-        #: ``compiled_cache`` dict (``id(rule) -> CompiledRule``) so
-        #: compilation happens once per query form instead of once per
-        #: engine instance.
+        #: Rule → :class:`~repro.engine.compile.CompiledRule` cache,
+        #: filled on first use.  Callers that evaluate the same rule
+        #: objects repeatedly (the prepared-query layer) may pass a
+        #: pre-populated ``compiled_cache`` dict (``id(rule) ->
+        #: CompiledRule``) so compilation happens once per query form
+        #: instead of once per engine instance.
         self._compiled = compiled_cache if compiled_cache is not None \
             else {}
         self.derived = {}
@@ -125,25 +122,10 @@ class SemiNaiveEngine:
         """Post-run lookup: derived, overlay or database relation."""
         return self.full(key)
 
-    def _emit(self, key, rows, delta):
-        relation = self._relation(key)
-        for row in rows:
-            if relation.add(row):
-                self.stats.facts_derived += 1
-                delta.setdefault(
-                    key, Relation(key[0], key[1])
-                ).add(row)
-            else:
-                self.stats.facts_duplicate += 1
-
     def _compiled_rule(self, rule):
         compiled = self._compiled.get(id(rule))
         if compiled is None:
-            # The module-global CompiledRule is a test seam (patched to
-            # force the legacy path); the shared cache steps aside for
-            # any patched factory.
-            compiled = compiled_rule(rule, factory=CompiledRule)
-            self._compiled[id(rule)] = compiled
+            compiled = self._compiled[id(rule)] = compiled_rule(rule)
         return compiled
 
     def _apply_rule(self, rule, resolver, delta):
@@ -153,11 +135,7 @@ class SemiNaiveEngine:
         derived_before = stats.facts_derived
         compiled = self._compiled_rule(rule)
         if self.trace is None:
-            if compiled.supported:
-                self._apply_compiled(compiled, resolver, delta)
-            else:
-                rows = evaluate_rule(rule, resolver, stats)
-                self._emit(rule.head.key, rows, delta)
+            self._apply_compiled(compiled, resolver, delta)
         else:
             self._apply_traced(rule, compiled, resolver, delta)
         stats.note_rule(
@@ -169,12 +147,12 @@ class SemiNaiveEngine:
     def _apply_compiled(self, compiled, resolver, delta):
         """Set-at-a-time rule pass: batched probes, direct tuple writes.
 
-        When the body has a vectorized emitter (columnar backend on,
-        innermost step a plain scan) the head projection happens inside
-        a generated list comprehension, one whole batch per innermost
-        probe; each batch is drained into the relation before the next
-        is produced, so derivations become visible to subsequent probes
-        exactly as they did row at a time.
+        When the body has a vectorized emitter (innermost step a plain
+        scan) the head projection happens inside a generated list
+        comprehension, one whole batch per innermost probe; each batch
+        is drained into the relation before the next is produced, so
+        derivations become visible to subsequent probes exactly as they
+        would row at a time.
         """
         stats = self.stats
         stats.rule_firings += 1
@@ -215,33 +193,17 @@ class SemiNaiveEngine:
         stats.rule_firings += 1
         key = rule.head.key
         relation = self._relation(key)
-        if compiled.supported and compiled.traceable:
-            premise_keys = tuple(
-                atom.key for atom in rule.body_atoms()
-            )
-            body = compiled.compiled
-            head = compiled.head
-            for slots in body.execute(resolver, body.make_slots(), stats):
-                row = head(slots)
-                if relation.add(row):
-                    stats.facts_derived += 1
-                    delta.setdefault(key, Relation(key[0], key[1])).add(row)
-                    premises = tuple(
-                        (pkey, fn(slots))
-                        for pkey, fn in zip(premise_keys, compiled.premises)
-                    )
-                    self.trace.record(key, row, rule.label, premises)
-                else:
-                    stats.facts_duplicate += 1
-            return
-        for subst in evaluate_body(rule.body, resolver, {}, stats):
-            row = ground_head(rule.head, subst)
+        premise_keys = tuple(atom.key for atom in rule.body_atoms())
+        body = compiled.compiled
+        head = compiled.head
+        for slots in body.execute(resolver, body.make_slots(), stats):
+            row = head(slots)
             if relation.add(row):
                 stats.facts_derived += 1
                 delta.setdefault(key, Relation(key[0], key[1])).add(row)
                 premises = tuple(
-                    (atom.key, ground_atom(atom, subst))
-                    for atom in rule.body_atoms()
+                    (pkey, fn(slots))
+                    for pkey, fn in zip(premise_keys, compiled.premises)
                 )
                 self.trace.record(key, row, rule.label, premises)
             else:

@@ -613,8 +613,7 @@ class ParallelEngine:
                 shard_blobs[index][key] = (key[1], blob)
         # Coordinator-only base relations still feed delta rows through
         # the exit rounds, so their values must be in the shipped table
-        # too (the columnar backend interns on insert; the legacy one
-        # does not).
+        # too.
         shipped = set(self.plan.sharded) | set(self.plan.broadcast)
         ident_row = pool.ident_row
         for key in sorted(self.analysis.base_predicates()):

@@ -29,17 +29,12 @@ def test_write_smoke_artifact(tmp_path):
     assert cache_block["cache_hits"] > 0
     assert 0.0 < cache_block["hit_rate"] <= 1.0
     assert cache_block["counting_table_reuse"] > 0
-    storage = payload["storage"]
-    assert storage["counters_match"] is True
-    assert {r["backend"] for r in storage["rows"]} == {"rows"}
-    assert {r["backend"] for r in storage["columnar"]} == {"columnar"}
-    for record in storage["columnar"]:
-        assert record["column_bytes"] > 0
-        assert record["elapsed"] >= 0.0
+    # The block is the probe's whole recovery record; a failure prints
+    # it, so a run that saw no crash says what it saw instead.
     healing = payload["self_healing"]
-    assert healing["answers_match"] is True
-    assert healing["counters_match"] is True
-    assert healing["crashes"] == 1
-    assert healing["repairs"] == 1
-    assert healing["rounds_replayed"] == 1
+    assert healing["answers_match"] is True, healing
+    assert healing["counters_match"] is True, healing
+    assert healing["crashes"] == 1, healing
+    assert healing["repairs"] == 1, healing
+    assert healing["rounds_replayed"] == 1, healing
     assert healing["recovery_seconds"] >= 0.0

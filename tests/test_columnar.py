@@ -1,14 +1,18 @@
-"""Differential suite for the columnar storage backend.
+"""Differential suite for the columnar storage layer.
 
-The contract of ``REPRO_COLUMNAR`` (see :mod:`repro.engine.columnar`)
-is observational equivalence: both backends must produce byte-identical
-rendered answers and identical semantic work counters on every workload
-and strategy.  This suite enforces that over the full paper matrix —
-the e1–e10 experiment shapes plus the S1 (``sg_cylinder``) and S3
-(``sg_forest``) workloads — and covers the storage primitives the
-equivalence rests on: the :class:`ColumnStore` id mirror, the lossless
-decode contract, and ``pinned()`` prefix snapshots under concurrent
-writers.
+Every database relation holds its rows twice (see
+:mod:`repro.engine.columnar`): as value tuples, which the joins read,
+and as parallel id columns, which checkpoints, shard exchange and
+snapshots serialize.  The contract is that the id columns are a
+lossless view of the rows: a database rebuilt from nothing but the
+column bytes must produce byte-identical rendered answers and
+identical semantic work counters on every workload and strategy.  This
+suite enforces that over the full paper matrix — the e1–e10 experiment
+shapes plus the S1 (``sg_cylinder``) and S3 (``sg_forest``) workloads —
+and covers the storage primitives the equivalence rests on: the
+:class:`ColumnStore` id mirror, the lossless decode contract, and
+``pinned()`` prefix snapshots under concurrent writers, with and
+without id columns.
 """
 
 import threading
@@ -17,12 +21,7 @@ import pytest
 
 from repro.data.workloads import WORKLOADS
 from repro.datalog.pretty import format_value
-from repro.engine.columnar import (
-    ColumnStore,
-    columnar_enabled,
-    set_columnar,
-    use_backend,
-)
+from repro.engine.columnar import ColumnStore
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.exec.strategies import run_strategy
@@ -30,7 +29,7 @@ from repro.exec.strategies import run_strategy
 #: Every (workload, strategy) cell of the paper matrix.  This spans the
 #: program shapes of experiments e1–e10 (trees, chains, multi-rule,
 #: shared variables, cyclic data, mixed/right/left-linear) plus the S1
-#: cylinder and S3 forest workloads named by the issue.
+#: cylinder and S3 forest workloads.
 MATRIX = [
     (wname, sname)
     for wname, workload in sorted(WORKLOADS.items())
@@ -42,7 +41,7 @@ def _render(answers):
     """Render an answer set exactly as the CLI would print it.
 
     Sorted, formatted through :func:`format_value`, encoded — the
-    "byte-identical rendered answers" half of the backend contract.
+    "byte-identical rendered answers" half of the storage contract.
     """
     lines = sorted(
         "(%s)" % ", ".join(format_value(v) for v in row)
@@ -51,11 +50,32 @@ def _render(answers):
     return "\n".join(lines).encode("utf-8")
 
 
-def _run(backend, wname, sname):
+def _from_columns(db):
+    """A database rebuilt from ``db``'s serialized id columns alone —
+    what a checkpoint load or a shard worker holds."""
+    decode_row = db.intern_pool.decode_row
+    clone = Database()
+    for name, arity in sorted(db.keys()):
+        store = ColumnStore.from_bytes(db.get((name, arity)).column_bytes())
+        clone.add_facts(
+            (name, decode_row(store.row(ordinal)))
+            for ordinal in range(len(store))
+        )
+    return clone
+
+
+def _edge_relation(pooled):
+    """``edge/2`` with id columns (a database relation) or without."""
+    return (Database().relation("edge", 2) if pooled
+            else Relation("edge", 2))
+
+
+def _run(from_columns, wname, sname):
     workload = WORKLOADS[wname]
-    with use_backend(backend):
-        db, _source = workload.make_db()
-        result = run_strategy(sname, workload.query, db)
+    db, _source = workload.make_db()
+    if from_columns:
+        db = _from_columns(db)
+    result = run_strategy(sname, workload.query, db)
     return _render(result.answers), dict(result.stats.as_dict())
 
 
@@ -73,39 +93,6 @@ class TestDifferentialBackends:
         # tuples_scanned.
         assert rows_stats == col_stats
 
-    def test_backend_flag_roundtrip(self):
-        before = columnar_enabled()
-        with use_backend(not before):
-            assert columnar_enabled() is (not before)
-            with use_backend(before):
-                assert columnar_enabled() is before
-            assert columnar_enabled() is (not before)
-        assert columnar_enabled() is before
-
-    def test_set_columnar_returns_previous(self):
-        before = columnar_enabled()
-        try:
-            assert set_columnar(not before) is before
-            assert set_columnar(before) is (not before)
-        finally:
-            set_columnar(before)
-
-    def test_relations_keep_construction_backend(self):
-        # The flag is read at construction; existing relations keep
-        # their backend, which is what lets this suite hold one
-        # relation per backend side by side.
-        pool_db = Database()
-        with use_backend(True):
-            columnar = pool_db.relation("c", 2)
-            columnar.add(("a", "b"))
-        with use_backend(False):
-            rows = pool_db.relation("r", 2)
-            rows.add(("a", "b"))
-            assert columnar.columnar
-            assert columnar.storage_info()["backend"] == "columnar"
-        assert not rows.columnar
-        assert rows.storage_info()["backend"] == "rows"
-
 
 class TestColumnStore:
     def test_append_row_roundtrip(self):
@@ -122,16 +109,6 @@ class TestColumnStore:
         assert len(store) == 0
         with pytest.raises(ValueError):
             ColumnStore(-1)
-
-    def test_matching_scans_bound_columns(self):
-        store = ColumnStore(2)
-        for row in ((1, 10), (2, 20), (1, 30), (1, 10)):
-            store.append(row)
-        assert store.matching((0,), (1,)) == [0, 2, 3]
-        assert store.matching((0, 1), (1, 10)) == [0, 3]
-        assert store.matching((1,), (99,)) == []
-        # No bound positions: every ordinal, in insertion order.
-        assert store.matching((), ()) == [0, 1, 2, 3]
 
     def test_prefix_is_a_copy(self):
         store = ColumnStore(2)
@@ -166,39 +143,24 @@ class TestColumnStore:
 
 class TestDecodeContract:
     def test_decode_ordinal_matches_insertion_log(self):
-        with use_backend(True):
-            db = Database()
-            rel = db.relation("edge", 2)
-            rows = [("n%d" % i, "n%d" % (i + 1)) for i in range(50)]
-            rel.add_all(rows)
+        rel = Database().relation("edge", 2)
+        rows = [("n%d" % i, "n%d" % (i + 1)) for i in range(50)]
+        rel.add_all(rows)
         for ordinal, row in enumerate(rows):
             assert rel.decode_ordinal(ordinal) == row
         assert rel.column_bytes() == rel._ids.to_bytes()
 
     def test_row_backend_has_no_columns(self):
-        with use_backend(False):
-            db = Database()
-            rel = db.relation("edge", 2)
-            rel.add(("a", "b"))
+        # A relation built without an intern pool holds value rows only.
+        rel = Relation("edge", 2)
+        rel.add(("a", "b"))
         for probe in (
             lambda: rel.id_column(0),
             lambda: rel.id_row(0),
-            lambda: rel.scan_ids((0,), ("a",)),
             lambda: rel.column_bytes(),
         ):
             with pytest.raises(TypeError):
                 probe()
-
-    def test_scan_ids_matches_lookup(self):
-        with use_backend(True):
-            db = Database()
-            rel = db.relation("edge", 2)
-            rel.add_all([("a", "b"), ("c", "b"), ("a", "d")])
-        ordinals = rel.scan_ids((0,), ("a",))
-        decoded = {rel.decode_ordinal(o) for o in ordinals}
-        assert decoded == set(rel.lookup((0,), "a"))
-        # A constant the pool never interned cannot match anything.
-        assert rel.scan_ids((0,), ("zzz",)) == []
 
 
 class TestPinnedUnderConcurrentWriters:
@@ -206,10 +168,8 @@ class TestPinnedUnderConcurrentWriters:
 
     ROWS = 400
 
-    def _hammer(self, backend):
-        with use_backend(backend):
-            db = Database()
-            rel = db.relation("edge", 2)
+    def _hammer(self, pooled):
+        rel = _edge_relation(pooled)
         stop = threading.Event()
         failures = []
 
@@ -264,53 +224,21 @@ class TestPinnedUnderConcurrentWriters:
     def test_pinned_views_agree_across_backends(self):
         rows = [("p%d" % i, "p%d" % (i + 1)) for i in range(64)]
         views = {}
-        for backend in (False, True):
-            with use_backend(backend):
-                db = Database()
-                rel = db.relation("edge", 2)
-                rel.add_all(rows)
-            views[backend] = rel.pinned(32)
+        for pooled in (False, True):
+            rel = _edge_relation(pooled)
+            rel.add_all(rows)
+            views[pooled] = rel.pinned(32)
         assert views[False].tuples == views[True].tuples
         assert views[False]._log == views[True]._log
         assert views[True]._ids is not None
         assert len(views[True]._ids) == 32
-
-    def test_snapshot_equivalence_across_backends(self):
-        # A database snapshot pins every relation; both backends must
-        # expose the same frozen rows through it.
-        contents = {}
-        for backend in (False, True):
-            with use_backend(backend):
-                db = Database()
-                rel = db.relation("edge", 2)
-                rel.add_all([("a", "b"), ("b", "c")])
-                snap = db.snapshot()
-                rel.add(("c", "d"))
-                contents[backend] = set(snap.get(("edge", 2)))
-        assert contents[False] == contents[True] == {
-            ("a", "b"), ("b", "c"),
-        }
+        assert views[False]._ids is None
 
 
 class TestStorageInfo:
-    def test_database_storage_info(self):
-        for backend, expected in ((True, "columnar"), (False, "rows")):
-            with use_backend(backend):
-                db = Database()
-                db.add_fact("edge", "a", "b")
-            info = db.storage_info()
-            assert info["backend"] == expected
-            assert "edge/2" in info["relations"]
-            if backend:
-                assert info["column_bytes"] > 0
-            else:
-                assert info["column_bytes"] == 0
-
     def test_relation_without_pool_stays_rows(self):
-        # Bare relations (no intern pool) cannot encode ids, whatever
-        # the flag says.
-        with use_backend(True):
-            rel = Relation("scratch", 2)
+        # Bare relations (no intern pool) cannot encode ids.
+        rel = Relation("scratch", 2)
         rel.add(("a", "b"))
         assert not rel.columnar
-        assert rel.storage_info()["backend"] == "rows"
+        assert Database().relation("edge", 2).columnar

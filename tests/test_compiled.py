@@ -1,22 +1,26 @@
-"""The set-at-a-time compiled join path: parity with the legacy
+"""The set-at-a-time compiled join path: parity with the reference
 tuple-at-a-time evaluator, batched relation lookups, and constant
 interning.
 
-The compiled engine's contract is strict: on the supported fragment it
-must enumerate the same results in the same order as the legacy stack
-evaluator and update the paper's work counters identically — so most
-tests here are differential.
+The compiled engine's contract is strict: it must enumerate the same
+results in the same order as the stack evaluator in
+:mod:`repro.engine.join`, update the paper's work counters identically
+and raise the same typed errors when an unsafe literal is reached — so
+most tests here are differential.
 """
 
 import pytest
 
 from repro import Database, parse_program
-from repro.engine import EvalStats, SemiNaiveEngine
+from repro.datalog.safety import check_rule_safety
+from repro.datalog.terms import Constant
+from repro.engine import DerivationTrace, EvalStats, SemiNaiveEngine
 from repro.engine.compile import BoundQuery, CompiledRule, compile_body
 from repro.engine.interning import InternPool
-from repro.engine.join import evaluate_body
+from repro.engine.join import evaluate_body, evaluate_rule, ground_head
 from repro.engine.relation import WILDCARD, EmptyRelation, Relation
 from repro.engine.seminaive import evaluate_program
+from repro.errors import EvaluationError, SafetyError
 from repro.exec.strategies import run_strategy
 
 
@@ -31,25 +35,26 @@ def work_counters(stats):
     return {k: d[k] for k in WORK_KEYS}
 
 
-class _Unsupported(CompiledRule):
-    """A CompiledRule stub that always reports the legacy fallback."""
+class ReferenceEngine(SemiNaiveEngine):
+    """The semi-naive fixpoint with every rule pass driven through the
+    tuple-at-a-time reference evaluator instead of generated code."""
 
-    def __init__(self, rule):
-        self.rule = rule
-        self.compiled = None
-        self.head = None
-        self.premises = None
+    def _apply_rule(self, rule, resolver, delta):
+        stats = self.stats
+        key = rule.head.key
+        relation = self._relation(key)
+        for row in evaluate_rule(rule, resolver, stats):
+            if relation.add(row):
+                stats.facts_derived += 1
+                delta.setdefault(key, Relation(key[0], key[1])).add(row)
+            else:
+                stats.facts_duplicate += 1
 
 
-def run_legacy(monkeypatch, program, db):
-    """Evaluate via the legacy path only, returning (derived, stats)."""
-    import repro.engine.seminaive as seminaive
-
-    monkeypatch.setattr(seminaive, "CompiledRule", _Unsupported)
+def run_reference(program, db):
+    """Evaluate via the reference path only, returning (derived, stats)."""
     stats = EvalStats()
-    derived = evaluate_program(program, db, stats=stats)
-    monkeypatch.undo()
-    return derived, stats
+    return ReferenceEngine(program, db, stats=stats).run(), stats
 
 
 def run_compiled(program, db):
@@ -58,56 +63,76 @@ def run_compiled(program, db):
     return derived, stats
 
 
-def assert_differential(monkeypatch, text, facts):
+def assert_differential(text, facts):
     program = parse_program(text)
     db_a = Database.from_text(facts)
     db_b = Database.from_text(facts)
     compiled, cstats = run_compiled(program, db_a)
-    legacy, lstats = run_legacy(monkeypatch, program, db_b)
+    reference, rstats = run_reference(program, db_b)
     assert {k: set(rel) for k, rel in compiled.items()} == {
-        k: set(rel) for k, rel in legacy.items()
+        k: set(rel) for k, rel in reference.items()
     }
-    assert work_counters(cstats) == work_counters(lstats)
+    assert work_counters(cstats) == work_counters(rstats)
     return compiled, cstats
 
 
+def db_resolver(db):
+    def resolver(_index, atom):
+        return db.get(atom.key)
+
+    return resolver
+
+
+def assert_same_enumeration(rule, db):
+    """Order matters downstream (counting-table discovery order): the
+    generated runner against the reference stack discipline on one
+    body.  Returns the rows."""
+    resolver = db_resolver(db)
+    compiled = CompiledRule(rule)
+    body = compiled.compiled
+    got = [
+        compiled.head(slots)
+        for slots in body.execute(resolver, body.make_slots())
+    ]
+    assert got == [
+        ground_head(rule.head, subst)
+        for subst in evaluate_body(rule.body, resolver, {})
+    ]
+    return got
+
+
 class TestCompiledVsLegacy:
-    def test_flat_join(self, monkeypatch):
+    def test_flat_join(self):
         assert_differential(
-            monkeypatch,
             "path(X, Y) :- edge(X, Y). "
             "path(X, Y) :- edge(X, Z), path(Z, Y).",
             "edge(a, b). edge(b, c). edge(c, d). edge(a, c).",
         )
 
-    def test_repeated_variable(self, monkeypatch):
+    def test_repeated_variable(self):
         assert_differential(
-            monkeypatch,
             "loop(X) :- edge(X, X). refl(X, X) :- node(X).",
             "edge(a, a). edge(a, b). edge(c, c). node(a). node(b).",
         )
 
-    def test_constants_and_comparisons(self, monkeypatch):
+    def test_constants_and_comparisons(self):
         assert_differential(
-            monkeypatch,
             "big(X) :- val(X, N), N > 2. "
             "next(X, M) :- val(X, N), M is N + 1. "
             "special(X) :- val(X, 3).",
             "val(a, 1). val(b, 3). val(c, 5).",
         )
 
-    def test_negation(self, monkeypatch):
+    def test_negation(self):
         assert_differential(
-            monkeypatch,
             "orphan(X) :- node(X), not parent(X). "
             "parent(X) :- edge(X, Y).",
             "node(a). node(b). node(c). edge(a, b).",
         )
 
-    def test_structured_list_terms(self, monkeypatch):
+    def test_structured_list_terms(self):
         # The extended-counting shape: path arguments as cons cells.
         assert_differential(
-            monkeypatch,
             "p(X, [X]) :- seed(X). "
             "p(Y, [Y | L]) :- p(X, L), edge(X, Y). "
             "first(H) :- p(x3, [H | T]).",
@@ -122,95 +147,160 @@ class TestCompiledVsLegacy:
             assert result.answers == baseline.answers
 
     def test_enumeration_order_identical(self):
-        # Order matters downstream (counting-table discovery order);
-        # compare the compiled executor against the legacy stack
-        # discipline directly on one body.
         program = parse_program(
             "q(X, Z) :- e(X, Y), e(Y, Z)."
         )
-        rule = program.rules[0]
         db = Database.from_text(
             "e(a, b). e(b, c). e(a, c). e(c, d). e(b, d)."
         )
+        assert len(assert_same_enumeration(program.rules[0], db)) == 4
 
-        def resolver(_index, atom):
-            return db.get(atom.key)
 
-        compiled = CompiledRule(rule)
-        assert compiled.supported
-        body = compiled.compiled
-        got = [
-            compiled.head(slots)
-            for slots in body.execute(resolver, body.make_slots())
-        ]
-        from repro.engine.join import ground_head
+def chain_program(length, extra_at=None, extra=""):
+    """``p(X0, Xn) :- e(X0, X1), ..., e(Xn-1, Xn).`` with the ``extra``
+    literals (over ``X<extra_at>``) spliced in before that body atom."""
+    literals = ["e(X%d, X%d)" % (i, i + 1) for i in range(length)]
+    if extra_at is not None:
+        literals.insert(extra_at, extra % {"i": extra_at})
+    return parse_program(
+        "p(X0, X%d) :- %s." % (length, ", ".join(literals))
+    )
 
-        expected = [
-            ground_head(rule.head, subst)
-            for subst in evaluate_body(rule.body, resolver, {})
-        ]
-        assert got == expected
+
+class TestDeepBodies:
+    """A body may nest more loops than one CPython code object can
+    (20 blocks): it still runs through generated code, with the
+    reference's answers, enumeration order and counters."""
+
+    FACTS = "e(a, b). e(a, c). e(b, c). e(c, a). f(b)."
+
+    def assert_same_as_reference(self, program):
+        db = Database.from_text(self.FACTS)
+        assert len(assert_same_enumeration(program.rules[0], db)) > 100
+        derived, stats = run_compiled(program, db)
+        reference, ref_stats = run_reference(program, db)
+        assert set(derived[("p", 2)]) == set(reference[("p", 2)])
+        ours, theirs = stats.as_dict(), ref_stats.as_dict()
+        for key in WORK_KEYS + ("index_probes",):
+            assert ours[key] == theirs[key], key
+        # Batches are the compiled path's own attribution of the rows
+        # the reference counts one at a time.
+        assert ours["batch_rows"] == theirs["tuples_scanned"]
+
+    def test_chain_of_24_atoms(self):
+        self.assert_same_as_reference(chain_program(24))
+
+    def test_comparison_and_negation_past_position_20(self):
+        # Every splice point from below the nesting budget to the end
+        # of the body, so the filters land before, at and after the
+        # place where the generated code continues in a tail runner.
+        for position in range(12, 25):
+            self.assert_same_as_reference(chain_program(
+                24, position, "X%(i)d != b, not f(X%(i)d)"
+            ))
+
+
+#: Bodies outside what ``datalog/safety.py`` accepts: each has one
+#: literal the evaluator can only reject once it is reached.
+UNSAFE_RULES = {
+    "unbound_head_variable": "p(X, Y) :- q(X).",
+    "non_ground_negation": "p(X) :- q(X), not r(Y).",
+    "ordering_on_unbound": "p(X) :- q(X), Y < 3.",
+    "is_non_ground_right": "p(X) :- q(X), Z is Y + 1.",
+    "in_non_ground_right": "p(X) :- q(X), X in S.",
+}
 
 
 class TestCompiledFragment:
-    def test_unbound_negation_falls_back(self):
-        program = parse_program("p(X) :- not q(X), r(X).")
-        assert compile_body(program.rules[0].body) is None
+    """The compiled fragment is the whole language: an unsafe literal
+    raises the reference evaluator's typed error when — and only when —
+    it is reached."""
 
-    def test_unbound_comparison_falls_back(self):
-        program = parse_program("p(X) :- X < 3, r(X).")
-        assert compile_body(program.rules[0].body) is None
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["plain", "traced"])
+    @pytest.mark.parametrize("shape", sorted(UNSAFE_RULES))
+    def test_reference_error_only_when_reached(self, shape, traced):
+        program = parse_program(UNSAFE_RULES[shape])
 
-    def test_unsupported_rule_reports_fallback(self):
-        program = parse_program("p(X) :- X < 3, r(X).")
-        compiled = CompiledRule(program.rules[0])
-        assert not compiled.supported
+        def run(db):
+            trace = DerivationTrace() if traced else None
+            return SemiNaiveEngine(program, db, trace=trace).run()
+
+        assert not any(len(rel) for rel in run(Database()).values())
+        with pytest.raises(EvaluationError) as expected:
+            run_reference(program, Database.from_text("q(a)."))
+        with pytest.raises(EvaluationError) as raised:
+            run(Database.from_text("q(a)."))
+        assert str(raised.value) == str(expected.value)
+
+    def test_bound_query_raises_when_reached(self):
+        body = parse_program("p(X) :- q(X), Y < 3.").rules[0].body
+        full = db_resolver(Database.from_text("q(a)."))
+        empty = db_resolver(Database())
+        query = BoundQuery(body, (), ("X",))
+        assert list(query.run(empty, ())) == []
+        with pytest.raises(EvaluationError, match="on non-ground terms"):
+            list(query.run(full, ()))
+        # An out name the body never binds (``q(X)`` alone).
+        query = BoundQuery(body[:1], (), ("X", "Y"))
+        assert list(query.run(empty, ())) == []
+        with pytest.raises(ValueError, match="variable Y not bound"):
+            list(query.run(full, ()))
+
+    def test_equality_of_two_free_variables_raises(self):
+        # The one documented difference from the reference, which
+        # answers this rule by aliasing X to Y in its substitution.
+        program = parse_program("p(X) :- r(Z), X = Y, q(Y).")
+        message = r"'=' cannot bind variables \['X', 'Y'\]"
+        with pytest.raises(SafetyError, match=message):
+            check_rule_safety(program.rules[0])
+        db = Database.from_text("q(a).")
+        assert len(run_compiled(program, db)[0][("p", 1)]) == 0
+        db.add_fact("r", "z")
+        assert set(run_reference(program, db)[0][("p", 1)]) == {("a",)}
+        with pytest.raises(EvaluationError, match=message):
+            run_compiled(program, db)
 
     def test_supported_body_binds_all(self):
         program = parse_program("p(X, Y) :- e(X, Y), Y != X.")
         compiled = compile_body(program.rules[0].body)
-        assert compiled is not None
         assert compiled.bound_after == {"X", "Y"}
 
 
 class TestBoundQuery:
-    def make_resolver(self, text):
-        db = Database.from_text(text)
-
-        def resolver(_index, atom):
-            return db.get(atom.key)
-
-        return resolver
-
     def test_projection(self):
         program = parse_program("q(X) :- e(X, Y), f(Y, Z).")
         body = program.rules[0].body
-        resolver = self.make_resolver(
+        resolver = db_resolver(Database.from_text(
             "e(a, b). e(a, c). f(b, n1). f(c, n2)."
-        )
+        ))
         query = BoundQuery(body, ("X",), ("Y", "Z"))
-        assert query.compiled is not None
         got = set(query.run(resolver, ("a",)))
         assert got == {("b", "n1"), ("c", "n2")}
 
     def test_compiled_matches_legacy_order_and_stats(self):
         program = parse_program("q(X) :- e(X, Y), f(Y, Z).")
         body = program.rules[0].body
-        resolver = self.make_resolver(
+        resolver = db_resolver(Database.from_text(
             "e(a, b). e(a, c). f(b, n1). f(c, n2). f(b, n3)."
-        )
+        ))
         query = BoundQuery(body, ("X",), ("Y", "Z"))
         fast_stats = EvalStats()
         fast = list(query.run(resolver, ("a",), fast_stats))
         slow_stats = EvalStats()
-        slow = list(query._run_legacy(resolver, ("a",), slow_stats))
+        slow = [
+            (subst["Y"].value, subst["Z"].value)
+            for subst in evaluate_body(
+                body, resolver, {"X": Constant("a")}, slow_stats
+            )
+        ]
         assert fast == slow
         assert fast_stats.tuples_scanned == slow_stats.tuples_scanned
 
     def test_duplicate_in_names_later_wins(self):
         program = parse_program("q(X) :- e(X, Y).")
         body = program.rules[0].body
-        resolver = self.make_resolver("e(a, b). e(z, w).")
+        resolver = db_resolver(Database.from_text("e(a, b). e(z, w)."))
         query = BoundQuery(body, ("X", "X"), ("Y",))
         assert set(query.run(resolver, ("z", "a"))) == {("b",)}
 

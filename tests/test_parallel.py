@@ -1,11 +1,11 @@
 """Data-parallel sharded fixpoint: plan, executor, and fault paths.
 
 Covers the partition planner's decisions and determinism (hypothesis
-property tests over both storage backends), the multiprocess executor's
-answer/counter equivalence against serial evaluation across the full
-workload matrix, picklable typed errors, per-worker deterministic fault
-derivation, the SIGKILL degradation path through the resilient chain,
-and the serving-layer worker-budget plumbing.
+property tests), the multiprocess executor's answer/counter equivalence
+against serial evaluation across the full workload matrix, picklable
+typed errors, per-worker deterministic fault derivation, the SIGKILL
+degradation path through the resilient chain, and the serving-layer
+worker-budget plumbing.
 """
 
 import pickle
@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.workloads import WORKLOADS
-from repro.engine.columnar import use_backend
 from repro.engine.database import Database
 from repro.engine.faults import FaultInjector, InjectedFault
 from repro.engine.guard import ResourceBudget
@@ -114,21 +113,16 @@ class TestPlanProperties:
         ),
         workers=st.integers(1, 7),
         column=st.integers(0, 1),
-        columnar=st.booleans(),
     )
-    def test_shard_rows_is_a_partition(self, rows, workers, column,
-                                       columnar):
-        """Every row lands in exactly one shard, on either backend."""
-        with use_backend(columnar):
-            db = Database()
-            for i, j in rows:
-                db.add_fact("e", "n%d" % i, "n%d" % j)
-            relation = db.get(("e", 2))
-            stored = list(relation._log) if rows else []
-            pool = db.intern_pool
-            for row in stored:
-                pool.ident_row(row)
-            shards = shard_rows(stored, column, workers, pool)
+    def test_shard_rows_is_a_partition(self, rows, workers, column):
+        """Every row lands in exactly one shard."""
+        db = Database()
+        for i, j in rows:
+            db.add_fact("e", "n%d" % i, "n%d" % j)
+        relation = db.get(("e", 2))
+        stored = list(relation._log) if rows else []
+        pool = db.intern_pool
+        shards = shard_rows(stored, column, workers, pool)
         assert len(shards) == workers
         flattened = [row for shard in shards for row in shard]
         assert sorted(flattened) == sorted(stored)
@@ -142,16 +136,13 @@ class TestPlanProperties:
         fanout=st.integers(1, 3),
         depth=st.integers(1, 4),
         workers=st.integers(1, 6),
-        columnar=st.booleans(),
     )
-    def test_plan_is_deterministic(self, fanout, depth, workers,
-                                   columnar):
+    def test_plan_is_deterministic(self, fanout, depth, workers):
         """Same (program, db sizes, workers) -> identical plan dicts."""
         w = WORKLOADS["sg_tree"]
-        with use_backend(columnar):
-            db, _src = w.make_db(fanout=fanout, depth=depth)
-            first = plan_partitions(w.query, db, workers=workers)
-            second = plan_partitions(w.query, db, workers=workers)
+        db, _src = w.make_db(fanout=fanout, depth=depth)
+        first = plan_partitions(w.query, db, workers=workers)
+        second = plan_partitions(w.query, db, workers=workers)
         assert first.as_dict() == second.as_dict()
 
     def test_shard_of_is_process_independent(self):
@@ -176,19 +167,19 @@ class TestPlanProperties:
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("wname", LINEAR_WORKLOADS)
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "rows"])
-    def test_matrix_matches_serial(self, wname, columnar):
+    @pytest.mark.parametrize(
+        "wname", LINEAR_WORKLOADS,
+        ids=["columnar-" + wname for wname in LINEAR_WORKLOADS],
+    )
+    def test_matrix_matches_serial(self, wname):
         """workers=2 answers and merged counters equal the serial run
-        on every linear workload, under both storage backends."""
+        on every linear workload, shards shipped as id columns."""
         w = WORKLOADS[wname]
-        with use_backend(columnar):
-            db, _src = w.make_db()
-            naive = run_strategy("naive", w.query, db)
-            inline = _inline_run(w.query, db)
-            engine = ParallelEngine(w.query, db, workers=2)
-            engine.run()
+        db, _src = w.make_db()
+        naive = run_strategy("naive", w.query, db)
+        inline = _inline_run(w.query, db)
+        engine = ParallelEngine(w.query, db, workers=2)
+        engine.run()
         assert engine.answers == naive.answers
         assert inline.answers == naive.answers
         assert engine.stats.as_dict() == inline.stats.as_dict()

@@ -7,9 +7,9 @@ spill round-trip, and — the acceptance drills — killing, wedging and
 slowing pool workers mid-fixpoint and asserting the run completes
 *without* serial fallback with answers and merged counters byte-equal
 to an undisturbed parallel run.  The crash-at-every-barrier matrix
-walks each barrier index of representative linear workloads under both
-storage backends; the shutdown-escalation regression pins the
-kill-after-terminate teardown path with a SIGTERM-immune worker.
+walks each barrier index of representative linear workloads; the
+shutdown-escalation regression pins the kill-after-terminate teardown
+path with a SIGTERM-immune worker.
 """
 
 import os
@@ -22,7 +22,6 @@ import multiprocessing
 import pytest
 
 from repro.data.workloads import WORKLOADS
-from repro.engine.columnar import use_backend
 from repro.engine.faults import FaultInjector, strip_worker_plans
 from repro.errors import RecoveryExhaustedError, WorkerHungError
 from repro.exec.resilient import PARALLEL_CHAIN, FallbackPolicy, \
@@ -413,58 +412,56 @@ class _BarrierMatrix:
     #: Safety rail: no matrix workload runs this many rounds.
     LIMIT = 40
 
-    def drill(self, wname, params, columnar, kind):
+    def drill(self, wname, params, kind):
         w = WORKLOADS[wname]
-        with use_backend(columnar):
-            db, _src = w.make_db(**params)
-            oracle = _oracle(w.query, db, workers=2)
-            barrier = 1
-            while barrier < self.LIMIT:
-                injector = FaultInjector(seed=0)
-                if kind == "crash":
-                    injector.crash_at_barrier(worker=1, barrier=barrier)
-                    policy = RecoveryPolicy(speculate=False)
-                else:
-                    injector.hang_at_barrier(worker=1, barrier=barrier,
-                                             seconds=30.0)
-                    policy = RecoveryPolicy(barrier_timeout=0.25,
-                                            speculate=False)
-                with injector:
-                    healed = run_strategy(
-                        "parallel", w.query, db, workers=2,
-                        recovery=policy,
-                    )
-                _assert_equivalent(healed, oracle)
-                recovery = healed.extras["recovery"]
-                fired = recovery["crashes"] + recovery["hangs"]
-                if not fired:
-                    break  # past the last barrier: undisturbed run
-                assert fired == 1
-                assert recovery["repairs"] == 1
-                barrier += 1
-            assert 1 < barrier < self.LIMIT
+        db, _src = w.make_db(**params)
+        oracle = _oracle(w.query, db, workers=2)
+        barrier = 1
+        while barrier < self.LIMIT:
+            injector = FaultInjector(seed=0)
+            if kind == "crash":
+                injector.crash_at_barrier(worker=1, barrier=barrier)
+                policy = RecoveryPolicy(speculate=False)
+            else:
+                injector.hang_at_barrier(worker=1, barrier=barrier,
+                                         seconds=30.0)
+                policy = RecoveryPolicy(barrier_timeout=0.25,
+                                        speculate=False)
+            with injector:
+                healed = run_strategy(
+                    "parallel", w.query, db, workers=2,
+                    recovery=policy,
+                )
+            _assert_equivalent(healed, oracle)
+            recovery = healed.extras["recovery"]
+            fired = recovery["crashes"] + recovery["hangs"]
+            if not fired:
+                break  # past the last barrier: undisturbed run
+            assert fired == 1
+            assert recovery["repairs"] == 1
+            barrier += 1
+        assert 1 < barrier < self.LIMIT
         return barrier - 1
 
 
+#: The matrix cells: a plan that shards and one that only broadcasts.
+BARRIER_CELLS = pytest.mark.parametrize("wname,params", [
+    pytest.param("sg_cylinder", {"width": 16, "height": 5},
+                 id="sg_cylinder-params0-columnar"),
+    pytest.param("mixed_linear", {"up_depth": 5, "down_depth": 5},
+                 id="mixed_linear-params1-columnar"),
+])
+
+
 class TestBarrierMatrix(_BarrierMatrix):
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "rows"])
-    @pytest.mark.parametrize("wname,params", [
-        ("sg_cylinder", {"width": 16, "height": 5}),   # sharded plan
-        ("mixed_linear", {"up_depth": 5, "down_depth": 5}),  # broadcast
-    ])
-    def test_sigkill_at_every_barrier(self, wname, params, columnar):
-        barriers = self.drill(wname, params, columnar, "crash")
+    @BARRIER_CELLS
+    def test_sigkill_at_every_barrier(self, wname, params):
+        barriers = self.drill(wname, params, "crash")
         assert barriers >= 2
 
-    @pytest.mark.parametrize("columnar", [True, False],
-                             ids=["columnar", "rows"])
-    @pytest.mark.parametrize("wname,params", [
-        ("sg_cylinder", {"width": 16, "height": 5}),
-        ("mixed_linear", {"up_depth": 5, "down_depth": 5}),
-    ])
-    def test_hang_at_every_barrier(self, wname, params, columnar):
-        barriers = self.drill(wname, params, columnar, "hang")
+    @BARRIER_CELLS
+    def test_hang_at_every_barrier(self, wname, params):
+        barriers = self.drill(wname, params, "hang")
         assert barriers >= 2
 
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro import Database, DatabaseSnapshot, evaluate_query, parse_query
 from repro.durability import DurableDatabase
-from repro.engine.columnar import use_backend
 from repro.engine.instrumentation import EvalStats
 from repro.engine.relation import Relation, WILDCARD
 
@@ -312,14 +311,12 @@ class TestGenerationsEqualFromEmptyBuilds:
             for pinned in snap._relations.values():
                 pinned._rel()
 
-    @pytest.mark.parametrize("columnar", [True, False])
     # ``refcount_only`` spans all examples, which is what is wanted.
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ops=OPS)
-    def test_interleavings(self, columnar, refcount_only, ops):
-        with use_backend(columnar):
-            db = Database()
+    def test_interleavings(self, refcount_only, ops):
+        db = Database()
         alive, recorded = [], weakref.WeakKeyDictionary()
         for kind, batch, which, probes in ops:
             if kind == "write":
