@@ -338,6 +338,20 @@ class CountingEngine:
                 )
         return results
 
+    def classify(self):
+        """DFS arc classification of the left graph reachable from the
+        source node — phase 1 up to, not including, the table.
+
+        Goes through ``successor_resolver`` when one is installed, so
+        every reader of the left graph (the counting set, the
+        divergence check, ``choose_method``, the magic-counting split)
+        sees the same arcs in the same discovery order.
+        """
+        return classify_arcs(
+            (self.goal_key, self.source_values),
+            self.successor_resolver or self._successors,
+        )
+
     def build_counting_set(self):
         """DFS the left graph and materialize the counting table.
 
@@ -363,9 +377,7 @@ class CountingEngine:
                 self.table = table
                 self.table_reused = True
                 return table
-        classification = classify_arcs(
-            source, self.successor_resolver or self._successors
-        )
+        classification = self.classify()
         if self.require_acyclic and not classification.is_acyclic():
             raise NotApplicableError(
                 "left-part graph contains %d back arcs; the acyclic "

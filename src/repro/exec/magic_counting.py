@@ -34,7 +34,6 @@ from ..engine import faults
 from ..engine.instrumentation import EvalStats
 from ..engine.relation import WILDCARD
 from ..engine.seminaive import SemiNaiveEngine
-from ..graph.dfs import classify_arcs
 from ..graph.properties import strongly_connected_components
 from .counting_engine import SOURCE_TRIPLE, CountingEngine, CountingTable
 
@@ -112,10 +111,6 @@ class MagicCountingEngine:
 
     # -- structure ---------------------------------------------------
 
-    def _classify(self):
-        source = (self.goal_key, self.source_values)
-        return classify_arcs(source, self._pointer._successors)
-
     def _magic_part_program(self, boundary_seeds):
         """Magic program computing the recursive predicate over R.
 
@@ -187,7 +182,7 @@ class MagicCountingEngine:
     # -- phases -------------------------------------------------------
 
     def run(self):
-        classification = self._classify()
+        classification = self._pointer.classify()
         self.recurring = frozenset(recurring_nodes(classification))
         source = (self.goal_key, self.source_values)
 

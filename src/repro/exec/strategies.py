@@ -1,38 +1,49 @@
-"""Uniform executors for every evaluation strategy.
+"""Every evaluation strategy, written once as prepare → evaluate.
 
-Each ``run_*`` function takes the *original* query and a database and
-returns an :class:`ExecutionResult` whose ``answers`` are projections
-onto the original goal's free argument positions — so results of
-different methods compare directly.  ``extras`` carries method-specific
-measurements (magic-set size, counting-set size, pointer-table rows and
-triples, answer-state counts) used by the benchmark harness.
+In each method of the paper's framework the query constant enters in
+exactly one place — the magic / counting seed fact of Algorithm 1, the
+source node of §3.4 and Algorithm 2 — and everything else is a function
+of the adorned query *form*.  So a strategy is :func:`prepare`, the
+binding-independent work, and the returned form's ``evaluate``, the
+per-binding work; ``run_strategy`` is the two run once, and
+:class:`~repro.exec.prepared.PreparedQuery` keeps the form and calls
+the same ``evaluate`` per binding.  Answers are projections onto the
+original goal's free argument positions, so results of different
+methods compare directly; docs/api.md lists each strategy's ``extras``.
 
 Strategies
 ----------
 
-``naive``              semi-naive evaluation of the original program,
-                       goal filter applied afterwards (no binding
-                       propagation — the paper's worst baseline).
-``magic``              magic-set rewriting + semi-naive engine.
+Rewriting + the generic semi-naive engine:
+
+``naive``              the original program, goal filter applied
+                       afterwards (no binding propagation — the paper's
+                       worst baseline).
+``magic``              magic-set rewriting.
 ``sup_magic``          supplementary magic sets [6] (prefixes
                        materialized once).
-``qsq``                top-down query-subquery evaluation (the memoing
-                       family's direct formulation).
 ``classical_counting`` classical counting (Example 1); raises
                        :class:`CountingDivergenceError` on cyclic data.
 ``encoded_counting``   the [15] integer-encoded rule log (historical;
                        exponential value growth).
-``extended_counting``  Algorithm 1 (list path arguments) + generic
-                       engine; requires an acyclic left graph (more
-                       precisely: no cycle through a pushing rule).
+``extended_counting``  Algorithm 1 (list path arguments); requires an
+                       acyclic left graph (more precisely: no cycle
+                       through a pushing rule).
 ``reduced_counting``   Algorithm 1 + Algorithm 3 reduction; safe on
                        any data when the path argument disappears.
-``pointer_counting``   §3.4 pointer implementation (dedicated
-                       evaluator); requires an acyclic left graph.
-``cyclic_counting``    Algorithm 2 (dedicated evaluator); applies to
-                       cyclic and acyclic data alike.
+
+Dedicated evaluators over the canonical goal clique:
+
+``pointer_counting``   §3.4 pointer implementation; requires an acyclic
+                       left graph.
+``cyclic_counting``    Algorithm 2; cyclic and acyclic data alike.
 ``magic_counting``     the [16] hybrid: counting on the non-recurring
                        part, magic on the recurring part.
+
+Direct — the bound query is their only input, nothing is prepared:
+
+``qsq``                top-down query-subquery evaluation (the memoing
+                       family's direct formulation).
 ``parallel``           data-parallel sharded semi-naive fixpoint over a
                        multiprocess worker pool (:mod:`repro.parallel`);
                        linear positive programs only.
@@ -40,21 +51,26 @@ Strategies
 
 import time
 
-from ..datalog.rules import Query
+from ..datalog.atoms import Atom, Comparison, Negation
+from ..datalog.rules import Program, Query, Rule
+from ..datalog.terms import Compound, Constant
+from ..engine.compile import compiled_rule
 from ..engine.database import Database
 from ..engine.fixpoint import goal_filter, project_free
 from ..engine.instrumentation import EvalStats
 from ..engine.seminaive import SemiNaiveEngine
 from ..errors import CountingDivergenceError, EvaluationError
-from ..graph.dfs import classify_arcs
 from ..rewriting.adornment import adorn_query
 from ..rewriting.canonical import canonicalize_clique, query_constants
 from ..rewriting.counting import classical_counting_rewrite
+from ..rewriting.encoded import encoded_counting_rewrite
 from ..rewriting.extended import extended_counting_rewrite
 from ..rewriting.magic import magic_rewrite, magic_set_size
 from ..rewriting.reduction import reduce_rewriting
+from ..rewriting.supplementary import supplementary_magic_rewrite
 from ..rewriting.support import goal_clique_of
 from .counting_engine import CountingEngine
+from .magic_counting import MagicCountingEngine
 
 
 class ExecutionResult:
@@ -89,71 +105,111 @@ class ExecutionResult:
         )
 
 
-def _run_engine(query, db, stats, max_iterations=None, budget=None):
-    engine = SemiNaiveEngine(
-        query.program, db, stats=stats, max_iterations=max_iterations,
-        budget=budget,
-    )
-    derived = engine.run()
-    goal = query.goal
-    relation = engine.relation(goal.key)
-    tuples = set(goal_filter(goal, relation))
-    return project_free(goal, tuples), derived
+# -- form parameters ---------------------------------------------------
+
+class FormParameter:
+    """Placeholder constant standing for one bound goal position.
+
+    A form prepared over a goal whose constants are ``FormParameter``
+    values serves every binding: ``evaluate`` substitutes the real
+    constants.  Compared and hashed by identity (the ``object``
+    default), so a sentinel can never be confused with a program
+    constant — not even with another sentinel of the same position from
+    a different prepared query.
+    """
+
+    __slots__ = ("position",)
+
+    def __init__(self, position):
+        self.position = position
+
+    def __repr__(self):
+        return "<?%d>" % self.position
 
 
-def _relation_sizes(derived, keys):
-    return sum(len(derived[key]) for key in keys if key in derived)
+def _substitute(node, mapping):
+    """``node`` — a rule, literal or term — with every
+    :class:`FormParameter` replaced by its ``mapping`` constant."""
+    if isinstance(node, Constant):
+        if isinstance(node.value, FormParameter):
+            return Constant(mapping[node.value])
+        return node
+    if isinstance(node, Compound):
+        return Compound(
+            node.functor,
+            tuple(_substitute(arg, mapping) for arg in node.args),
+        )
+    if isinstance(node, Atom):
+        return Atom(
+            node.pred, tuple(_substitute(arg, mapping) for arg in node.args)
+        )
+    if isinstance(node, Negation):
+        return Negation(_substitute(node.atom, mapping))
+    if isinstance(node, Comparison):
+        return Comparison(
+            node.op,
+            _substitute(node.left, mapping),
+            _substitute(node.right, mapping),
+        )
+    if isinstance(node, Rule):
+        return Rule(
+            _substitute(node.head, mapping),
+            tuple(_substitute(lit, mapping) for lit in node.body),
+            label=node.label,
+        )
+    return node
 
 
-def run_naive(query, db, budget=None):
-    """Evaluate the original program without binding propagation."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    answers, derived = _run_engine(query, db, stats, budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("naive", answers, stats, extras,
-                           elapsed=elapsed)
+class _Form:
+    """What :func:`prepare` keeps of one strategy for one query form."""
+
+    #: True when ``evaluate`` builds the counting set in a separable
+    #: phase 1 and so accepts ``table_store`` and ``phase1``.
+    phase1 = False
+    #: The method's rewriting, for ``ExecutionResult.rewriting``.
+    rewriting = None
+
+    def __init__(self, method, goal):
+        self.method = method
+        #: The source node's values (§3.4): the goal's bound arguments.
+        self.source_values = query_constants(goal)
+        #: Those of them that are parameters, in position order — none
+        #: when the form was prepared over a plain bound query.
+        self.parameters = tuple(
+            value for value in self.source_values
+            if isinstance(value, FormParameter)
+        )
+
+    def _bind(self, constants):
+        """``(sentinel → constant, source values)`` for one binding of
+        the form's parameters."""
+        mapping = dict(zip(self.parameters, constants))
+        return mapping, tuple(
+            mapping[value] if isinstance(value, FormParameter) else value
+            for value in self.source_values
+        )
 
 
-def run_magic(query, db, budget=None):
-    """Magic-set rewriting followed by semi-naive evaluation."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = magic_rewrite(query)
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "magic_set_size": magic_set_size(derived, rewriting),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("magic", answers, stats, extras, rewriting,
-                           elapsed)
+def _materialize_support(support_rules, db, stats, budget, memo):
+    """Lookup ``key -> relation`` over the database plus the support
+    (lower-clique) rules, which the goal clique reads like base
+    relations.
+
+    Support rules never mention the query constants, so ``memo`` (see
+    :func:`prepare`) keeps the materialization for every binding until
+    the database moves.
+    """
+    if not support_rules:
+        return db.get
+    if "support" not in memo:
+        engine = SemiNaiveEngine(Program(support_rules), db, stats=stats,
+                                 budget=budget)
+        engine.run()
+        memo["support"] = engine.relation
+    return memo["support"]
 
 
-def run_sup_magic(query, db, budget=None):
-    """Supplementary magic sets: prefixes materialized once."""
-    from ..rewriting.supplementary import supplementary_magic_rewrite
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = supplementary_magic_rewrite(query)
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "sup_facts": sum(
-            len(rel) for key, rel in derived.items()
-            if key[0].startswith("sup_")
-        ),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("sup_magic", answers, stats, extras,
-                           rewriting, elapsed)
-
+# -- divergence guards -------------------------------------------------
 
 def _divergence_bound(db):
     """Iteration bound for the classical counting clique.
@@ -167,110 +223,42 @@ def _divergence_bound(db):
     return len(db.constants()) + 3
 
 
-def run_classical_counting(query, db, budget=None):
-    """Classical counting; divergence-guarded for cyclic data."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = classical_counting_rewrite(query)
-    try:
-        answers, derived = _run_engine(
-            rewriting.query, db, stats,
-            max_iterations=_divergence_bound(db),
-            budget=budget,
-        )
-    except EvaluationError as exc:
-        raise CountingDivergenceError(
-            "classical counting diverged (cyclic left-part relation?): %s"
-            % exc
-        ) from exc
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_set_size": _relation_sizes(
-            derived, [rewriting.counting_pred]
-        ),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("classical_counting", answers, stats, extras,
-                           rewriting, elapsed)
+def _left_graph(canonical, goal_key, source_values, get_relation):
+    """Arc classification of the left graph reachable from one source
+    node; the exploration's work is not charged to any run."""
+    return CountingEngine(
+        canonical, goal_key, tuple(source_values), get_relation,
+        stats=EvalStats(),
+    ).classify()
 
 
-def run_encoded_counting(query, db, budget=None):
-    """The [15] integer-encoded counting method (historical baseline).
-
-    The rule log rides a single integer; divergence-guarded like the
-    classical method.  ``extras`` reports the largest encoded value's
-    bit length — the exponential growth §3.4 criticizes.
-    """
-    from ..rewriting.encoded import encoded_counting_rewrite
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = encoded_counting_rewrite(query)
-    try:
-        answers, derived = _run_engine(
-            rewriting.query, db, stats,
-            max_iterations=_divergence_bound(db),
-            budget=budget,
-        )
-    except EvaluationError as exc:
-        raise CountingDivergenceError(
-            "encoded counting diverged (cyclic left-part relation?): %s"
-            % exc
-        ) from exc
-    elapsed = time.perf_counter() - started
-    counting = derived.get(rewriting.counting_pred)
-    max_bits = 0
-    size = 0
-    if counting is not None:
-        size = len(counting)
-        for row in counting:
-            max_bits = max(max_bits, int(row[-1]).bit_length())
-    extras = {
-        "counting_set_size": size,
-        "max_index_bits": max_bits,
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("encoded_counting", answers, stats, extras,
-                           rewriting, elapsed)
-
-
-def _check_left_graph_acyclic(adorned, db, stats, method):
-    """Raise if the path argument would grow without bound.
-
-    The list-based programs diverge exactly when the reachable left
-    graph contains a cycle through a *pushing* arc — one generated by a
-    rule that is neither left- nor right-linear shaped (those rules are
-    the ones extending the path argument).
-    """
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
-    get_relation = _support_resolver(adorned, support_rules, db, stats)
-    check_pushing_cycles(
-        canonical, adorned.goal.key, query_constants(adorned.goal),
-        get_relation, method,
+def classify_left_graph(query, db):
+    """Arc classification of the left graph ``query`` (adorned or not)
+    reaches in ``db`` — what ``choose_method`` decides between the
+    §3.4 pointer evaluator and Algorithm 2 on."""
+    form = _CountingForm("cyclic_counting", query)
+    return _left_graph(
+        form.canonical, form.goal_key, form.source_values,
+        _materialize_support(form.support_rules, db, EvalStats(), None, {}),
     )
 
 
 def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
                          method):
-    """Core of the divergence check, parameterized on prepared artifacts.
+    """Raise if the path argument would grow without bound.
 
-    The prepared-query layer (:mod:`repro.exec.prepared`) canonicalizes
-    the clique once per query form and re-runs only this data-dependent
-    classification per binding.
+    The list-based programs diverge exactly when the reachable left
+    graph contains a cycle through a *pushing* arc — one generated by a
+    rule that is neither left- nor right-linear shaped (those rules are
+    the ones extending the path argument).  ``canonical`` is prepared
+    once per query form; only this data-dependent classification runs
+    per binding.
     """
     from ..graph.properties import strongly_connected_components
     from ..rewriting.linearity import GENERAL, rule_shape
 
-    engine = CountingEngine(
-        canonical,
-        goal_key,
-        tuple(source_values),
-        get_relation,
-        stats=EvalStats(),
-    )
-    source = (goal_key, tuple(source_values))
-    classification = classify_arcs(source, engine._successors)
+    classification = _left_graph(canonical, goal_key, source_values,
+                                 get_relation)
     if classification.is_acyclic():
         return
     pushing = {
@@ -294,163 +282,281 @@ def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
             )
 
 
-def _support_resolver(adorned, support_rules, db, stats, budget=None):
-    """Materialize support (lower-clique) rules over the database.
+# -- rewriting + the generic engine ------------------------------------
 
-    Returns a lookup ``key -> relation`` that consults the materialized
-    support relations first and the database second.
+def _reduced_rewrite(query):
+    return reduce_rewriting(extended_counting_rewrite(query))
+
+
+#: method -> its rewriting; ``None`` evaluates the original program.
+_REWRITINGS = {
+    "naive": None,
+    "magic": magic_rewrite,
+    "sup_magic": supplementary_magic_rewrite,
+    "classical_counting": classical_counting_rewrite,
+    "encoded_counting": encoded_counting_rewrite,
+    "extended_counting": extended_counting_rewrite,
+    "reduced_counting": _reduced_rewrite,
+}
+
+#: An integer counting index grows forever along a left-graph cycle:
+#: these run under the :func:`_divergence_bound` iteration cap.
+_INDEXED = ("classical_counting", "encoded_counting")
+
+
+def _relation_sizes(derived, keys):
+    return sum(len(derived[key]) for key in keys if key in derived)
+
+
+class _RewritingForm(_Form):
+    """A rewritten program (``naive``: the original one) for the
+    generic semi-naive engine."""
+
+    def __init__(self, method, query):
+        super().__init__(method, query.goal)
+        rewrite = _REWRITINGS[method]
+        executed = query
+        if rewrite is not None:
+            self.rewriting = rewrite(query)
+            executed = self.rewriting.query
+        self.program = executed.program
+        self.goal = executed.goal
+        #: The extended rewriting whose list path argument survives
+        #: into the evaluated program and grows along cycles through a
+        #: pushing rule — ``None`` when there is nothing to check.
+        self.pathed = None
+        if method == "extended_counting":
+            self.pathed = self.rewriting
+        elif method == "reduced_counting" and not (
+            self.rewriting.path_deleted_counting
+            and self.rewriting.path_deleted_answer
+        ):
+            self.pathed = self.rewriting.source
+        #: (rule, substitution changes it) in program order; fixed
+        #: rules are reused per binding as the same objects so the
+        #: compiled cache (keyed by id) stays hot.
+        blank = dict.fromkeys(self.parameters)
+        self.slots = tuple(
+            (rule, bool(blank) and _substitute(rule, blank) != rule)
+            for rule in self.program.rules
+        )
+        self.compiled = {
+            id(rule): compiled_rule(rule)
+            for rule, parametric in self.slots
+            if not parametric and not rule.is_fact()
+        }
+
+    def _extras(self, derived):
+        method, rewriting = self.method, self.rewriting
+        extras = {}
+        if method == "magic":
+            extras["magic_set_size"] = magic_set_size(derived, rewriting)
+        elif method == "sup_magic":
+            extras["sup_facts"] = sum(
+                len(rel) for key, rel in derived.items()
+                if key[0].startswith("sup_")
+            )
+        elif method in _INDEXED:
+            counting = derived.get(rewriting.counting_pred, ())
+            extras["counting_set_size"] = len(counting)
+            if method == "encoded_counting":
+                # The largest encoded value's bit length — the
+                # exponential growth §3.4 criticizes.
+                extras["max_index_bits"] = max(
+                    (int(row[-1]).bit_length() for row in counting),
+                    default=0,
+                )
+        elif method == "extended_counting":
+            extras["counting_set_size"] = _relation_sizes(
+                derived, rewriting.counting_preds.values()
+            )
+        elif method == "reduced_counting":
+            # A counting predicate keeps its arity or loses the path.
+            preds = rewriting.source.counting_preds.values()
+            extras["counting_set_size"] = _relation_sizes(
+                derived, preds
+            ) + _relation_sizes(
+                derived, [(name, arity - 1) for name, arity in preds]
+            )
+            extras["path_deleted"] = self.pathed is None
+        extras["derived_facts"] = sum(len(rel) for rel in derived.values())
+        return extras
+
+    def evaluate(self, db, stats, budget=None, constants=(), memo=None):
+        memo = {} if memo is None else memo
+        mapping, source = self._bind(constants)
+        label = self.method.replace("_", " ")
+        pathed = self.pathed
+        if pathed is not None:
+            check_pushing_cycles(
+                pathed.canonical, pathed.adorned.goal.key, source,
+                _materialize_support(pathed.support_rules, db, stats,
+                                     budget, memo),
+                label,
+            )
+        goal = _substitute(self.goal, mapping) if mapping else self.goal
+        fixpoint = memo.get("fixpoint")
+        if fixpoint is None:
+            program = self.program
+            if mapping:
+                program = Program(
+                    _substitute(rule, mapping) if parametric else rule
+                    for rule, parametric in self.slots
+                )
+            indexed = self.method in _INDEXED
+            # A copy of the compiled cache: entries for this run's
+            # substituted rules must not pile up in the form's (their
+            # ids are reused once the rules are collected).
+            engine = SemiNaiveEngine(
+                program, db, stats=stats, budget=budget,
+                max_iterations=_divergence_bound(db) if indexed else None,
+                compiled_cache=dict(self.compiled),
+            )
+            try:
+                derived = engine.run()
+            except EvaluationError as exc:
+                if not indexed:
+                    raise
+                raise CountingDivergenceError(
+                    "%s diverged (cyclic left-part relation?): %s"
+                    % (label, exc)
+                ) from exc
+            fixpoint = (engine.relation(goal.key), self._extras(derived))
+            if self.rewriting is None:
+                # The original program never mentions the query
+                # constants, so one evaluation serves every binding
+                # until the database moves.
+                memo["fixpoint"] = fixpoint
+        relation, extras = fixpoint
+        tuples = set(goal_filter(goal, relation))
+        return project_free(goal, tuples), dict(extras)
+
+
+# -- dedicated counting evaluators -------------------------------------
+
+class _CountingForm(_Form):
+    """The goal clique's canonical form for the pointer (§3.4), cyclic
+    (Algorithm 2) and magic-counting [16] evaluators.
+
+    The canonical clique is constant-independent by construction, so
+    only the source values change between bindings.
     """
-    if not support_rules:
-        return db.get
-    from ..datalog.rules import Program
 
-    engine = SemiNaiveEngine(Program(support_rules), db, stats=stats,
-                             budget=budget)
-    engine.run()
-    return engine.relation
+    def __init__(self, method, query):
+        adorned = query if hasattr(query, "origins") else adorn_query(query)
+        super().__init__(method, adorned.goal)
+        clique, self.support_rules = goal_clique_of(adorned)
+        self.canonical = canonicalize_clique(clique, adorned)
+        self.goal_key = adorned.goal.key
+        self.phase1 = method != "magic_counting"
+        #: Compiled-BoundQuery cache shared by every engine of the form
+        #: (keyed on canonical rule identity, so it is valid across
+        #: bindings and databases alike).
+        self.queries = {}
 
-
-def run_extended_counting(query, db, check_acyclic=True, budget=None):
-    """Algorithm 1 (list path arguments) on the generic engine."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = extended_counting_rewrite(query)
-    if check_acyclic:
-        _check_left_graph_acyclic(
-            rewriting.adorned, db, stats, "extended counting"
+    def evaluate(self, db, stats, budget=None, constants=(), memo=None,
+                 table_store=None, phase1=None):
+        """``table_store`` is a node-keyed counting-table store for
+        this form and database generation; ``phase1(engine)`` runs
+        before the engine does and may install a ``successor_resolver``
+        (:func:`repro.parallel.counting.parallel_successor_map`)."""
+        memo = {} if memo is None else memo
+        get_relation = _materialize_support(self.support_rules, db, stats,
+                                            budget, memo)
+        _mapping, source = self._bind(constants)
+        if self.method == "magic_counting":
+            engine = MagicCountingEngine(
+                self.canonical, self.goal_key, source, get_relation,
+                stats=stats, budget=budget,
+            )
+            answers = engine.run()
+            return answers, {
+                "recurring_nodes": len(engine.recurring),
+                "counting_rows": (
+                    0 if engine.table is None else len(engine.table)
+                ),
+                "answer_states": engine.state_count,
+            }
+        engine = CountingEngine(
+            self.canonical, self.goal_key, source, get_relation,
+            stats=stats, budget=budget,
+            require_acyclic=self.method == "pointer_counting",
+            query_cache=self.queries, table_store=table_store,
         )
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_set_size": _relation_sizes(
-            derived, list(rewriting.counting_preds.values())
-        ),
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("extended_counting", answers, stats, extras,
-                           rewriting, elapsed)
+        if phase1 is not None:
+            phase1(engine)
+        answers = engine.run()
+        extras = {
+            "counting_rows": len(engine.table),
+            "counting_triples": engine.table.triple_count,
+            "answer_states": engine.state_count,
+            "max_frontier": engine.max_frontier,
+        }
+        if self.method == "cyclic_counting":
+            extras["back_arcs"] = engine.table.back_arc_count
+        if table_store is not None:
+            extras["counting_table_reused"] = engine.table_reused
+        return answers, extras
 
 
-def run_reduced_counting(query, db, check_acyclic=True, budget=None):
-    """Algorithm 1 followed by the Algorithm 3 reduction."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    rewriting = reduce_rewriting(extended_counting_rewrite(query))
-    path_free = (
-        rewriting.path_deleted_counting and rewriting.path_deleted_answer
+def prepare(method, query):
+    """The binding-independent half of strategy ``method`` for the form
+    of ``query`` — adornment, rewriting, Algorithm 3 reduction, the goal
+    clique's canonical form, rule compilation; raises
+    :class:`~repro.errors.NotApplicableError` exactly where a cold run
+    of the method would.
+
+    Returns ``None`` for the direct strategies, which prepare nothing,
+    and otherwise a form whose ``evaluate(db, stats, budget=None,
+    constants=(), memo=None)`` gives ``(answers, extras)`` for one
+    binding: ``constants`` holds one value per :class:`FormParameter`
+    of the goal, in position order; ``memo`` is a dict the caller keeps
+    while the database does not move, where ``evaluate`` leaves what it
+    derived from the database alone (the support relations; the
+    fixpoint of an unrewritten program) for the next binding.  A cold
+    call evaluates one binding and so passes none.
+    """
+    if method in _REWRITINGS:
+        return _RewritingForm(method, query)
+    if method in ("pointer_counting", "cyclic_counting", "magic_counting"):
+        return _CountingForm(method, query)
+    return None
+
+
+def _one_binding(method):
+    """The public ``run_<method>``: prepare, evaluate the query's own
+    binding once, discard the form."""
+
+    def run(query, db, budget=None):
+        stats = EvalStats()
+        started = time.perf_counter()
+        form = prepare(method, query)
+        answers, extras = form.evaluate(db, stats, budget)
+        return ExecutionResult(method, answers, stats, extras,
+                               form.rewriting,
+                               time.perf_counter() - started)
+
+    run.__name__ = run.__qualname__ = "run_" + method
+    run.__doc__ = (
+        "The ``%s`` strategy (described in the module docstring) for "
+        "the query's own binding." % method
     )
-    if check_acyclic and not path_free:
-        # A surviving path argument still grows along cycles.
-        _check_left_graph_acyclic(
-            rewriting.source.adorned, db, stats, "reduced counting"
-        )
-    answers, derived = _run_engine(rewriting.query, db, stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_set_size": _relation_sizes(
-            derived, list(rewriting.source.counting_preds.values())
-        ) + _relation_sizes(
-            derived,
-            [
-                (name, arity - 1)
-                for name, arity in rewriting.source.counting_preds.values()
-            ],
-        ),
-        "path_deleted": path_free,
-        "derived_facts": sum(len(rel) for rel in derived.values()),
-    }
-    return ExecutionResult("reduced_counting", answers, stats, extras,
-                           rewriting, elapsed)
+    return run
 
 
-def _counting_engine_for(query, db, stats, require_acyclic,
-                         budget=None):
-    adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
-    get_relation = _support_resolver(adorned, support_rules, db, stats,
-                                     budget=budget)
-    return CountingEngine(
-        canonical,
-        adorned.goal.key,
-        query_constants(adorned.goal),
-        get_relation,
-        stats=stats,
-        require_acyclic=require_acyclic,
-        budget=budget,
-    )
+run_naive = _one_binding("naive")
+run_magic = _one_binding("magic")
+run_sup_magic = _one_binding("sup_magic")
+run_classical_counting = _one_binding("classical_counting")
+run_encoded_counting = _one_binding("encoded_counting")
+run_extended_counting = _one_binding("extended_counting")
+run_reduced_counting = _one_binding("reduced_counting")
+run_pointer_counting = _one_binding("pointer_counting")
+run_cyclic_counting = _one_binding("cyclic_counting")
+run_magic_counting = _one_binding("magic_counting")
 
 
-def run_pointer_counting(query, db, budget=None):
-    """§3.4 pointer-based implementation (acyclic databases)."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    engine = _counting_engine_for(query, db, stats, require_acyclic=True,
-                                  budget=budget)
-    answers = engine.run()
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_rows": len(engine.table),
-        "counting_triples": engine.table.triple_count,
-        "answer_states": engine.state_count,
-        "max_frontier": engine.max_frontier,
-    }
-    return ExecutionResult("pointer_counting", answers, stats, extras,
-                           elapsed=elapsed)
-
-
-def run_cyclic_counting(query, db, budget=None):
-    """Algorithm 2: extended counting for arbitrary (cyclic) data."""
-    stats = EvalStats()
-    started = time.perf_counter()
-    engine = _counting_engine_for(query, db, stats,
-                                  require_acyclic=False, budget=budget)
-    answers = engine.run()
-    elapsed = time.perf_counter() - started
-    extras = {
-        "counting_rows": len(engine.table),
-        "counting_triples": engine.table.triple_count,
-        "back_arcs": engine.table.back_arc_count,
-        "answer_states": engine.state_count,
-        "max_frontier": engine.max_frontier,
-    }
-    return ExecutionResult("cyclic_counting", answers, stats, extras,
-                           elapsed=elapsed)
-
-
-def run_magic_counting(query, db, budget=None):
-    """The magic-counting hybrid [16]: counting on the non-recurring
-    part of the left graph, magic sets on the recurring part."""
-    from ..rewriting.canonical import canonicalize_clique
-    from .magic_counting import MagicCountingEngine
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    adorned = query if hasattr(query, "origins") else adorn_query(query)
-    clique, support_rules = goal_clique_of(adorned)
-    canonical = canonicalize_clique(clique, adorned)
-    get_relation = _support_resolver(adorned, support_rules, db, stats,
-                                     budget=budget)
-    engine = MagicCountingEngine(
-        canonical,
-        adorned.goal.key,
-        query_constants(adorned.goal),
-        get_relation,
-        stats=stats,
-        budget=budget,
-    )
-    answers = engine.run()
-    elapsed = time.perf_counter() - started
-    extras = {
-        "recurring_nodes": len(engine.recurring),
-        "counting_rows": 0 if engine.table is None else len(engine.table),
-        "answer_states": engine.state_count,
-    }
-    return ExecutionResult("magic_counting", answers, stats, extras,
-                           elapsed=elapsed)
-
+# -- direct strategies -------------------------------------------------
 
 def run_parallel(query, db, budget=None, workers=2, inline=False,
                  plan=None, recovery=None):
@@ -543,6 +649,4 @@ def run_strategy(name, query, db, budget=None, **options):
         raise TypeError("expected a Query")
     if not isinstance(db, Database):
         raise TypeError("expected a Database")
-    if budget is None:
-        return runner(query, db, **options)
     return runner(query, db, budget=budget, **options)

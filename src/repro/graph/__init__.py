@@ -1,5 +1,5 @@
-"""Graph substrate: DFS arc classification, node classes and query
-graphs (Section 2 of the paper)."""
+"""Graph substrate: DFS arc classification and node classes (Section 2
+of the paper)."""
 
 from .dfs import Arc, ArcClassification, adjacency_successors, classify_arcs
 from .properties import (
@@ -11,29 +11,17 @@ from .properties import (
     is_tree,
     node_classes,
 )
-from .querygraph import (
-    EdgeSpec,
-    LeftGraph,
-    QueryGraph,
-    enumerate_arcs,
-    left_classification,
-)
 
 __all__ = [
     "Arc",
     "ArcClassification",
-    "EdgeSpec",
-    "LeftGraph",
     "MULTIPLE",
-    "QueryGraph",
     "RECURRING",
     "SINGLE",
     "adjacency_successors",
     "classify_arcs",
     "elementary_cycles",
-    "enumerate_arcs",
     "is_acyclic",
     "is_tree",
-    "left_classification",
     "node_classes",
 ]

@@ -30,7 +30,7 @@ method:
 from ..datalog.rules import Query
 from ..errors import NotApplicableError
 from .adornment import adorn_query
-from .canonical import canonicalize_clique, query_constants
+from .canonical import canonicalize_clique
 from .linearity import is_mixed_linear
 from .support import goal_clique_of
 
@@ -102,15 +102,9 @@ def choose_method(query, db=None):
             adorned,
         )
     if db is not None:
-        from ..exec.strategies import _counting_engine_for
-        from ..engine.instrumentation import EvalStats
-        from ..graph.dfs import classify_arcs
+        from ..exec.strategies import classify_left_graph
 
-        engine = _counting_engine_for(
-            adorned, db, EvalStats(), require_acyclic=False
-        )
-        source = (adorned.goal.key, tuple(query_constants(adorned.goal)))
-        classification = classify_arcs(source, engine._successors)
+        classification = classify_left_graph(adorned, db)
         if classification.is_acyclic():
             return (
                 "pointer_counting",

@@ -73,6 +73,20 @@ class TestExample5CountingSet:
         table = self.table(sg_query, example5_db)
         assert SOURCE_TRIPLE in table.rows[table.source_id].triples
 
+    def test_classify_is_phase_one_without_the_table(self, sg_query,
+                                                     example5_db):
+        engine = make_engine(sg_query, example5_db)
+        classification = engine.classify()
+        assert engine.table is None
+        assert [node[1][0] for node in classification.order] \
+            == ["a", "b", "c", "d", "e"]
+        assert len(classification.ahead) == 5
+        assert len(classification.back) == 1
+        # It reads the left graph the way the build does: through the
+        # installed successor resolver.
+        engine.successor_resolver = lambda node: []
+        assert engine.classify().order == classification.order[:1]
+
 
 class TestExample5Answers:
     def test_answers(self, sg_query, example5_db):

@@ -277,7 +277,6 @@ class TestDivergenceGuard:
                          budget=ResourceBudget(timeout=60.0))
 
     def test_encoded_counting_diverges_typed(self, sg_query, cyclic_db):
-        # The second _divergence_bound call site.
         with pytest.raises(CountingDivergenceError):
             run_strategy("encoded_counting", sg_query, cyclic_db)
 

@@ -14,15 +14,26 @@ from repro.data.workloads import (
     forest_root,
     sg_forest,
 )
+from repro.datalog.rules import Program
 from repro.engine.database import Database
 from repro.engine.instrumentation import EvalStats
 from repro.engine.relation import EmptyRelation, Relation
+from repro.engine.seminaive import evaluate_program
+from repro.errors import (
+    CountingDivergenceError,
+    NotApplicableError,
+    ReproError,
+)
 from repro.exec import (
+    STRATEGIES,
     AnswerCache,
     CountingTableStore,
     PreparedQuery,
     run_strategy,
 )
+
+from .test_multibound import QUERY as MULTIBOUND_QUERY
+from .test_multibound import make_db as multibound_db
 
 
 def make_chain(depth=10):
@@ -87,29 +98,122 @@ class TestSatelliteFixes:
             empty.lookup((-1,), ("a",))
 
 
-# -- warm == cold across every applicable strategy ---------------------
+# -- warm == cold across every strategy ---------------------------------
+
+#: A lower clique (``link``) the goal clique reads like a base relation:
+#: the counting evaluators and the pushing-cycle check materialize it
+#: before they start, once per database generation when prepared.
+SUPPORT_QUERY = parse_query("""
+    link(X, Y) :- up(X, Y).
+    link(X, Y) :- up(X, Z), hop(Z, Y).
+    sg(X, Y) :- flat(X, Y).
+    sg(X, Y) :- link(X, X1), sg(X1, Y1), down(Y1, Y).
+    ?- sg(a, Y).
+""")
+SUPPORT_RULES = Program(SUPPORT_QUERY.program.rules[:2])
+#: Strategies that materialize the support rules as a step of their own
+#: (the rewritings just carry them inside the evaluated program).
+MATERIALIZE_SUPPORT = (
+    "extended_counting", "reduced_counting", "pointer_counting",
+    "cyclic_counting", "magic_counting",
+)
+#: ``extras`` that are wall-clock readings.
+TIMINGS = ("phase_seconds",)
+
+MATRIX = [
+    (name, method)
+    for name, workload in WORKLOADS.items()
+    if name not in ("sg_chain", "sg_cyclic")  # the two tests below
+    for method in STRATEGIES
+    if method in workload.applicable
+]
+
+
+def outcome(call):
+    try:
+        return call(), None
+    except ReproError as exc:
+        return None, exc
+
+
+def untimed(extras):
+    return {k: v for k, v in extras.items() if k not in TIMINGS}
+
 
 class TestWarmEqualsCold:
+    """``PreparedQuery.run`` against ``run_strategy`` on the bound query:
+    one evaluation, so one result — answers, every deterministic work
+    counter, the strategy's extras, and the error when there is one."""
+
+    @staticmethod
+    def agree(prepared, db, bindings, support=None):
+        """Compare both routes binding by binding, all on one database
+        generation; returns the outcomes of the last one."""
+        method = prepared.method
+        for number, constants in enumerate(bindings):
+            cold, cold_error = outcome(lambda: run_strategy(
+                method, prepared.bind(constants), db
+            ))
+            warm, warm_error = outcome(
+                lambda: prepared.run(constants, db=db)
+            )
+            where = (method, constants)
+            assert type(warm_error) is type(cold_error), where
+            assert str(warm_error) == str(cold_error), where
+            if cold is None:
+                continue
+            assert warm.answers == cold.answers, where
+            # prepared ⊇ cold, equal on the shared keys.
+            shared = {k: warm.extras[k] for k in cold.extras
+                      if k in warm.extras}
+            assert untimed(shared) == untimed(cold.extras), where
+            expected = cold.stats.as_dict()
+            if warm.stats.cache_hits:
+                expected = EvalStats().as_dict()
+            elif number:
+                assert warm.stats.prepare_reuse == 1, where
+                if method == "naive":
+                    # The per-generation memo keeps the whole fixpoint
+                    # of the unrewritten program: a repeat filters it.
+                    expected = EvalStats().as_dict()
+                elif support and method in MATERIALIZE_SUPPORT:
+                    # ... and the support relations: a repeat skips
+                    # exactly their materialization.
+                    expected = {k: v - support[k]
+                                for k, v in expected.items()}
+            assert warm.stats.as_dict() == expected, where
+        return cold, cold_error, warm
+
+    @staticmethod
+    def some_bindings(query, db, count=3):
+        """The query's own binding, then ``count - 1`` others made of
+        constants the database mentions."""
+        own = tuple(query.goal.args[i].value
+                    for i in query.bound_positions())
+        pool = sorted(db.constants() - set(own), key=repr)
+        return [own] + [
+            tuple(pool[(number + i) % len(pool)] for i in range(len(own)))
+            for number in range(1, count)
+        ]
+
     @pytest.mark.parametrize(
         "method", WORKLOADS["sg_chain"].applicable
     )
     def test_acyclic_workload(self, method):
+        # With both caches attached: the repeated "a" is an answer-cache
+        # hit and must still carry the cold run's extras.
         workload = WORKLOADS["sg_chain"]
         db = make_chain()
         prepared = PreparedQuery(
             workload.query, db, method=method,
             cache=AnswerCache(), counting_store=CountingTableStore(),
         )
-        for constant in ("a", "x1", "x2", "a"):
-            cold = run_strategy(
-                method, prepared.bind((constant,)), db
-            )
-            warm = prepared.run((constant,), db=db)
-            assert warm.answers == cold.answers, (method, constant)
+        _cold, _error, warm = self.agree(
+            prepared, db, [("a",), ("x1",), ("x2",), ("a",)]
+        )
+        assert warm.extras["cache_hit"] is True
 
-    @pytest.mark.parametrize(
-        "method", WORKLOADS["sg_cyclic"].applicable
-    )
+    @pytest.mark.parametrize("method", sorted(STRATEGIES))
     def test_cyclic_workload(self, method):
         workload = WORKLOADS["sg_cyclic"]
         db, _source = workload.make_db()
@@ -117,17 +221,89 @@ class TestWarmEqualsCold:
             workload.query, db, method=method,
             cache=AnswerCache(), counting_store=CountingTableStore(),
         )
-        cold = run_strategy(method, prepared.bind(), db)
-        warm = prepared.run(db=db)
-        assert warm.answers == cold.answers
+        cold, error, _warm = self.agree(
+            prepared, db, self.some_bindings(workload.query, db)
+        )
+        if method in workload.applicable:
+            assert error is None and cold.answers
+        elif method == "pointer_counting":
+            assert isinstance(error, NotApplicableError)
+
+    @pytest.mark.parametrize(
+        "method", ["classical_counting", "encoded_counting",
+                   "extended_counting", "reduced_counting"],
+    )
+    def test_divergence_says_the_same_on_both_routes(self, method):
+        workload = WORKLOADS["sg_cyclic"]
+        db, _source = workload.make_db()
+        prepared = PreparedQuery(workload.query, db, method=method)
+        wording = method.replace("_", " ") + (
+            ": the left graph has a cycle through pushing rule "
+            if method in ("extended_counting", "reduced_counting")
+            else " diverged (cyclic left-part relation?): "
+        )
+        for call in (
+            lambda: run_strategy(method, prepared.bind(), db),
+            lambda: prepared.run(db=db),
+        ):
+            with pytest.raises(CountingDivergenceError) as raised:
+                call()
+            assert str(raised.value).startswith(wording)
+
+    @pytest.mark.parametrize(
+        "name, method", MATRIX, ids=["%s-%s" % cell for cell in MATRIX]
+    )
+    def test_every_applicable_cell(self, name, method):
+        workload = WORKLOADS[name]
+        db, _source = workload.make_db()
+        prepared = PreparedQuery(workload.query, db, method=method)
+        _cold, error, _warm = self.agree(
+            prepared, db, self.some_bindings(workload.query, db)
+        )
+        assert error is None
+
+    @pytest.mark.parametrize("method", sorted(STRATEGIES))
+    def test_two_bound_arguments(self, method):
+        db = multibound_db()
+        prepared = PreparedQuery(MULTIBOUND_QUERY, db, method=method)
+        self.agree(prepared, db, [
+            ("paris", "metro"), ("lyon", "tgv"), ("nice", "metro"),
+        ])
+
+    @pytest.mark.parametrize(
+        "method", ("naive", "magic") + MATERIALIZE_SUPPORT
+    )
+    def test_support_rules_materialize_once_per_generation(self, method):
+        db = make_chain()
+        db.add_facts([("hop", ("x2", "x4")), ("hop", ("x3", "x5"))])
+        support = EvalStats()
+        evaluate_program(SUPPORT_RULES, db, stats=support)
+        assert support.total_work
+        prepared = PreparedQuery(SUPPORT_QUERY, db, method=method)
+        bindings = [("a",), ("x1",), ("x2",)]
+        self.agree(prepared, db, bindings, support=support.as_dict())
+        # The database moved: the first binding pays again.
+        db.add_fact("hop", "x1", "x3")
+        self.agree(prepared, db, bindings[:1])
+
+    def test_nothing_prepared_takes_the_cold_route(self):
+        # Prepare-time NotApplicableError: the form is built anyway and
+        # every run raises what the cold run raises.
+        workload = WORKLOADS["nonlinear"]
+        db, _source = workload.make_db()
+        prepared = PreparedQuery(workload.query, db,
+                                 method="pointer_counting")
+        _cold, error, _warm = self.agree(
+            prepared, db, self.some_bindings(workload.query, db)
+        )
+        assert isinstance(error, NotApplicableError)
 
     def test_auto_method_matches_plan(self):
         workload = WORKLOADS["sg_chain"]
         db = make_chain()
         prepared = PreparedQuery(workload.query, db)
         assert prepared.method == "pointer_counting"
-        cold = run_strategy(prepared.method, prepared.bind(), db)
-        assert prepared.run(db=db).answers == cold.answers
+        self.agree(prepared, db, [("a",)])
 
 
 # -- answer cache behaviour --------------------------------------------

@@ -47,8 +47,7 @@ SURFACE = {
     ],
     "repro.graph": [
         "classify_arcs", "node_classes", "is_tree", "is_acyclic",
-        "elementary_cycles", "EdgeSpec", "LeftGraph", "QueryGraph",
-        "left_classification",
+        "elementary_cycles",
     ],
     "repro.graph.properties": ["strongly_connected_components"],
     "repro.data": ["WORKLOADS", "get_workload", "generators"],

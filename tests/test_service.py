@@ -955,6 +955,23 @@ class TestCallerThreadHits:
         assert hit.stats.cache_misses == 0 and hit.stats.cache_hits == 1
         assert service.counters()["inline_hits"] == 1
 
+    def test_served_results_carry_the_strategy_extras(self):
+        # One function computes a strategy's extras on every route, and
+        # the cache entry stores them: a served miss and the inline hit
+        # after it report magic_set_size like the cold run does.
+        db, _source = sg_forest(trees=3, fanout=2, depth=3)
+        prepared = PreparedQuery(WORKLOADS["sg_forest"].query, db,
+                                 method="magic", cache=AnswerCache())
+        cold = run_strategy("magic", prepared.bind(self.WARM), db)
+        assert cold.extras["magic_set_size"] > 0
+        with QueryService(prepared, db, workers=1) as service:
+            miss = service.run(self.WARM, wait=60.0)
+            hit = service.run(self.WARM, wait=60.0)
+            assert service.counters()["inline_hits"] == 1
+        for served in (miss, hit):
+            assert {k: served.extras[k] for k in cold.extras} \
+                == cold.extras
+
     def test_expired_and_closed_sheds_on_a_cached_binding(
             self, cached_service):
         service, prepared, cache, _db = cached_service()

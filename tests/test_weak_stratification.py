@@ -92,12 +92,7 @@ class TestAgainstCountingEngine:
             canonical, adorned.goal.key,
             query_constants(adorned.goal), db.get,
         )
-        table = engine.build_counting_set()
-        classification = classify_arcs(
-            (adorned.goal.key, query_constants(adorned.goal)),
-            engine._successors,
-        )
-        return table, classification
+        return engine.build_counting_set(), engine.classify()
 
     def test_example5_program(self, sg_query, example5_db):
         dfs_table, classification = self.engine_table(
