@@ -8,7 +8,11 @@ improves on magic by joining each level only with the previous one
 ("often yielding an order of magnitude of improvement").
 
 Shape asserted: pointer counting < classical counting < magic < naive
-in join work, with the counting-vs-magic gap growing with depth.
+in join work, with pointer counting more than 3x under magic at every
+depth.  (The ratio is flat in depth — both methods are linear in the
+reachable tree.  It grew with depth while the engine joined delta
+passes in written order and rescanned the magic set every round; that
+was the engine's join order, not the methods.)
 """
 
 import pytest
@@ -99,17 +103,14 @@ def test_e1_counting_beats_whole_memoing_family(rows, benchmark):
     assert_claims(benchmark, check)
 
 
-def test_e1_gap_grows_with_depth(rows, benchmark):
+def test_e1_counting_beats_magic_threefold_at_every_depth(rows, benchmark):
     def check():
-        ratios = []
         for depth in DEPTHS:
             label = "depth=%d" % depth
-            ratios.append(
-                work_of(rows, label, "magic")
-                / work_of(rows, label, "pointer_counting")
-            )
-        assert ratios[-1] > ratios[0]
-        # The paper's "order of magnitude" regime at realistic depth.
-        assert ratios[-1] > 3
+            ratio = (work_of(rows, label, "magic")
+                     / work_of(rows, label, "pointer_counting"))
+            # §1's "often an order of magnitude": a constant factor on
+            # balanced trees, past 3x at every size.
+            assert ratio > 3, (label, ratio)
 
     assert_claims(benchmark, check)

@@ -468,8 +468,8 @@ def generate_collector(steps, projection):
     Same shape restrictions as :func:`generate_emitter`, but the whole
     match set materializes into one flat ``list`` that is returned —
     no generator frames at all.  Only callers that drain every match
-    without interleaved relation writes (the bound-query path) may use
-    it; batch-at-a-time visibility is lost.
+    without interleaved relation writes (bound queries, and rule passes
+    that do not read their head) may use it: batch visibility is lost.
     """
     return _generate_batched(steps, projection, eager=True)
 

@@ -74,6 +74,7 @@ from .codegen import (
     generate_entry_collector,
     generate_runner,
 )
+from .planner import delta_first, delta_position
 
 #: Direct implementations of the binary arithmetic functors; ``min`` /
 #: ``max`` and any future n-ary forms stay on the generic
@@ -474,8 +475,8 @@ class CompiledBody:
         frames, one call per body pass.  Enumeration order and counter
         updates are identical to :meth:`execute`; what is lost is
         batch-at-a-time visibility of in-pass mutations, so only
-        callers that drain the whole match set without writing to the
-        scanned relations (the bound-query path) may use it.
+        callers that write to no scanned relation before the call
+        returns (bound queries; rule passes not reading their head) may.
         """
         return self._generated(generate_collector, projection)
 
@@ -712,12 +713,19 @@ class CompiledRule:
     ``compiled`` is the body, ``head_spec`` the row spec the batch
     emitters consume and ``head`` the same projection as a closure over
     a match; ``premises`` (read only when tracing) holds one such
-    closure per positive body atom, in body order.
+    closure per positive body atom, in the *written* body order.
+    ``delta_at`` (on a :meth:`delta_variant`) is the index of its literal
+    reading the delta; ``reads_head``: a literal reading a *full* relation
+    reads the head's — else no probe of a pass sees what the pass derives.
     """
 
-    __slots__ = ("rule", "compiled", "head", "head_spec", "premises")
+    __slots__ = ("rule", "compiled", "head", "head_spec", "premises",
+                 "delta_at", "reads_head", "_variants")
 
     def __init__(self, rule):
+        self._build(rule, rule, None)
+
+    def _build(self, rule, written, delta_at):
         self.rule = rule
         compiled = self.compiled = compile_body(rule.body)
         head = rule.head
@@ -736,14 +744,33 @@ class CompiledRule:
                     % atom.pred
                 ),
             ))
-            for atom in rule.body_atoms()
+            for atom in written.body_atoms()
         )
+        self.delta_at = delta_at
+        self.reads_head = any(
+            getattr(lit, "atom", lit).key == head.key
+            for at, lit in enumerate(rule.body)
+            if at != delta_at and not isinstance(lit, Comparison)
+        )
+        self._variants = {}
+
+    def delta_variant(self, index):
+        """``delta_first(rule, index)`` compiled — memoized on this
+        structurally cached parent, never by the temporary rule's id."""
+        variant = self._variants.get(index)
+        if variant is None:
+            variant = object.__new__(CompiledRule)
+            variant._build(delta_first(self.rule, index), self.rule,
+                           delta_position(self.rule, index))
+            self._variants[index] = variant
+        return variant
 
 
 #: Structural rule -> CompiledRule, mirroring ``_BOUND_QUERY_CACHE``:
 #: the rewritings rebuild structurally equal rule objects on every run,
-#: and a CompiledRule is immutable after construction, so sharing
-#: across engines is safe.  Rule equality ignores labels, which is fine
+#: and a CompiledRule only ever gains memoized delta variants (built in
+#: the first pass that runs one; a race at worst compiles one twice), so
+#: sharing across engines is safe.  Rule equality ignores labels, which is fine
 #: — consumers read only structural parts (``rule.head.key``) from the
 #: cached instance; labels always come from the caller's own rule
 #: object.

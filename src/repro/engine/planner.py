@@ -18,14 +18,14 @@ when the safety checker's conditions for it hold.  If no literal is
 placeable (the rule was unsafe to begin with) the original order is
 kept and the engine surfaces the usual safety/evaluation error.
 
-The engine applies the planner when constructed with
-``reorder=True``; the ablation benchmark
-``benchmarks/bench_a1_join_order.py`` measures the effect.
+The engine runs every delta pass through :func:`delta_first`; with
+``reorder=True`` it also plans the written bodies the initial round
+runs (``benchmarks/bench_a1_join_order.py`` measures that).
 """
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Rule
-from ..datalog.terms import Variable
+from ..datalog.terms import CONS, TUPLE, Compound, Variable
 
 
 def _within(term_or_literal, bound):
@@ -109,6 +109,40 @@ def reorder_body(rule, bound_head_vars=()):
         ordered.append(atom)
         bound |= atom.variables()
     return Rule(rule.head, tuple(ordered), label=rule.label)
+
+
+def _is_pattern(term):
+    """True unless ``term`` holds a functor the engine evaluates."""
+    return not isinstance(term, Compound) or (
+        term.functor in (CONS, TUPLE) and all(map(_is_pattern, term.args))
+    )
+
+
+def _keeps_order(rule):
+    """An atom argument like ``N + 1`` is a key once literals *written*
+    earlier bind ``N`` and matches nothing otherwise: no reordering."""
+    return not all(
+        _is_pattern(arg) for atom in rule.body_atoms() for arg in atom.args
+    )
+
+
+def delta_position(rule, index):
+    """Where body literal ``index`` sits in ``delta_first(rule, index)``."""
+    return index if _keeps_order(rule) else 0
+
+
+def delta_first(rule, index):
+    """The semi-naive variant of ``rule`` driven by body literal ``index``:
+    that literal — it reads the delta, a round's smallest relation —
+    first, the others bound-first from its variables (index probes keyed
+    by what the delta binds, not a rescan joined to the delta last).  A
+    rule that keeps its order is returned."""
+    if _keeps_order(rule):
+        return rule
+    driver = rule.body[index]
+    rest = Rule(rule.head, rule.body[:index] + rule.body[index + 1:])
+    body = (driver,) + reorder_body(rest, driver.variables()).body
+    return Rule(rule.head, body, label=rule.label)
 
 
 def reorder_program_rules(rules, bound_head_vars=()):

@@ -140,12 +140,39 @@ class Relation:
         return True
 
     def add_all(self, rows):
-        """Insert many rows; returns the list of rows that were new."""
-        added = []
+        """Insert a batch; returns the new rows, first occurrence first.
+
+        Leaves log, ids, epoch and index buckets as :meth:`add` row by
+        row would; a wrong-arity row anywhere raises, nothing inserted.
+        """
+        rows = tuple(rows)
         for row in rows:
-            if self.add(row):
-                added.append(row)
-        return added
+            if len(row) != self.arity:
+                raise ValueError(
+                    "arity mismatch for %s: expected %d, got %r"
+                    % (self.name, self.arity, row)
+                )
+        # One hash per row, as in :meth:`add`; never ``set(rows)``,
+        # whose iteration order would depend on the hash seed.
+        tuples = self.tuples
+        size = len(tuples)
+        new = []
+        for row in rows:
+            tuples.add(row)
+            if len(tuples) != size:
+                size += 1
+                new.append(row)
+        # Log (and ids) before the epoch bump, as in :meth:`add`.
+        self._log.extend(new)
+        if self._ids is not None:
+            for row in new:
+                self._ids.append(self._pool.ident_row(row))
+        self.epoch += len(new)
+        for positions, index in self._indexes.items():
+            key_of = itemgetter(*positions)
+            for row in new:
+                index.setdefault(key_of(row), []).append(row)
+        return new
 
     def _index_for(self, positions, stats=None):
         index = self._indexes.get(positions)

@@ -100,13 +100,12 @@ class SemiNaiveEngine:
     def _full_resolver(self, _index, atom):
         return self.full(atom.key)
 
-    def _delta_resolver(self, deltas, target_index):
+    def _delta_resolver(self, deltas, delta_at):
         def resolver(index, atom):
-            if index == target_index:
-                return deltas.get(
-                    atom.key, EmptyRelation(atom.key[0], atom.key[1])
-                )
-            return self.full(atom.key)
+            key = atom.key
+            if index != delta_at:
+                return self.full(key)
+            return deltas.get(key) or EmptyRelation(key[0], key[1])
 
         return resolver
 
@@ -128,12 +127,17 @@ class SemiNaiveEngine:
             compiled = self._compiled[id(rule)] = compiled_rule(rule)
         return compiled
 
-    def _apply_rule(self, rule, resolver, delta):
-        """Run one rule pass, optionally recording derivations."""
+    def _apply_rule(self, rule, delta, deltas=None, occurrence=None):
+        """Run one rule pass, optionally recording derivations — the
+        ``delta_first`` variant when body ``occurrence`` reads ``deltas``."""
         stats = self.stats
         started = perf_counter()
         derived_before = stats.facts_derived
         compiled = self._compiled_rule(rule)
+        resolver = self._full_resolver
+        if occurrence is not None:
+            compiled = compiled.delta_variant(occurrence)
+            resolver = self._delta_resolver(deltas, compiled.delta_at)
         if self.trace is None:
             self._apply_compiled(compiled, resolver, delta)
         else:
@@ -145,47 +149,38 @@ class SemiNaiveEngine:
         )
 
     def _apply_compiled(self, compiled, resolver, delta):
-        """Set-at-a-time rule pass: batched probes, direct tuple writes.
+        """Set-at-a-time rule pass: batched probes, batched writes.
 
-        When the body has a vectorized emitter (innermost step a plain
-        scan) the head projection happens inside a generated list
-        comprehension, one whole batch per innermost probe; each batch
-        is drained into the relation before the next is produced, so
-        derivations become visible to subsequent probes exactly as they
-        would row at a time.
+        A pass that reads the head's relation inserts one batch per
+        innermost probe (per match without a vectorized body) before
+        the next is produced: later probes see derivations exactly as
+        they would row at a time.  Any other pass cannot observe what
+        it derives: it is collected eagerly and inserted once.
         """
         stats = self.stats
         stats.rule_firings += 1
         key = compiled.rule.head.key
         relation = self._relation(key)
         body = compiled.compiled
-        delta_rel = None
-        emit = body.emitter(compiled.head_spec)
-        if emit is not None:
-            for batch in emit(resolver, body.make_slots(), stats):
-                for row in batch:
-                    if relation.add(row):
-                        stats.facts_derived += 1
-                        if delta_rel is None:
-                            delta_rel = delta.setdefault(
-                                key, Relation(key[0], key[1])
-                            )
-                        delta_rel.add(row)
-                    else:
-                        stats.facts_duplicate += 1
-            return
-        head = compiled.head
-        for slots in body.execute(resolver, body.make_slots(), stats):
-            row = head(slots)
-            if relation.add(row):
-                stats.facts_derived += 1
-                if delta_rel is None:
-                    delta_rel = delta.setdefault(
-                        key, Relation(key[0], key[1])
-                    )
-                delta_rel.add(row)
-            else:
-                stats.facts_duplicate += 1
+        args = (resolver, body.make_slots(), stats)
+        if compiled.reads_head:
+            emit = body.emitter(compiled.head_spec)
+            batches = emit(*args) if emit is not None else (
+                (compiled.head(match),) for match in body.execute(*args)
+            )
+        else:
+            collect = body.collector(compiled.head_spec)
+            batches = (collect(*args) if collect is not None else list(
+                map(compiled.head, body.execute(*args))
+            ),)
+        for batch in filter(None, batches):
+            new = relation.add_all(batch)
+            stats.facts_duplicate += len(batch) - len(new)
+            if new:
+                stats.facts_derived += len(new)
+                (delta.get(key) or delta.setdefault(
+                    key, Relation(key[0], key[1])
+                )).add_all(new)
 
     def _apply_traced(self, rule, compiled, resolver, delta):
         """Rule pass recording the first derivation of every fact."""
@@ -236,7 +231,7 @@ class SemiNaiveEngine:
         for rule in clique.rules:
             if rule.is_fact():
                 continue
-            self._apply_rule(rule, self._full_resolver, delta)
+            self._apply_rule(rule, delta)
         rounds += 1
         self.stats.iterations += 1
         if not clique.is_recursive():
@@ -259,13 +254,10 @@ class SemiNaiveEngine:
             new_delta = {}
             if self.seminaive:
                 for rule, index in occurrences:
-                    resolver = self._delta_resolver(delta, index)
-                    self._apply_rule(rule, resolver, new_delta)
+                    self._apply_rule(rule, new_delta, delta, index)
             else:
                 for rule in clique.recursive_rules:
-                    self._apply_rule(
-                        rule, self._full_resolver, new_delta
-                    )
+                    self._apply_rule(rule, new_delta)
             delta = new_delta
 
 

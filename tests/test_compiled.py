@@ -18,6 +18,7 @@ from repro.engine import DerivationTrace, EvalStats, SemiNaiveEngine
 from repro.engine.compile import BoundQuery, CompiledRule, compile_body
 from repro.engine.interning import InternPool
 from repro.engine.join import evaluate_body, evaluate_rule, ground_head
+from repro.engine.planner import delta_first, delta_position
 from repro.engine.relation import WILDCARD, EmptyRelation, Relation
 from repro.engine.seminaive import evaluate_program
 from repro.errors import EvaluationError, SafetyError
@@ -37,12 +38,21 @@ def work_counters(stats):
 
 class ReferenceEngine(SemiNaiveEngine):
     """The semi-naive fixpoint with every rule pass driven through the
-    tuple-at-a-time reference evaluator instead of generated code."""
+    tuple-at-a-time reference evaluator instead of generated code:
+    each derivation enters the relation before the next is computed,
+    so equal work counters prove the compiled engine's pass-level
+    drain changes nothing a probe can see."""
 
-    def _apply_rule(self, rule, resolver, delta):
+    def _apply_rule(self, rule, delta, deltas=None, occurrence=None):
         stats = self.stats
         key = rule.head.key
         relation = self._relation(key)
+        resolver = self._full_resolver
+        if occurrence is not None:
+            resolver = self._delta_resolver(
+                deltas, delta_position(rule, occurrence)
+            )
+            rule = delta_first(rule, occurrence)
         for row in evaluate_rule(rule, resolver, stats):
             if relation.add(row):
                 stats.facts_derived += 1

@@ -1,11 +1,22 @@
 """Join-order planner tests."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro import Database, parse_program
 from repro.datalog import format_rule
+from repro.datalog.atoms import Atom
+from repro.datalog.safety import check_rule_safety
 from repro.engine import EvalStats, evaluate_program
-from repro.engine.planner import reorder_body, reorder_program_rules
+from repro.engine.join import evaluate_rule
+from repro.engine.planner import (
+    delta_first,
+    delta_position,
+    reorder_body,
+    reorder_program_rules,
+)
+from repro.errors import SafetyError
 
 
 def rule_of(text):
@@ -113,3 +124,96 @@ class TestWorkReduction:
         plain = evaluate_program(program, db)
         planned = evaluate_program(program, db, reorder=True)
         assert plain[("tc", 2)].tuples == planned[("tc", 2)].tuples
+
+
+# -- delta-first variants ----------------------------------------------
+
+#: Literal pool of the property below: flat joins, a repeated variable,
+#: a constant, the list patterns of the extended counting rewriting,
+#: binding and testing comparisons, negation.
+POOL = (
+    "e(X, Y)", "e(Y, Z)", "f(Z, W)", "e(X, X)", "e(n0, Y)", "g(Y)",
+    "c(X, [(r1, C) | L])", "c(Y, L)", "c(Z, [H | T])",
+    "X != Y", "C > 0", "N is C + 1", "H in L", "W = Z",
+    "not g(X)", "not e(Y, X)",
+)
+HEAD_VARS = ("X", "Y", "Z", "W", "C", "L", "N", "H")
+
+nodes = st.sampled_from(["n0", "n1", "n2", "n3"])
+paths = st.lists(
+    st.tuples(st.sampled_from(["r1", "r2"]), st.integers(0, 2)),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def rules(draw):
+    body = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=5,
+                         unique=True))
+    head = draw(st.lists(st.sampled_from(HEAD_VARS), min_size=1,
+                         max_size=3))
+    rule = rule_of("h(%s) :- %s." % (", ".join(head), ", ".join(body)))
+    try:
+        check_rule_safety(rule)
+    except SafetyError:
+        assume(False)
+    return rule
+
+
+@st.composite
+def databases(draw):
+    db = Database()
+    for x, y in draw(st.lists(st.tuples(nodes, nodes), max_size=8)):
+        db.add_fact("e", x, y)
+        db.add_fact("f", y, x)
+    for x in draw(st.lists(nodes, max_size=3)):
+        db.add_fact("g", x)
+    for x, path in draw(st.lists(st.tuples(nodes, paths), max_size=6)):
+        db.add_fact("c", x, path)
+    return db
+
+
+class TestDeltaFirst:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(rules(), databases())
+    def test_a_safe_permutation_with_the_same_matches(self, rule, db):
+        def resolver(_index, atom):
+            return db.get(atom.key)
+
+        written = sorted(evaluate_rule(rule, resolver), key=repr)
+        for index, lit in enumerate(rule.body):
+            if not isinstance(lit, Atom):
+                continue
+            variant = delta_first(rule, index)
+            assert delta_position(rule, index) == 0
+            assert variant.body[0] is lit
+            assert sorted(map(id, variant.body)) == sorted(
+                map(id, rule.body)
+            )
+            assert (variant.head, variant.label) == (rule.head,
+                                                     rule.label)
+            check_rule_safety(variant)
+            assert sorted(
+                evaluate_rule(variant, resolver), key=repr
+            ) == written
+
+    def test_bound_first_after_the_delta(self):
+        rule = rule_of("sup(X, Y) :- m(X), up(X, X1), reach(X1, Y).")
+        variant = delta_first(rule, 2)
+        assert [a.pred for a in variant.body_atoms()] == [
+            "reach", "up", "m",
+        ]
+
+    def test_evaluated_argument_keeps_the_written_order(self):
+        # ``N + 1`` is a probe key only once q has bound N: moved in
+        # front of q it would match nothing.
+        rule = rule_of("p(X, N) :- q(N), p(X, N + 1).")
+        assert delta_first(rule, 1) is rule
+        assert delta_position(rule, 1) == 1
+        program = parse_program(
+            "p(X, 5) :- s(X). p(X, N) :- q(N), p(X, N + 1)."
+        )
+        db = Database.from_text("s(a). q(0). q(1). q(2). q(3). q(4).")
+        derived = evaluate_program(program, db)
+        assert derived[("p", 2)].tuples == {("a", n) for n in range(6)}

@@ -1,7 +1,10 @@
 """Relation storage, indexing and database tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine.interning import InternPool
 from repro.engine.relation import WILDCARD, EmptyRelation, Relation
 from repro.engine.database import Database
 
@@ -92,6 +95,65 @@ class TestRelation:
         assert rel._indexes == {}
         clone = rel.copy()
         assert not clone.use_indexes
+
+
+values = st.sampled_from(["a", "b", "c", 0, 1, ("r1", 2)])
+rows3 = st.tuples(values, values, values)
+INDEXED = ((0,), (2,), (0, 2), (0, 1, 2))
+
+
+def twin(pooled, present):
+    """A relation holding ``present`` with every ``INDEXED`` index."""
+    rel = Relation("p", 3, pool=InternPool() if pooled else None)
+    for row in present:
+        rel.add(row)
+    for positions in INDEXED:
+        rel.ensure_index(positions)
+    return rel
+
+
+def state(rel):
+    ids = None if rel._ids is None else [
+        list(rel.id_column(i)) for i in range(rel.arity)
+    ]
+    return (rel.tuples, rel._log, rel.epoch, ids, rel._indexes)
+
+
+class TestAddAllContract:
+    """``add_all`` is a loop of ``add`` with the bookkeeping batched:
+    nothing observable — log, epoch, id columns, the order inside every
+    index bucket — may tell the two apart."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @settings(max_examples=120, deadline=None)
+    @given(present=st.lists(rows3, max_size=8),
+           batch=st.lists(rows3, max_size=12))
+    def test_equals_a_loop_of_add(self, pooled, present, batch):
+        looped, batched = twin(pooled, present), twin(pooled, present)
+        expected = [row for row in batch if looped.add(row)]
+        assert batched.add_all(batch) == expected
+        assert state(batched) == state(looped)
+        assert len(set(expected)) == len(expected)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(present=st.lists(rows3, max_size=5),
+           batch=st.lists(rows3, max_size=6),
+           bad=st.sampled_from([("a",), ("a", "b"), ("a", 0, 1, 2)]),
+           where=st.integers(0, 6))
+    def test_wrong_arity_anywhere_inserts_nothing(self, pooled, present,
+                                                  batch, bad, where):
+        rel, untouched = twin(pooled, present), twin(pooled, present)
+        batch.insert(min(where, len(batch)), bad)
+        with pytest.raises(ValueError):
+            rel.add_all(batch)
+        assert state(rel) == state(untouched)
+
+    def test_accepts_any_iterable_once(self):
+        rel = Relation("p", 1)
+        assert rel.add_all(iter([("a",), ("b",), ("a",)])) == [
+            ("a",), ("b",)]
+        assert rel._log == [("a",), ("b",)]
 
 
 class TestEmptyRelation:

@@ -3,8 +3,13 @@
 import pytest
 
 from repro import Database, parse_program, parse_query
-from repro.engine import SemiNaiveEngine
+from repro.data import WORKLOADS
+from repro.datalog.atoms import Atom
+from repro.engine import EvalStats, SemiNaiveEngine
+from repro.engine.join import evaluate_rule
+from repro.engine.relation import Relation
 from repro.engine.tracing import DerivationTrace
+from repro.exec.strategies import prepare
 
 
 def run_traced(program_text, db_text):
@@ -115,3 +120,79 @@ class TestExplain:
         trace.record(("p", 1), ("a",), "r0", ((("p", 1), ("a",)),))
         tree = trace.explain(("p", 1), ("a",), max_depth=5)
         assert tree.size() <= 7
+
+
+REWRITINGS = (
+    "naive", "magic", "sup_magic", "classical_counting",
+    "encoded_counting", "extended_counting", "reduced_counting",
+)
+
+
+def _matrix():
+    for name, workload in sorted(WORKLOADS.items()):
+        for method in REWRITINGS:
+            if method in workload.applicable:
+                yield name, method
+
+
+class TestTracedRunIsTheUntracedRun:
+    """Tracing observes the evaluation, it must not be another one:
+    a traced pass runs the same delta-first variant as the untraced
+    pass, and reports its premises in the order the rule was written."""
+
+    @pytest.mark.parametrize("name,method", list(_matrix()))
+    def test_same_counters_and_written_order_premises(self, name, method):
+        workload = WORKLOADS[name]
+        program = prepare(method, workload.query).program
+        db, _source = workload.make_db()
+        plain = EvalStats()
+        SemiNaiveEngine(program, db, stats=plain).run()
+        traced = EvalStats()
+        trace = DerivationTrace()
+        engine = SemiNaiveEngine(program, db, stats=traced, trace=trace)
+        derived = engine.run()
+        assert traced.as_dict() == plain.as_dict()
+
+        facts = {(key, values) for key, values in program.facts()}
+        checked = 0
+        for key, relation in derived.items():
+            rules = [r for r in program.rules if r.head.key == key]
+            for row in relation:
+                derivation = trace.derivation_of(key, row)
+                if derivation is None:
+                    assert (key, row) in facts
+                    continue
+                assert any(
+                    rule.label == derivation.rule_label
+                    and self.rederives(rule, derivation.premises, row,
+                                       engine)
+                    for rule in rules
+                ), (key, row, derivation)
+                checked += 1
+        assert checked == len(trace) > 0
+
+    @staticmethod
+    def rederives(rule, premises, row, engine):
+        """True if ``premises`` are, atom by atom in written order,
+        facts of the run under which ``rule`` derives ``row``."""
+        atoms = rule.body_atoms()
+        if tuple(key for key, _v in premises) != tuple(
+            atom.key for atom in atoms
+        ):
+            return False
+        singles = {}
+        ordinal = 0
+        for index, lit in enumerate(rule.body):
+            if isinstance(lit, Atom):
+                key, values = premises[ordinal]
+                ordinal += 1
+                if values not in engine.relation(key):
+                    return False
+                singles[index] = Relation(key[0], key[1])
+                singles[index].add(values)
+
+        def resolver(index, atom):
+            single = singles.get(index)
+            return engine.relation(atom.key) if single is None else single
+
+        return row in set(evaluate_rule(rule, resolver))
