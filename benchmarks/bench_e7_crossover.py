@@ -8,10 +8,19 @@ same node: counting re-derives per path position, magic collapses them.
 Workload: layered same-generation DAGs with a tunable number of extra
 parents per node.  At 0 extra parents the up graph is a forest of
 chains; each increment multiplies the distinct source-to-node paths.
+Two variants, measured side by side:
 
-Shape asserted: the magic/counting work ratio decreases monotonically
-as duplication grows, starting comfortably above 1 (counting wins) and
-ending at no more than 0.6 of where it started — the crossover trend.
+* **skip-level** — an extra parent comes from *any* earlier layer, so a
+  node is reached by paths of different lengths.  This is the data
+  [4, 11] describe: one answer state per (value, node), and the
+  magic/counting work ratio decreases monotonically, from comfortably
+  above 1 to no more than 0.6 of where it started.
+* **layered** — extra parents come from the layer directly above, so
+  every node keeps one distance from the source.  The evaluator then
+  keys its states by that distance (Algorithm 3(i), the classical
+  index): ``answer_states`` stay put however many paths there are and
+  the ratio *grows* — duplication alone does not erode counting, paths
+  of different lengths do.
 """
 
 import json
@@ -34,35 +43,53 @@ METHODS = ["magic", "pointer_counting"]
 DUPLICATION = [0, 1, 2, 4]
 LEVELS = 5
 WIDTH = 6
+VARIANTS = {"layered": False, "skip-level": True}
 
 
-def make_db(extra_parents):
+def make_db(extra_parents, variant="layered"):
     db, source = duplication_dag_db(
-        LEVELS, WIDTH, extra_parents, seed=1234
+        LEVELS, WIDTH, extra_parents, seed=1234,
+        skip_levels=VARIANTS[variant],
     )
     return _rename_source(db, source, "a")
 
 
+def label_of(variant, extra):
+    return "%s extra_parents=%d" % (variant, extra)
+
+
 def sweep():
     collected = []
-    for extra in DUPLICATION:
-        collected.extend(
-            run_matrix(QUERY, make_db(extra), METHODS,
-                       label="extra_parents=%d" % extra)
-        )
+    for variant in VARIANTS:
+        for extra in DUPLICATION:
+            collected.extend(
+                run_matrix(QUERY, make_db(extra, variant), METHODS,
+                           label=label_of(variant, extra))
+            )
     return collected
 
 
 def magic_over_counting(rows):
+    return {
+        variant: [
+            work_of(rows, label_of(variant, extra), "magic")
+            / work_of(rows, label_of(variant, extra), "pointer_counting")
+            for extra in DUPLICATION
+        ]
+        for variant in VARIANTS
+    }
+
+
+def counting_extras(rows, variant, name):
     return [
-        work_of(rows, "extra_parents=%d" % extra, "magic")
-        / work_of(rows, "extra_parents=%d" % extra, "pointer_counting")
-        for extra in DUPLICATION
+        row.extras[name] for row in rows
+        if row.method == "pointer_counting"
+        and row.label.startswith(variant)
     ]
 
 
 def ratios_at_hash_seed_0(rows):
-    """The sweep's ratios under ``PYTHONHASHSEED=0``.
+    """The sweeps' ratios under ``PYTHONHASHSEED=0``.
 
     magic's counter moves with the string hash seed (ROADMAP item 1e),
     so the thresholds below are stated for the seed EXPERIMENTS.md and
@@ -91,9 +118,9 @@ def rows():
         matrix_table(
             collected,
             title="E7: counting advantage vs path duplication "
-                  "(layered DAG, %d levels x %d nodes)" % (LEVELS, WIDTH),
+                  "(DAG, %d levels x %d nodes)" % (LEVELS, WIDTH),
             extra_columns=("counting_triples", "answer_states",
-                           "magic_set_size"),
+                           "state_key", "magic_set_size"),
         ),
     )
     return collected
@@ -107,7 +134,7 @@ def test_e7_time(benchmark, method, extra, rows):
 
 def test_e7_counting_wins_without_duplication(rows, benchmark):
     def check():
-        label = "extra_parents=0"
+        label = label_of("layered", 0)
         assert work_of(rows, label, "pointer_counting") \
             < work_of(rows, label, "magic")
 
@@ -116,11 +143,29 @@ def test_e7_counting_wins_without_duplication(rows, benchmark):
 
 def test_e7_advantage_shrinks_with_duplication(rows, benchmark):
     def check():
-        ratios = ratios_at_hash_seed_0(rows)
+        ratios = ratios_at_hash_seed_0(rows)["skip-level"]
         assert all(
             later <= earlier * 1.05
             for earlier, later in zip(ratios, ratios[1:])
         ), ratios
         assert ratios[-1] <= 0.6 * ratios[0], ratios
+        # Paths of different lengths: states are keyed by node.
+        keys = counting_extras(rows, "skip-level", "state_key")
+        assert keys == ["distance", "node", "node", "node"], keys
+
+    assert_claims(benchmark, check)
+
+
+def test_e7_one_distance_per_node_keeps_the_advantage(rows, benchmark):
+    def check():
+        ratios = ratios_at_hash_seed_0(rows)["layered"]
+        assert all(
+            later >= earlier
+            for earlier, later in zip(ratios, ratios[1:])
+        ), ratios
+        assert set(counting_extras(rows, "layered", "state_key")) \
+            == {"distance"}
+        states = counting_extras(rows, "layered", "answer_states")
+        assert len(set(states)) == 1, states
 
     assert_claims(benchmark, check)

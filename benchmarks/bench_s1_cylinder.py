@@ -11,7 +11,10 @@ of join results.
 
 Shape asserted: pointer counting beats magic at every height; the
 counting table stays linear in the node count (one row per node, two
-triples per node) despite the exponential path count.
+triples per node) despite the exponential path count; and the pointer
+evaluator, finding one distance per node on its table, keys its answer
+states by that distance — as many states as the classical method has
+(node, distance) answers' worth, and no more work than it.
 """
 
 import pytest
@@ -63,7 +66,8 @@ def rows():
             title="S1: Bancilhon-Ramakrishnan cylinder (width %d) — "
                   "exponential paths, uniform distances" % WIDTH,
             extra_columns=("counting_set_size", "counting_rows",
-                           "counting_triples"),
+                           "counting_triples", "answer_states",
+                           "state_key"),
         ),
     )
     return collected
@@ -96,5 +100,20 @@ def test_s1_counting_table_linear_despite_paths(rows, benchmark):
             # per node (all paths to a node have equal length).
             classical = extras_of(rows, label, "classical_counting")
             assert classical["counting_set_size"] <= nodes + WIDTH
+
+    assert_claims(benchmark, check)
+
+
+def test_s1_pointer_takes_the_classical_key(rows, benchmark):
+    def check():
+        for height in HEIGHTS:
+            label = "h=%d" % height
+            extras = extras_of(rows, label, "pointer_counting")
+            assert extras["state_key"] == "distance"
+            # One state per (answer value, distance): WIDTH values on
+            # each of the height levels it unwinds through.
+            assert extras["answer_states"] <= WIDTH * (height + 1)
+            assert work_of(rows, label, "pointer_counting") \
+                <= work_of(rows, label, "classical_counting"), label
 
     assert_claims(benchmark, check)

@@ -217,7 +217,7 @@ def sg_cyclic_db(cycle_length, down_length, up="up", flat="flat",
 
 
 def duplication_dag_db(levels, width, extra_parents, seed, up="up",
-                       flat="flat", down="down"):
+                       flat="flat", down="down", skip_levels=False):
     """A same-generation database with tunable path duplication.
 
     The ``up`` graph is a layered DAG: every node of layer ``i+1`` has
@@ -225,6 +225,11 @@ def duplication_dag_db(levels, width, extra_parents, seed, up="up",
     parents in layer ``i``.  Higher ``extra_parents`` means more
     distinct source-to-node paths, which is the regime where the
     counting method loses its edge over magic sets [4, 11].
+
+    With ``skip_levels`` an extra parent is drawn from *any* layer
+    ``<= i``, so a node is reached by paths of different lengths and
+    has no single distance from the source — the data on which the
+    counting evaluators must key their answer states by node.
 
     Returns ``(db, source)``.
     """
@@ -237,11 +242,13 @@ def duplication_dag_db(levels, width, extra_parents, seed, up="up",
     for side, pred, flip in (("u", up, False), ("d", down, True)):
         for level in range(levels):
             for j in range(width):
-                parents = {j}
+                parents = {(level, j)}
                 for _ in range(extra_parents):
-                    parents.add(rng.randrange(width))
-                for parent in parents:
-                    a = name(side, level, parent)
+                    above = rng.randrange(level + 1) if skip_levels \
+                        else level
+                    parents.add((above, rng.randrange(width)))
+                for above, parent in parents:
+                    a = name(side, above, parent)
                     b = name(side, level + 1, j)
                     if flip:
                         db.add_fact(pred, b, a)

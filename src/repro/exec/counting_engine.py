@@ -19,20 +19,30 @@ Data model
   arc entering the node, ahead and back arcs alike.  The source row
   carries the sentinel triple ``(None, (), None)``.
 * The answer phase derives *states* ``(predicate key, answer values,
-  row id)``: the predicate instance holds at ``(row.values, answer
-  values)``.  Exit rules seed states; each modified-rule step consumes
-  one in-triple of the state's row, applies the source rule's right
-  part and moves to the predecessor row.  A state whose row is the
-  source row yields an answer.
+  key)``: the predicate instance holds at ``(row.values, answer
+  values)`` for a row with that key.  Exit rules seed states; each
+  modified-rule step consumes one in-triple of such a row, applies the
+  source rule's right part and moves to the predecessor's key.  A state
+  with the source row's key and the goal predicate yields an answer.
+* The key is the coarsest one that is sound — a quotient of the table
+  (``key_of[row id]``, ``steps[key]``) handed to one loop.  ``"node"``,
+  the row id, whenever a right part reads something phase 1 produced;
+  ``"distance"`` (Algorithm 3(i), the classical index) for one
+  arc-producing rule over a table giving each row one distance from
+  the source; ``"none"`` (Fact 1) when every arc-producing rule is
+  right-linear shaped.  DESIGN.md §7 has the soundness arguments.
 
-The state space is finite — at most ``|answers| × |rows|`` states — for
-*any* database, cyclic or not, which is the effective content of
-Theorem 2(3).  On acyclic data the table coincides with the §3.4
-pointer implementation; the back-arc triples are exactly the extra
-information Algorithm 2 adds.
+The state space is finite — at most ``|values| × |keys|`` states, i.e.
+``× |rows|`` under the node key, ``× |depths|`` under the distance key
+and ``× 1`` under none — for *any* database, cyclic or not, which is the
+effective content of Theorem 2(3).  On acyclic data the table coincides
+with the §3.4 pointer implementation; the back-arc triples are exactly
+the extra information Algorithm 2 adds.
 """
 
 from array import array
+from collections import deque
+from itertools import chain
 
 from ..engine import faults
 from ..engine.compile import bound_query
@@ -138,7 +148,7 @@ class CountingTable:
 
     __slots__ = ("rows", "index", "source_id", "back_arc_count",
                  "ahead_arc_count", "t_label", "t_shared", "t_prev",
-                 "t_row")
+                 "t_row", "_depths")
 
     def __init__(self):
         self.rows = []
@@ -152,6 +162,7 @@ class CountingTable:
         self.t_shared = []
         self.t_prev = array("q")
         self.t_row = array("q")
+        self._depths = None
 
     def row_for(self, pred, values):
         key = (pred, values)
@@ -172,6 +183,32 @@ class CountingTable:
 
     def is_acyclic(self):
         return self.back_arc_count == 0
+
+    def depths(self):
+        """``depth[row id]`` if every row has one distance from the
+        source — no back arc and ``depth[row] == depth[prev] + 1`` on
+        every in-triple — else ``None``.
+
+        One pass over ``t_row`` / ``t_prev`` of the finished table (a
+        row's tree arc is its first triple and follows its
+        predecessor's), no database read; memoized, so a table served
+        from a :class:`~repro.exec.cache.CountingTableStore` keeps it.
+        """
+        if self._depths is None:
+            depth = array("q", [-1]) * len(self.rows)
+            depth[self.source_id] = 0
+            uniform = self.back_arc_count == 0
+            for row_id, prev_id in zip(self.t_row, self.t_prev):
+                if prev_id == _NO_PREV:
+                    continue
+                below = depth[prev_id] + 1
+                if depth[row_id] < 0 < below:
+                    depth[row_id] = below
+                elif not depth[row_id] == below > 0:
+                    uniform = False
+                    break
+            self._depths = depth if uniform else False
+        return self._depths or None
 
     def render(self):
         """The paper's notation for counting sets, e.g.
@@ -276,16 +313,18 @@ class CountingEngine:
         self.successor_resolver = None
         self.table = None
         self._answers = None
-        self._parents = {}
+        #: ``state -> (label, parent)``, recorded by :meth:`answer_path`.
+        self._parents = None
+        self._seeds = ()
         self._state_count = 0
+        #: The state key of the last answer phase: ``"node"``,
+        #: ``"distance"`` or ``"none"``.
+        self.state_key = None
         #: Largest pending-frontier size seen (memory high-water mark).
         self.max_frontier = 0
-        # Per-site caches resolving rule -> (rule, bound runner) without
-        # rebuilding the positional in-name tuples on every state (the
-        # answer phase visits |answers| x |rows| states; the queries
-        # themselves are shared through ``self._queries``).
+        # Per-site caches resolving rule -> (rule, bound runner); the
+        # queries themselves are shared through ``self._queries``.
         self._unwind_entries = {}
-        self._left_linear_entries = {}
         self._exit_entries = {}
 
     # -- phase 1: counting set ---------------------------------------
@@ -426,41 +465,17 @@ class CountingEngine:
             self._exit_entries[pred] = entries
         return entries
 
-    def _exit_states(self):
+    def _exit_states(self, stats):
         """Seed states from the exit rules at every counting node."""
         for row in self.table.rows:
             for exit_rule, query in self._exit_queries(row.pred):
-                self.stats.rule_firings += 1
-                for values in query(row.values, self.stats):
+                stats.rule_firings += 1
+                for values in query(row.values, stats):
                     yield (row.pred, values, row.id), exit_rule.label
 
-    def _apply_left_linear(self, state):
-        """Apply left-linear rules in place (no triple is consumed).
-
-        A left-linear rule has an empty left part and carries the bound
-        arguments through unchanged, so it transforms the answer values
-        while staying at the same counting row.
-        """
-        pred, values, row_id = state
-        row = self.table.rows[row_id]
-        entries = self._left_linear_entries.get(pred)
-        if entries is None:
-            entries = tuple(
-                (rule,
-                 self._query("right", rule, rule.right,
-                             rule.rec_free_vars + rule.bound_vars,
-                             rule.free_vars))
-                for rule in self.canonical.recursive_rules
-                if rule.is_left_linear_shape() and rule.head_key == pred
-            )
-            self._left_linear_entries[pred] = entries
-        for rule, query in entries:
-            self.stats.rule_firings += 1
-            for out in query(values + row.values, self.stats):
-                yield (rule.head_key, out, row_id), rule.label
-
-    def _unwind_entry(self, label):
-        """Cached ``(rule, query)`` for one modified-rule pop step."""
+    def unwind_entry(self, label):
+        """Cached ``(rule, query)`` for one modified-rule pop step; the
+        query takes ``Y1 + C_r + X + X1`` values and yields ``Y``."""
         entry = self._unwind_entries.get(label)
         if entry is None:
             rule = self.rules_by_label[label]
@@ -476,82 +491,132 @@ class CountingEngine:
             self._unwind_entries[label] = entry
         return entry
 
-    def _unwind(self, state):
-        """Apply one pop step: consume a triple of the state's row.
+    def _quotient(self, name):
+        """``(key_of, steps)``: the counting table as the loop sees it.
 
-        Reads the table's flat triple arrays through the row's
-        ordinals — no per-triple tuple is materialized on this path.
+        ``key_of[row id]`` is the third component of a state at that
+        row and ``steps[key]`` the distinct ``(rule, query, arguments,
+        target key)`` steps out of a key: one per in-triple (the pop
+        step; none under ``"none"``, where it is the identity), then
+        one per left-linear rule, which stays at its key.  A key that
+        merges rows keeps one step per rule — its right part reads
+        nothing that tells the rows apart (``_state_key``).
         """
-        pred, values, row_id = state
         table = self.table
         rows = table.rows
-        row = rows[row_id]
-        labels = table.t_label
-        shareds = table.t_shared
-        prevs = table.t_prev
-        stats = self.stats
-        for ordinal in row.triples.ordinals:
-            label = labels[ordinal]
-            if label is None:
-                continue
-            rule, query = self._unwind_entry(label)
-            if rule.rec_key != pred:
-                continue
-            prev_id = prevs[ordinal]
-            stats.rule_firings += 1
-            for out in query(
-                values + shareds[ordinal] + rows[prev_id].values
-                + row.values,
-                stats,
-            ):
-                yield (rule.head_key, out, prev_id), rule.label
+        if name == "node":
+            key_of = range(len(rows))
+        elif name == "distance":
+            key_of = table.depths()
+        else:
+            key_of = [table.source_id] * len(rows)
+        steps = {}
+        merged = None if name == "node" else set()
 
-    def compute_answers(self):
+        def add(row_id, entry, arguments, target):
+            key = key_of[row_id]
+            if merged is not None:
+                if (key, entry[0]) in merged:
+                    return
+                merged.add((key, entry[0]))
+            steps.setdefault(key, []).append(entry + (arguments, target))
+
+        if name != "none":
+            for ordinal, label in enumerate(table.t_label):
+                if label is not None:
+                    row_id = table.t_row[ordinal]
+                    prev_id = table.t_prev[ordinal]
+                    add(row_id, self.unwind_entry(label),
+                        table.t_shared[ordinal] + rows[prev_id].values
+                        + rows[row_id].values, key_of[prev_id])
+        in_place = [
+            (rule, self._query("right", rule, rule.right,
+                               rule.rec_free_vars + rule.bound_vars,
+                               rule.free_vars))
+            for rule in self.canonical.recursive_rules
+            if rule.is_left_linear_shape()
+        ]
+        for row in rows if in_place else ():
+            for entry in in_place:
+                if entry[0].head_key == row.pred:
+                    add(row.id, entry, row.values, key_of[row.id])
+        return key_of, steps
+
+    def _answer_loop(self, name, seeds, stats, budget=None, parents=None):
+        """The answer phase under quotient ``name``; returns ``(answers,
+        state count, largest frontier)``.
+
+        ``seeds`` are extra ``((pred, values, row id), label)`` states
+        beside the exit rules'.  Seeds are not ``facts_derived``; a
+        repeated seed is one ``facts_duplicate``; every later new state
+        is one ``facts_derived``.  ``parents``, when given, receives
+        ``state -> (label, parent state)``.
+        """
+        key_of, steps = self._quotient(name)
+        goal_key = self.goal_key
+        source_key = key_of[self.table.source_id]
+        seen = set()
+        answers = set()
+        pending = deque()
+        take = pending.pop if self.answer_order == "dfs" else pending.popleft
+        for (pred, values, row_id), label in chain(
+                self._exit_states(stats), seeds):
+            state = (pred, values, key_of[row_id])
+            if state in seen:
+                stats.facts_duplicate += 1
+                continue
+            seen.add(state)
+            pending.append(state)
+            if parents is not None:
+                parents[state] = (label, None)
+        frontier = len(pending)
+        while pending:
+            if budget is not None:
+                budget.check(stats)
+            faults.fire("unwind", stats)
+            stats.iterations += 1
+            state = take()
+            pred, values, key = state
+            if key == source_key and pred == goal_key:
+                answers.add(values)
+            for rule, query, arguments, target in steps.get(key, ()):
+                if rule.rec_key != pred:
+                    continue
+                stats.rule_firings += 1
+                for out in query(values + arguments, stats):
+                    new_state = (rule.head_key, out, target)
+                    if new_state in seen:
+                        stats.facts_duplicate += 1
+                        continue
+                    seen.add(new_state)
+                    stats.facts_derived += 1
+                    pending.append(new_state)
+                    if parents is not None:
+                        parents[new_state] = (rule.label, state)
+            frontier = max(frontier, len(pending))
+        return frozenset(answers), len(seen), frontier
+
+    def compute_answers(self, seeds=()):
         """Run the answer phase; returns the set of answer tuples.
 
         Answers are projections onto the goal's free arguments: states
-        that reach the source row with the goal predicate.
+        that reach the source's key with the goal predicate.  The key is
+        the coarsest one the rules allow (``canonical.state_key``);
+        ``"distance"`` falls back to ``"node"`` unless the table gives
+        every row one distance from the source.  ``seeds`` adds states
+        to the exit rules' (the magic-counting boundary).
         """
-        from collections import deque
-
         if self.table is None:
             self.build_counting_set()
-        parents = {}
-        answers = set()
-        pending = deque()
-        for state, label in self._exit_states():
-            if state not in parents:
-                parents[state] = (label, None)
-                pending.append(state)
-            else:
-                self.stats.facts_duplicate += 1
-        self.max_frontier = len(pending)
-        while pending:
-            if self.budget is not None:
-                self.budget.check(self.stats)
-            faults.fire("unwind", self.stats)
-            self.stats.iterations += 1
-            if self.answer_order == "dfs":
-                state = pending.pop()
-            else:
-                state = pending.popleft()
-            if (
-                state[2] == self.table.source_id
-                and state[0] == self.goal_key
-            ):
-                answers.add(state[1])
-            for producer in (self._unwind, self._apply_left_linear):
-                for new_state, label in producer(state):
-                    if new_state in parents:
-                        self.stats.facts_duplicate += 1
-                        continue
-                    parents[new_state] = (label, state)
-                    self.stats.facts_derived += 1
-                    pending.append(new_state)
-            self.max_frontier = max(self.max_frontier, len(pending))
-        self._answers = frozenset(answers)
-        self._parents = parents
-        self._state_count = len(parents)
+        name = self.canonical.state_key
+        if name == "distance" and self.table.depths() is None:
+            name = "node"
+        self.state_key = name
+        self._seeds = list(seeds)
+        self._parents = None
+        self._answers, self._state_count, self.max_frontier = (
+            self._answer_loop(name, self._seeds, self.stats, self.budget)
+        )
         return self._answers
 
     def answer_path(self, answer_values):
@@ -562,10 +627,16 @@ class CountingEngine:
         the counting prefix.  The first entry is the exit-rule firing.
         Raises :class:`EvaluationError` if :meth:`compute_answers` has
         not run yet, and :class:`KeyError` for values that are not
-        answers.
+        answers.  The first call re-runs the answer loop node-keyed
+        against scratch statistics to record each state's parent (a
+        run keeps none); later calls walk the recorded map.
         """
         if self._answers is None:
             raise EvaluationError("answer phase has not run")
+        if self._parents is None:
+            self._parents = {}
+            self._answer_loop("node", self._seeds, EvalStats(),
+                              parents=self._parents)
         state = (self.goal_key, tuple(answer_values),
                  self.table.source_id)
         if state not in self._parents:

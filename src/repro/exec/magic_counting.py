@@ -30,7 +30,6 @@ examples and on random cyclic data).
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable
-from ..engine import faults
 from ..engine.instrumentation import EvalStats
 from ..engine.relation import WILDCARD
 from ..engine.seminaive import SemiNaiveEngine
@@ -107,7 +106,6 @@ class MagicCountingEngine:
         self.table = None
         self.recurring = frozenset()
         self.magic_relations = None
-        self._state_count = 0
 
     # -- structure ---------------------------------------------------
 
@@ -242,41 +240,12 @@ class MagicCountingEngine:
                 (label, shared, table.row_for(*arc.source).id)
             )
             table.ahead_arc_count += 1
-        self.table = table
-        self._pointer.table = table
-
-        seen = set()
-        frontier = []
-
-        def push(state):
-            if state in seen:
-                self.stats.facts_duplicate += 1
-                return
-            seen.add(state)
-            self.stats.facts_derived += 1
-            frontier.append(state)
-
-        for state, _label in self._pointer._exit_states():
-            push(state)
-        for state, _label in self._boundary_states(boundary_arcs, table):
-            push(state)
-
-        answers = set()
-        index = 0
-        while index < len(frontier):
-            if self.budget is not None:
-                self.budget.check(self.stats)
-            faults.fire("unwind", self.stats)
-            state = frontier[index]
-            index += 1
-            if state[2] == table.source_id and state[0] == self.goal_key:
-                answers.add(state[1])
-            for producer in (self._pointer._unwind,
-                             self._pointer._apply_left_linear):
-                for new_state, _label in producer(state):
-                    push(new_state)
-        self._state_count = len(seen)
-        return frozenset(answers)
+        self.table = self._pointer.table = table
+        # One answer loop for all three evaluators: the boundary states
+        # join the exit rules' as seeds.
+        return self._pointer.compute_answers(
+            self._boundary_states(boundary_arcs, table)
+        )
 
     def _free_arity(self, key):
         for rule in self.canonical.exit_rules:
@@ -292,10 +261,8 @@ class MagicCountingEngine:
     def _boundary_states(self, boundary_arcs, table):
         """Virtual exits: magic answers at boundary nodes, pulled one
         right-part application back into the acyclic part."""
-        rules_by_label = self._pointer.rules_by_label
         for arc in boundary_arcs:
             label, shared = arc.label
-            rule = rules_by_label[label]
             pred, target_values = arc.target
             answer_key = (
                 ANSWER_PART_PREFIX + pred[0],
@@ -310,16 +277,9 @@ class MagicCountingEngine:
             pattern = tuple(target_values) + (WILDCARD,) * (
                 relation.arity - width
             )
-            # Reuse the pointer engine's compiled unwind query (bound
-            # to its resolver, which is this engine's too) — the
-            # binding order (rec_free, shared, bound, rec_bound) is
-            # identical to the triple-consuming pop step.
-            query = self._pointer._query(
-                "unwind", rule, rule.right,
-                rule.rec_free_vars + rule.shared_vars + rule.bound_vars
-                + rule.rec_bound_vars,
-                rule.free_vars,
-            )
+            # The pointer engine's pop step for this rule (bound to its
+            # resolver, which is this engine's too).
+            rule, query = self._pointer.unwind_entry(label)
             for row in relation.match(pattern, self.stats):
                 self.stats.tuples_scanned += 1
                 y1_values = row[width:]
@@ -332,4 +292,9 @@ class MagicCountingEngine:
 
     @property
     def state_count(self):
-        return self._state_count
+        return self._pointer.state_count
+
+    @property
+    def state_key(self):
+        """The answer loop's state key; ``None`` if it did not run."""
+        return self._pointer.state_key

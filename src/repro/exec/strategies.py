@@ -476,6 +476,7 @@ class _CountingForm(_Form):
                     0 if engine.table is None else len(engine.table)
                 ),
                 "answer_states": engine.state_count,
+                "state_key": engine.state_key,
             }
         engine = CountingEngine(
             self.canonical, self.goal_key, source, get_relation,
@@ -490,6 +491,7 @@ class _CountingForm(_Form):
             "counting_rows": len(engine.table),
             "counting_triples": engine.table.triple_count,
             "answer_states": engine.state_count,
+            "state_key": engine.state_key,
             "max_frontier": engine.max_frontier,
         }
         if self.method == "cyclic_counting":

@@ -119,7 +119,8 @@ class CanonicalRecursiveRule:
 class CanonicalClique:
     """A recursive clique in canonical form, ready for rewriting."""
 
-    __slots__ = ("clique", "exit_rules", "recursive_rules", "adornments")
+    __slots__ = ("clique", "exit_rules", "recursive_rules", "adornments",
+                 "state_key")
 
     def __init__(self, clique, exit_rules, recursive_rules, adornments):
         self.clique = clique
@@ -127,6 +128,9 @@ class CanonicalClique:
         self.recursive_rules = tuple(recursive_rules)
         #: Mapping predicate key -> adornment string.
         self.adornments = dict(adornments)
+        #: The coarsest answer-state key the rules allow (the dedicated
+        #: evaluators confirm ``"distance"`` on the counting table).
+        self.state_key = _state_key(self.recursive_rules)
 
     def predicates(self):
         return self.clique.predicates
@@ -136,6 +140,29 @@ class CanonicalClique:
             tuple(r for r in self.exit_rules if r.head_key == key),
             tuple(r for r in self.recursive_rules if r.head_key == key),
         )
+
+
+def _state_key(rules):
+    """What a pop step can tell two counting rows apart by.
+
+    ``"node"``: some right part reads a value the left part or the
+    bound head arguments produced (``C_r`` / ``D_r`` non-empty), so a
+    state must remember its row.  Otherwise the right parts read the
+    answer values alone and rows only differ in *which steps remain*:
+    ``"none"`` when every arc-producing rule is right-linear shaped —
+    the pop step is the identity and every row unwinds to the source
+    (Fact 1); ``"distance"`` when exactly one rule produces arcs — the
+    remaining steps are that rule's right part once per level
+    (Algorithm 3(i), the classical index), provided each row has one
+    distance from the source; several arc rules leave the sequence of
+    labels on the path, which only the row knows.
+    """
+    if any(rule.shared_vars or rule.bound_in_right for rule in rules):
+        return "node"
+    arc_rules = [rule for rule in rules if not rule.is_left_linear_shape()]
+    if all(rule.is_right_linear_shape() for rule in arc_rules):
+        return "none"
+    return "distance" if len(arc_rules) == 1 else "node"
 
 
 def _fresh_names(taken, base, count):

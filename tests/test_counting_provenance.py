@@ -92,3 +92,79 @@ class TestAnswerPath:
         engine = make_engine(sg_query, sg_db, answer_order="dfs")
         engine.run()
         assert len(engine.answer_path(("e1",))) == 3
+
+
+class TestAnswerPathUnderCoarseKeys:
+    """A run keyed by distance or by nothing keeps no parents;
+    ``answer_path`` records them on demand, node values included."""
+
+    def run_workload(self, name, **sizes):
+        from repro.data import WORKLOADS
+
+        workload = WORKLOADS[name]
+        db, _source = workload.make_db(**sizes)
+        engine = make_engine(workload.query, db)
+        answers = engine.run()
+        return engine, db, answers
+
+    def test_distance_keyed_path_replays_through_the_rules(self):
+        engine, db, answers = self.run_workload("sg_cylinder",
+                                                width=3, height=4)
+        assert engine.state_key == "distance"
+        up, flat, down = (db.get((n, 2)) for n in ("up", "flat", "down"))
+        assert len(answers) == 3
+        for answer in answers:
+            steps = engine.answer_path(answer)
+            label, node, values = steps[0]
+            assert node + values in flat
+            for (_l, below, was), (label, node, now) in zip(steps,
+                                                           steps[1:]):
+                assert label == "r1"
+                assert node + below in up and was + now in down
+            assert steps[-1][1:] == (("a",), answer)
+
+    def test_unkeyed_path_replays_through_the_rules(self):
+        engine, db, answers = self.run_workload("mixed_linear",
+                                                up_depth=5, down_depth=4)
+        assert engine.state_key == "none"
+        up, flat, down = (db.get((n, 2)) for n in ("up", "flat", "down"))
+        assert len(answers) == 5
+        for answer in answers:
+            steps = engine.answer_path(answer)
+            label, node, values = steps[0]
+            assert node + values in flat
+            for (_l, below, was), (label, node, now) in zip(steps,
+                                                           steps[1:]):
+                if node == below:       # left-linear: stays at its row
+                    assert was + now in down
+                else:                   # right-linear: values pass
+                    assert node + below in up and was == now
+            assert steps[-1][1:] == (("a",), answer)
+
+    def test_recording_charges_nothing_to_the_run(self):
+        engine, _db, answers = self.run_workload("sg_cylinder",
+                                                 width=3, height=4)
+        before = engine.stats.as_dict()
+        states, frontier = engine.state_count, engine.max_frontier
+        for answer in answers:
+            engine.answer_path(answer)
+        assert engine.stats.as_dict() == before
+        assert (engine.state_count, engine.max_frontier) \
+            == (states, frontier)
+        assert engine.state_key == "distance"
+
+    def test_guards_survive(self):
+        from repro.data import WORKLOADS
+        from repro.errors import EvaluationError
+
+        workload = WORKLOADS["right_linear"]
+        db, _source = workload.make_db(depth=4)
+        engine = make_engine(workload.query, db)
+        engine.build_counting_set()
+        with pytest.raises(EvaluationError, match="has not run"):
+            engine.answer_path(("y0",))
+        engine.compute_answers()
+        assert engine.state_key == "none"
+        assert engine.answer_path(("y4",))[-1] == ("r1", ("a",), ("y4",))
+        with pytest.raises(KeyError):
+            engine.answer_path(("nope",))

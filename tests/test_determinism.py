@@ -113,21 +113,64 @@ for name in ("sg_tree", "mixed_linear", "shared_vars", "sg_cyclic"):
 print(json.dumps(out, sort_keys=True))
 """ % (SEED_EXACT,)
 
+DEDICATED = ("pointer_counting", "cyclic_counting", "magic_counting")
+
+#: The three answer-state keys: distance (cylinder, layered DAG) and
+#: none (right-linear); set order must reach none of their counters.
+_STATE_KEY_SCRIPT = """
+import json
+from repro.data import WORKLOADS
+from repro.data.generators import duplication_dag_db
+from repro.data.workloads import _rename_source
+from repro.exec.strategies import run_strategy
+
+dag, source = duplication_dag_db(6, 6, 1, seed=1992)
+cases = {
+    "sg_cylinder": WORKLOADS["sg_cylinder"].make_db()[0],
+    "dup_dag": _rename_source(dag, source, "a"),
+    "right_linear": WORKLOADS["right_linear"].make_db()[0],
+}
+out = {}
+for name, db in cases.items():
+    query = WORKLOADS.get(name, WORKLOADS["sg_tree"]).query
+    for method in %r:
+        result = run_strategy(method, query, db)
+        out[name + "/" + method] = [
+            result.stats.as_dict(), result.extras["state_key"],
+            result.extras["answer_states"],
+        ]
+print(json.dumps(out, sort_keys=True))
+""" % (DEDICATED,)
+
+
+def _under_hash_seeds(script):
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs.append(json.loads(completed.stdout))
+    return outputs
+
 
 class TestHashSeedIndependence:
     def test_rewriting_counters_do_not_depend_on_the_hash_seed(self):
         """No delta pass of these methods reads its own head, so each
         is drained in one batch: nothing the string hash seed orders
         (set iteration inside a full scan) reaches a counter."""
-        outputs = []
-        for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            completed = subprocess.run(
-                [sys.executable, "-c", _COUNTERS_SCRIPT], env=env,
-                capture_output=True, text=True, timeout=120,
-            )
-            assert completed.returncode == 0, completed.stderr
-            outputs.append(json.loads(completed.stdout))
+        outputs = _under_hash_seeds(_COUNTERS_SCRIPT)
         assert len(outputs[0]) >= 12
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_dedicated_counters_do_not_depend_on_the_hash_seed(self):
+        """Whatever key the answer states carry: the quotient is built
+        from the table's arrays in ordinal order, never from a set."""
+        outputs = _under_hash_seeds(_STATE_KEY_SCRIPT)
+        assert len(outputs[0]) == 9
+        keys = {entry[1] for entry in outputs[0].values()}
+        assert keys == {"distance", "none"}
         assert outputs[0] == outputs[1] == outputs[2]

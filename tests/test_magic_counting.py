@@ -11,6 +11,7 @@ from repro.exec.strategies import (
     run_magic,
     run_magic_counting,
     run_naive,
+    run_strategy,
 )
 from repro.graph import Arc, adjacency_successors, classify_arcs
 
@@ -131,3 +132,40 @@ class TestHybridRandom:
         hybrid = run_magic_counting(sg_query, db)
         naive = run_naive(sg_query, db)
         assert hybrid.answers == naive.answers
+
+
+class TestSharedAnswerLoop:
+    """The hybrid runs the pointer evaluator's answer loop, and with it
+    one accounting: a seed state is not a derivation."""
+
+    @pytest.mark.parametrize("name", ["sg_tree", "multi_rule", "mutual",
+                                      "mixed_linear", "sg_cylinder"])
+    def test_acyclic_data_is_charged_like_the_pointer_method(self, name):
+        from repro.data import WORKLOADS
+
+        workload = WORKLOADS[name]
+        db, _source = workload.make_db()
+        pointer = run_strategy("pointer_counting", workload.query, db)
+        hybrid = run_strategy("magic_counting", workload.query, db)
+        assert hybrid.answers == pointer.answers
+        for extra in ("state_key", "answer_states", "counting_rows"):
+            assert hybrid.extras[extra] == pointer.extras[extra]
+        # Phase 1 differs (the hybrid does not charge the arcs it
+        # classifies); the answer phase is the same loop.
+        arcs = pointer.extras["counting_triples"] - 1
+        assert hybrid.stats.facts_derived \
+            == pointer.stats.facts_derived - arcs
+        for counter in ("facts_duplicate", "tuples_scanned",
+                        "rule_firings", "iterations"):
+            assert getattr(hybrid.stats, counter) \
+                == getattr(pointer.stats, counter), counter
+
+    def test_no_private_loop_left(self):
+        import inspect
+
+        from repro.exec.magic_counting import MagicCountingEngine
+
+        source = inspect.getsource(MagicCountingEngine)
+        for name in ("_unwind", "_exit_states", "_apply_left_linear",
+                     "while "):
+            assert name not in source, name
