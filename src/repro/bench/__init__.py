@@ -4,12 +4,6 @@ from .export import rows_to_records, write_csv, write_json
 from .harness import BenchRow, matrix_table, run_matrix, summarize, sweep
 from .reporting import format_table, speedup
 
-# NOTE: ``.smoke`` is deliberately not imported here — it is an
-# executable module (``python -m repro.bench.smoke``) and importing it
-# from the package __init__ triggers a double-import RuntimeWarning
-# under ``runpy``.  Import it explicitly: ``from repro.bench.smoke
-# import run_smoke, write_smoke``.
-
 __all__ = [
     "BenchRow",
     "format_table",

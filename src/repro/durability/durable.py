@@ -227,8 +227,8 @@ class DurableDatabase(Database):
     @property
     def wal_stats(self):
         """A copy of the log's cost counters (appends, bytes, fsyncs,
-        append_seconds) — what the S5 benchmark and the smoke probe
-        report as the price of durability."""
+        append_seconds) — what the S5 benchmark and the end-to-end
+        benchmark report as the price of durability."""
         return dict(self._wal.stats)
 
     def flush(self):

@@ -156,12 +156,13 @@ class AnswerCache:
 
     def __repr__(self):
         with self._lock:
-            return "AnswerCache(%d/%d entries, %d hits, %d misses)" % (
-                len(self._entries), self.capacity, self.hits, self.misses
+            return "%s(%d/%d entries, %d hits, %d misses)" % (
+                type(self).__name__, len(self._entries), self.capacity,
+                self.hits, self.misses,
             )
 
 
-class CountingTableStore:
+class CountingTableStore(AnswerCache):
     """Bounded LRU store for counting sets, validated by epoch snapshot.
 
     Keys identify a source node of a specific query form; the stored
@@ -169,102 +170,19 @@ class CountingTableStore:
     built from that node plus the epoch snapshot of the base relations
     the DFS read.  A lookup under a different snapshot drops the entry:
     the left graph may have gained arcs, so the table cannot be
-    trusted, only rebuilt.
+    trusted, only rebuilt.  It is the answer cache with that epoch
+    check as the ``valid`` predicate — the same LRU, lock, stall
+    checkpoint, counters and :meth:`stats`.
     """
 
-    __slots__ = ("capacity", "_entries", "_lock", "lookups", "hits",
-                 "misses", "evictions", "invalidations")
+    __slots__ = ()
 
     def __init__(self, capacity=64):
-        if capacity < 1:
-            raise ValueError("store capacity must be >= 1, got %r"
-                             % (capacity,))
-        self.capacity = capacity
-        self._entries = OrderedDict()
-        self._lock = threading.RLock()
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        super().__init__(capacity)
 
     def get(self, key, epochs):
-        with self._lock:
-            _stall("cache")
-            self.lookups += 1
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            stored_epochs, table = entry
-            if stored_epochs != epochs:
-                del self._entries[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return table
+        entry = super().get(key, valid=lambda entry: entry[0] == epochs)
+        return None if entry is None else entry[1]
 
     def put(self, key, epochs, table):
-        with self._lock:
-            _stall("cache")
-            entries = self._entries
-            if key in entries:
-                entries[key] = (epochs, table)
-                entries.move_to_end(key)
-                return
-            entries[key] = (epochs, table)
-            if len(entries) > self.capacity:
-                entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    def assert_consistent(self):
-        """Counter/size invariants under contention; raises AssertionError."""
-        with self._lock:
-            assert self.hits + self.misses == self.lookups, (
-                "store counters diverged: %d hits + %d misses != %d "
-                "lookups" % (self.hits, self.misses, self.lookups)
-            )
-            assert len(self._entries) <= self.capacity, (
-                "store overflow: %d entries > capacity %d"
-                % (len(self._entries), self.capacity)
-            )
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_rate(self):
-        """Fraction of lookups served from the store (0.0 when unused)."""
-        with self._lock:
-            total = self.hits + self.misses
-            return 0.0 if total == 0 else self.hits / total
-
-    def stats(self):
-        """One consistent snapshot of every counter, taken atomically."""
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "lookups": self.lookups,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "hit_rate": 0.0 if total == 0 else self.hits / total,
-            }
-
-    def __repr__(self):
-        with self._lock:
-            return (
-                "CountingTableStore(%d/%d tables, %d hits, %d misses)"
-                % (len(self._entries), self.capacity, self.hits,
-                   self.misses)
-            )
+        super().put(key, (epochs, table))

@@ -1,41 +1,41 @@
-"""Graceful strategy degradation: the resilient fallback runner.
+"""Graceful strategy degradation: the one attempt loop.
 
 The optimizer picks the *strongest* applicable method, but strategy
 selection is fallible: applicability checks are static approximations,
 cyclic data makes counting methods diverge, and a production deployment
 additionally imposes resource limits no static check can anticipate.
-:func:`run_resilient` treats a strategy as an *attempt*: it walks a
+Theorems 1–3 make every strategy an equivalent rewriting, so a request
+may switch strategy when one fails.  :func:`run_resilient` walks a
 preferred chain (by default ``pointer_counting → extended_counting →
-magic_counting → sup_magic → naive``), catches the typed failure of
-each stage — :class:`~repro.errors.NotApplicableError`,
-:class:`~repro.errors.CountingDivergenceError`, the
-:class:`~repro.errors.BudgetExceededError` family and engine-level
-:class:`~repro.errors.EvaluationError`\\ s — and degrades to the next
-stage.  Degradation is observable, never silent: the returned
-:class:`ExecutionReport` records every attempt with its failure class,
-elapsed time and partial stats.
+magic_counting → sup_magic → naive``), one *attempt* per stage, and
+:data:`OUTCOMES` decides every failed attempt; the serving layer calls
+it once per queued request.  The returned :class:`ExecutionReport`
+records every attempt, retries and skips included, with its failure
+class, elapsed time and partial stats.
 
-Isolation: with ``isolate=True`` (the default) every attempt runs
-against a fresh :meth:`Database.copy` snapshot, so a strategy that dies
-mid-fixpoint — or an injected fault that corrupts its working copy —
-can never leave the caller's database mutated.  The terminal ``naive``
-stage is always applicable and unbudgeted by default is not — budgets
-apply to every stage alike; choose the chain and limits so the last
-stage can finish.
+Isolation is worked out from the input.  A live :class:`Database` is
+copied per attempt, so a strategy that dies mid-fixpoint — or an
+injected fault that corrupts its working copy — can never leave the
+caller's database mutated; a :class:`DatabaseSnapshot` is read-only by
+type and is never copied.  Budgets apply to every stage alike; choose
+the chain and limits so the last stage can finish.
 """
 
-from time import perf_counter
+import time
 
 from ..datalog.rules import Query
-from ..engine.database import Database
+from ..engine.database import Database, DatabaseSnapshot
 from ..engine.guard import ResourceBudget
 from ..errors import (
     BudgetExceededError,
     CircuitOpenError,
     CountingDivergenceError,
+    EvaluationCancelled,
     EvaluationError,
+    FactBudgetExceeded,
     NotApplicableError,
     ResilienceExhaustedError,
+    RoundBudgetExceeded,
 )
 from .strategies import STRATEGIES, run_strategy
 
@@ -55,14 +55,25 @@ DEFAULT_CHAIN = (
 #: answers or a typed exhaustion, never a partial parallel result.
 PARALLEL_CHAIN = ("parallel",) + DEFAULT_CHAIN
 
-#: Failure classes a stage may degrade past.  Anything else (TypeError,
-#: unknown strategy, a genuine bug) propagates immediately.
-DEGRADABLE_ERRORS = (
-    NotApplicableError,
-    CountingDivergenceError,
-    BudgetExceededError,
-    EvaluationError,
+NEXT, RETRY, RAISE = "next", "retry", "raise"
+
+#: The one failure policy: the first row matching a failed attempt's
+#: error decides, by whose budget it ran under.  A *per-attempt* limit
+#: (the policy's ``timeout`` / ``max_facts`` / ``max_rounds``) says only
+#: that the stage was too dear: the next one gets a fresh allowance.
+#: The *caller's* budget (``budget_factory``) is spent whatever runs
+#: next: a timing abort may retry the stage after a backoff, a fact or
+#: round cap (deterministic on the same input) ends the run.  Only
+#: strategy-health failures feed breakers; unlisted errors propagate.
+OUTCOMES = (
+    # error classes                              per-attempt caller breaker
+    ((EvaluationCancelled,),                     RAISE, RAISE, False),
+    ((FactBudgetExceeded, RoundBudgetExceeded),  NEXT, RAISE, False),
+    ((BudgetExceededError,),                     NEXT, RETRY, False),
+    ((NotApplicableError, CountingDivergenceError,
+      EvaluationError),                          NEXT, NEXT, True),
 )
+_HANDLED = sum((row[0] for row in OUTCOMES), ())
 
 
 class FallbackPolicy:
@@ -71,23 +82,20 @@ class FallbackPolicy:
     ``timeout`` / ``max_facts`` / ``max_rounds`` configure a *fresh*
     :class:`ResourceBudget` per attempt (budgets are single-use; a
     shared budget would charge stage N for stage N-1's spending).
-    ``isolate`` runs each attempt on a database snapshot.  ``catch`` is
-    the tuple of error classes that trigger degradation.  ``workers``
-    sizes the pool of any ``parallel`` stage in the chain (ignored by
-    serial strategies).  ``recovery`` is that stage's self-healing
-    policy (a :class:`~repro.parallel.supervisor.RecoveryPolicy`, a
-    mode string, or ``None`` for the default shard-reassignment
-    policy): with it, degrading to a serial stage happens only *after*
-    in-place repair has been exhausted — the last resort, not the
-    first response.
+    ``workers`` sizes the pool of any ``parallel`` stage in the chain
+    (ignored by serial strategies).  ``recovery`` is that stage's
+    self-healing policy (a
+    :class:`~repro.parallel.supervisor.RecoveryPolicy`, a mode string,
+    or ``None`` for the default shard-reassignment policy): with it,
+    degrading to a serial stage happens only *after* in-place repair
+    has been exhausted — the last resort, not the first response.
     """
 
     __slots__ = ("chain", "timeout", "max_facts", "max_rounds",
-                 "isolate", "catch", "workers", "recovery")
+                 "workers", "recovery")
 
     def __init__(self, chain=DEFAULT_CHAIN, timeout=None, max_facts=None,
-                 max_rounds=None, isolate=True, catch=DEGRADABLE_ERRORS,
-                 workers=2, recovery=None):
+                 max_rounds=None, workers=2, recovery=None):
         chain = tuple(chain)
         if not chain:
             raise ValueError("fallback chain must name at least one strategy")
@@ -101,8 +109,6 @@ class FallbackPolicy:
         self.timeout = timeout
         self.max_facts = max_facts
         self.max_rounds = max_rounds
-        self.isolate = isolate
-        self.catch = tuple(catch)
         self.workers = workers
         self.recovery = recovery
 
@@ -128,10 +134,10 @@ class AttemptRecord:
     """One stage of a resilient run: a strategy and its outcome."""
 
     __slots__ = ("method", "error", "elapsed", "stats", "breaker_state",
-                 "rounds", "recovery")
+                 "rounds", "recovery", "budget")
 
     def __init__(self, method, error=None, elapsed=0.0, stats=None,
-                 breaker_state=None, rounds=0, recovery=None):
+                 breaker_state=None, rounds=0, recovery=None, budget=None):
         self.method = method
         #: The typed error the stage failed with, or ``None`` on success.
         self.error = error
@@ -153,6 +159,17 @@ class AttemptRecord:
         #: ``None`` for serial stages.  Carried even on failure so the
         #: report shows what recovery tried before degrading.
         self.recovery = recovery
+        #: The attempt's budget (``None`` for a skip or an unlimited
+        #: run); :attr:`usage` reads what it consumed.
+        self.budget = budget
+
+    @property
+    def usage(self):
+        """What the attempt consumed, for post-paid quota charging: its
+        budget's ``facts`` / ``rounds`` plus the attempt's ``seconds``."""
+        usage = {} if self.budget is None else self.budget.usage(self.stats)
+        usage["seconds"] = self.elapsed
+        return usage
 
     @property
     def repair_count(self):
@@ -178,18 +195,21 @@ class AttemptRecord:
 class ExecutionReport:
     """Every attempt of a resilient run plus the final result.
 
-    ``attempts`` lists one :class:`AttemptRecord` per stage tried, in
-    order; ``result`` is the winning stage's
+    ``attempts`` lists one :class:`AttemptRecord` per attempt, retries
+    and skips included, in order; ``result`` is the winning stage's
     :class:`~repro.exec.strategies.ExecutionResult` (``None`` only
     inside a :class:`ResilienceExhaustedError`).
     """
 
-    __slots__ = ("attempts", "result", "policy")
+    __slots__ = ("attempts", "result", "policy", "retries")
 
     def __init__(self, policy):
         self.policy = policy
         self.attempts = []
         self.result = None
+        #: Attempts that re-ran the stage before them (caller-budget
+        #: timing aborts retried on the backoff schedule).
+        self.retries = 0
 
     @property
     def succeeded(self):
@@ -201,10 +221,14 @@ class ExecutionReport:
         return None if self.result is None else self.result.method
 
     @property
+    def stages(self):
+        """Stages reached, skipped ones included (> 1: it fell back)."""
+        return len(self.attempts) - self.retries
+
+    @property
     def fallback_depth(self):
         """How many preferred stages failed before the winning one."""
-        return max(0, len(self.attempts) - 1) if self.succeeded \
-            else len(self.attempts)
+        return self.stages - 1 if self.succeeded else self.stages
 
     @property
     def budget_aborts(self):
@@ -276,36 +300,46 @@ class ExecutionReport:
 
 
 def run_resilient(query, db, policy=None, breakers=None,
-                  budget_factory=None):
+                  budget_factory=None, first=None, retry=None,
+                  clock=time.perf_counter, sleep=time.sleep):
     """Run ``query`` under a degrading strategy chain.
 
     Returns an :class:`ExecutionReport` whose ``result`` holds the
-    first successful stage's answers.  Raises
+    first successful stage's answers.  :data:`OUTCOMES` decides every
+    failed attempt; a ``raise`` row re-raises the attempt's own error
+    with the report attached as ``.report``.  Raises
     :class:`ResilienceExhaustedError` (carrying the report) when every
     stage fails — by construction impossible with the default chain's
     terminal ``naive`` stage unless a budget is set tight enough to
-    starve even that.
+    starve even that.  ``query`` may be a zero-argument callable, called
+    only once a cold stage needs the query.
 
     ``breakers`` (anything with ``get(method) -> CircuitBreaker or
     None``, e.g. a :class:`~repro.serve.breaker.BreakerBoard` or plain
     dict) wires per-strategy circuit breakers into the chain: a stage
     whose breaker refuses admission is *skipped* — recorded as a
-    zero-elapsed :class:`~repro.errors.CircuitOpenError` attempt — and
-    real strategy failures feed the breaker.  Budget aborts do not:
-    they describe the caller's limits, not the strategy's health.
+    zero-elapsed :class:`~repro.errors.CircuitOpenError` attempt.
 
-    ``budget_factory`` overrides ``policy.make_budget`` with a caller
-    callable building each attempt's fresh budget — the serving layer
-    threads request deadlines through the chain this way.
+    ``budget_factory`` builds the caller's budget per attempt in place
+    of ``policy.make_budget`` (the serving layer threads request
+    deadlines through it) and selects the table's caller column;
+    ``retry`` is ``(RetryPolicy, request id, stream)``, the backoff
+    schedule a retried stage sleeps on.  ``first(budget)`` runs stage 0
+    in place of a cold ``run_strategy`` — the serving layer's prepared
+    form, caches included.  ``clock`` and ``sleep`` are injectable.
     """
     if policy is None:
         policy = FallbackPolicy()
-    if not isinstance(query, Query):
+    if not (isinstance(query, Query) or callable(query)):
         raise TypeError("expected a Query")
     if not isinstance(db, Database):
         raise TypeError("expected a Database")
     report = ExecutionReport(policy)
-    for method in policy.chain:
+    backoff = iter(()) if retry is None else \
+        retry[0].backoff(retry[1], stream=retry[2])
+    stage = 0
+    while stage < len(policy.chain):
+        method = policy.chain[stage]
         breaker = None if breakers is None else breakers.get(method)
         if breaker is not None and not breaker.allow():
             report.attempts.append(
@@ -318,28 +352,36 @@ def run_resilient(query, db, policy=None, breakers=None,
                     breaker_state=breaker.state,
                 )
             )
+            stage += 1
             continue
         budget = budget_factory() if budget_factory is not None \
             else policy.make_budget()
-        attempt_db = db.copy() if policy.isolate else db
         options = (
             {"workers": policy.workers, "recovery": policy.recovery}
             if method == "parallel" else {}
         )
-        started = perf_counter()
+        started = clock()
         try:
-            result = run_strategy(method, query, attempt_db,
-                                  budget=budget, **options)
-        except policy.catch as exc:
-            if breaker is not None and not isinstance(
-                exc, BudgetExceededError
-            ):
+            if stage == 0 and first is not None:
+                result = first(budget)
+            else:
+                query = query if isinstance(query, Query) else query()
+                result = run_strategy(
+                    method, query,
+                    db if isinstance(db, DatabaseSnapshot) else db.copy(),
+                    budget=budget, **options
+                )
+        except _HANDLED as exc:
+            _classes, per_attempt, caller, feeds_breaker = next(
+                row for row in OUTCOMES if isinstance(exc, row[0])
+            )
+            if feeds_breaker and breaker is not None:
                 breaker.record_failure()
             report.attempts.append(
                 AttemptRecord(
                     method,
                     error=exc,
-                    elapsed=perf_counter() - started,
+                    elapsed=clock() - started,
                     stats=getattr(exc, "stats", None),
                     breaker_state=None if breaker is None
                     else breaker.state,
@@ -349,20 +391,36 @@ def run_resilient(query, db, policy=None, breakers=None,
                     # tried before the serial restart.
                     rounds=getattr(exc, "rounds", 0) or 0,
                     recovery=getattr(exc, "recovery", None),
+                    budget=budget,
                 )
             )
+            action = per_attempt if budget_factory is None else caller
+            if action == RETRY:
+                delay = next(backoff, None)
+                # The room left is what a fresh caller budget gets now.
+                room = None if delay is None else budget_factory().timeout
+                if delay is not None and (room is None or delay < room):
+                    sleep(delay)
+                    report.retries += 1
+                    continue
+                action = RAISE
+            if action == RAISE:
+                exc.report = report
+                raise
+            stage += 1
             continue
         if breaker is not None:
             breaker.record_success()
+        stats = getattr(result, "stats", None)
         extras = getattr(result, "extras", None) or {}
         report.attempts.append(
             AttemptRecord(
-                method, elapsed=perf_counter() - started,
-                stats=result.stats,
+                method, elapsed=clock() - started, stats=stats,
                 breaker_state=None if breaker is None
                 else breaker.state,
-                rounds=result.stats.iterations,
+                rounds=getattr(stats, "iterations", 0),
                 recovery=extras.get("recovery"),
+                budget=budget,
             )
         )
         report.result = result

@@ -11,9 +11,10 @@ whose outcome decides whether the breaker closes again or re-opens.
 
 What counts as a failure is the caller's choice, with one house rule:
 budget aborts (:class:`~repro.errors.BudgetExceededError`) describe the
-*caller's* limits, not the strategy's health, so neither the resilient
-runner nor the query service records them here — a service melting down
-under tight deadlines must not also poison its strategy table.
+*caller's* limits, not the strategy's health, so the one failure table
+(:data:`repro.exec.resilient.OUTCOMES`) never records them here — a
+service melting down under tight deadlines must not also poison its
+strategy table.
 
 All transitions run under a lock (the serving layer shares one breaker
 per strategy across its worker pool) and the clock is injectable, so
@@ -65,9 +66,10 @@ class CircuitBreaker:
 
     @property
     def state(self):
-        """Current state — re-evaluates the cooldown, so an open
-        breaker whose cooldown has passed reports ``half_open``-eligible
-        ``open`` until a caller actually probes it."""
+        """Current state, as last recorded.  Reading it never moves
+        the breaker: an open breaker whose cooldown has passed still
+        reports ``open`` until :meth:`allow` admits the half-open
+        probe."""
         with self._lock:
             return self._state
 

@@ -50,16 +50,11 @@ designed in rather than bolted on:
   every attempt as a derived :class:`~repro.engine.guard.ResourceBudget`
   (``child`` clamps it to the remaining allowance); a request already
   past its deadline when a worker dequeues it is shed unevaluated.
-* **Retries with seeded backoff** — attempts that die on a
-  timing-dependent budget abort are retried under a
-  :class:`~repro.serve.retry.RetryPolicy`; delays are deterministic per
-  ``(seed, request id, tenant stream)``, so one tenant's schedule
-  replays identically whatever its neighbours do.  Fact/round-cap
-  aborts fail fast: against the pinned snapshot a retry fails the same.
-* **Per-strategy circuit breakers, per tenant** — strategy failures
-  feed a :class:`~repro.serve.breaker.BreakerBoard` scoped to the
-  tenant, so one tenant poisoning a strategy (feeding it data that
-  turned cyclic, say) trips only its own board.
+* **One failure policy** — a worker runs each request through
+  :func:`~repro.exec.resilient.run_resilient` once; its table,
+  :data:`~repro.exec.resilient.OUTCOMES`, retries (on a per-tenant
+  seeded backoff stream), degrades (feeding the tenant's own breaker
+  board) or fails each attempt.
 * **Snapshot isolation** — requests read an epoch-pinned
   :meth:`~repro.engine.database.Database.snapshot` generation, so a
   concurrent writer never shows a half-applied mutation; admission
@@ -92,31 +87,16 @@ from ..durability.audit import (
 )
 from ..engine.guard import CancellationToken, ResourceBudget
 from ..errors import (
-    BudgetExceededError,
-    CircuitOpenError,
-    CountingDivergenceError,
     EvaluationCancelled,
-    EvaluationError,
-    FactBudgetExceeded,
-    NotApplicableError,
     Overloaded,
     QuotaExceeded,
-    RoundBudgetExceeded,
+    ReproError,
+    ResilienceExhaustedError,
     ServiceClosed,
 )
 from ..exec.resilient import DEFAULT_CHAIN, FallbackPolicy, run_resilient
 from ..tenancy.scheduler import FairScheduler
 from .breaker import BreakerBoard
-from .retry import RetryPolicy
-
-#: Strategy-health failures: these trip breakers and degrade to the
-#: fallback chain.  Budget aborts are deliberately absent — they
-#: describe the caller's limits and are handled by retry instead.
-_STRATEGY_ERRORS = (
-    NotApplicableError,
-    CountingDivergenceError,
-    EvaluationError,
-)
 
 #: Resource-pool names, in the order admission checks them.
 _POOL_ORDER = ("facts", "rounds", "seconds")
@@ -345,15 +325,15 @@ class QueryService:
         Per-request deadline (seconds from admission) used when a
         submit names none.
     retry : :class:`~repro.serve.retry.RetryPolicy` or None
-        Backoff schedule for budget-aborted attempts (None = one
-        attempt).  Delays draw from a per-tenant seed stream.
+        Backoff for the retries :data:`~repro.exec.resilient.OUTCOMES`
+        grants (None = one attempt), from a per-tenant seed stream.
     breakers : :class:`~repro.serve.breaker.BreakerBoard` or None
-        The *default* tenant's per-strategy breakers; a board on the
-        service's shared metrics lock is created when omitted.  Named
-        tenants always get their own board with the same settings.
+        The *default* tenant's per-strategy breakers, fed as that table
+        says (a board on the shared metrics lock when omitted); named
+        tenants get their own board with the same settings.
     fallback : bool
-        Degrade through the resilient strategy chain when the prepared
-        method fails or its breaker is open (True by default).
+        Chain the default strategies after the prepared method (True);
+        without, a request that would degrade fails with its own error.
     snapshots : bool
         Pin an epoch snapshot per admission generation (True) or serve
         the live database directly (False — only safe without
@@ -416,9 +396,7 @@ class QueryService:
         self.registry = registry
         self.queue_capacity = queue_capacity
         self.default_timeout = default_timeout
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=1
-        )
+        self.retry = retry
         self.fallback = fallback
         self.snapshots = snapshots
         self.audit = audit
@@ -575,7 +553,7 @@ class QueryService:
                 # to close admissions: a hit admitted before the close
                 # is counted and audited before drain() flushes the log.
                 # Post-paid pools are charged it like any attempt.
-                self._charge(request, None, None, self._clock() - now)
+                self._charge(request, ({"seconds": self._clock() - now},))
                 hit.extras["service"] = _service_extras(request, 1)
                 self._finish(request, "completed", hit, None, now)
                 self._bump(tstate, "inline_hits")
@@ -672,11 +650,11 @@ class QueryService:
             )
         return constants
 
-    def _bump(self, tstate, counter):
+    def _bump(self, tstate, counter, amount=1):
         """Count on the service-wide ledger and the tenant's own."""
-        self.stats.bump(counter)
+        self.stats.bump(counter, amount)
         if tstate.stats is not None:
-            tstate.stats.bump(counter)
+            tstate.stats.bump(counter, amount)
 
     def _check_quota(self, tstate):
         """Every quota gate for one admission, cheapest-regret first.
@@ -797,7 +775,7 @@ class QueryService:
         else:
             evaluated = True
             try:
-                result = self._attempts(request)
+                result = self._evaluate(request)
             except EvaluationCancelled as exc:
                 outcome, error = "cancelled", exc
             except BaseException as exc:
@@ -900,128 +878,70 @@ class QueryService:
             timeout=remaining, token=request.token, clock=self._clock
         )
 
-    def _charge(self, request, budget, stats, elapsed):
-        """Post-paid quota charge for one attempt, success or not.
-
-        Facts and rounds come from the attempt's budget usage (the
-        engine's checkpoint count and derived-fact tally; none for a
-        cache hit, which has no budget); wall-clock is the service-
-        measured time, which also covers evaluators that never reached
-        a budget checkpoint.  Charging after the fact is what lets one
-        expensive query drive a pool into debt — the debt then blocks
-        the *next* admission, which is the isolation contract.
-        """
+    def _charge(self, request, usages):
+        """Post-paid quota charge, one usage dict per attempt (a hit's
+        has seconds only).  Charging after the fact lets one expensive
+        query drive a pool into debt — the debt then blocks the *next*
+        admission, which is the isolation contract."""
         pools = request.tstate.pools
         if not pools:
             return
-        usage = {} if budget is None else budget.usage(stats)
-        usage["seconds"] = elapsed
-        for name, pool in pools.items():
-            amount = usage.get(name)
-            if amount:
-                pool.charge(amount)
+        for usage in usages:
+            for name, pool in pools.items():
+                amount = usage.get(name)
+                if amount:
+                    pool.charge(amount)
 
-    def _attempts(self, request):
-        """Primary strategy with retry/breaker, then the fallback chain."""
-        method = request.prepared.method
-        board = request.tstate.board
-        breaker = board.get(method)
-        backoff = self.retry.backoff(request.id,
-                                     stream=request.tstate.stream)
-        attempt = 0
-        while True:
-            if not breaker.allow():
-                if not self.fallback:
-                    raise CircuitOpenError(
-                        "circuit for %r is %s and no fallback is "
-                        "configured" % (method, breaker.state)
-                    )
-                return self._fallback(request, skip=method)
-            attempt += 1
-            budget = self._budget_for(request)
-            attempt_started = self._clock()
-            run_options = {}
-            if request.eval_workers is not None:
-                # Only granted requests see the keywords, so duck-typed
-                # prepared objects without a ``workers`` parameter keep
-                # working on serial services; ``recovery`` rides along
-                # only when the service configures one, for the same
-                # reason.
-                run_options["workers"] = request.eval_workers
-                if self.eval_recovery is not None:
-                    run_options["recovery"] = self.eval_recovery
-            try:
-                result = request.prepared.run(
+    def _evaluate(self, request):
+        """One request, one :func:`~repro.exec.resilient.run_resilient`
+        call (stage 0: the prepared form's own ``run``); counters, pool
+        charges and ``extras["service"]`` come off its report."""
+        prepared, tstate = request.prepared, request.tstate
+        method, workers = prepared.method, request.eval_workers
+        # A granted request degrades *through* the sharded fixpoint
+        # first; any worker failure continues down the serial chain.
+        later = ("parallel",) + DEFAULT_CHAIN if workers else DEFAULT_CHAIN
+        chain = (method,) + tuple(
+            m for m in later if self.fallback and m != method)
+        # The grant, for stage 0's run and any parallel stage; duck-typed
+        # stand-ins without these keywords work when none is granted.
+        options = {} if workers is None else \
+            {"workers": workers, "recovery": self.eval_recovery}
+        error = None
+        try:
+            report = run_resilient(
+                lambda: prepared.bind(request.constants), request.db,
+                FallbackPolicy(chain, **options),
+                breakers=tstate.board,
+                budget_factory=lambda: self._budget_for(request),
+                first=lambda budget: prepared.run(
                     request.constants, db=request.db, budget=budget,
-                    **run_options
-                )
-            except BudgetExceededError as exc:
-                self._charge(request, budget,
-                             getattr(exc, "stats", None),
-                             self._clock() - attempt_started)
-                # The caller's limits, not the strategy's health: never
-                # recorded on the breaker.  Retry timing-dependent
-                # aborts while the schedule and the request deadline
-                # both allow.  Fact/round caps are deterministic
-                # against the pinned snapshot and inherited budget, so
-                # a retry would fail identically — fail fast instead of
-                # burning backoff sleep in a worker slot.
-                if isinstance(exc, EvaluationCancelled):
-                    raise
-                if isinstance(
-                    exc, (FactBudgetExceeded, RoundBudgetExceeded)
-                ):
-                    raise
-                delay = next(backoff, None)
-                if delay is None:
-                    raise
-                if request.deadline is not None and (
-                    self._clock() + delay >= request.deadline
-                ):
-                    raise
-                self._bump(request.tstate, "retried")
-                self._sleep(delay)
-                continue
-            except _STRATEGY_ERRORS:
-                self._charge(request, budget, None,
-                             self._clock() - attempt_started)
-                breaker.record_failure()
-                if not self.fallback:
-                    raise
-                return self._fallback(request, skip=method)
-            self._charge(request, budget,
-                         getattr(result, "stats", None),
-                         self._clock() - attempt_started)
-            breaker.record_success()
-            result.extras["service"] = _service_extras(request, attempt)
-            return result
-
-    def _fallback(self, request, skip):
-        """Degrade through the resilient chain (minus ``skip``), with
-        the tenant's breaker board and request-derived budgets."""
-        self._bump(request.tstate, "fallbacks")
-        chain = tuple(m for m in DEFAULT_CHAIN if m != skip)
-        if request.eval_workers is not None and skip != "parallel":
-            # A granted request degrades *through* the sharded fixpoint
-            # first; any worker failure continues down the serial chain.
-            chain = ("parallel",) + chain
-            policy = FallbackPolicy(chain=chain,
-                                    workers=request.eval_workers,
-                                    recovery=self.eval_recovery)
-        else:
-            policy = FallbackPolicy(chain=chain)
-        report = run_resilient(
-            request.prepared.bind(request.constants), request.db,
-            policy,
-            breakers=request.tstate.board,
-            budget_factory=lambda: self._budget_for(request),
+                    **options
+                ),
+                retry=None if self.retry is None
+                else (self.retry, request.id, tstate.stream),
+                clock=self._clock, sleep=self._sleep,
+            )
+        except ReproError as exc:
+            report, error = getattr(exc, "report", None), exc
+            if report is None:
+                raise
+        fallback = report.stages > 1
+        if report.retries:
+            self._bump(tstate, "retried", report.retries)
+        if fallback:
+            self._bump(tstate, "fallbacks")
+        self._charge(request, (attempt.usage for attempt in report.attempts))
+        if isinstance(error, ResilienceExhaustedError) and not fallback:
+            # The chain was stage 0 alone: fail with its own error.
+            error = report.attempts[-1].error
+        if error is not None:
+            raise error
+        report.result.extras["service"] = _service_extras(
+            request, len(report.attempts), fallback,
+            **({"resilient": report.summary()} if fallback else {})
         )
-        result = report.result
-        result.extras["service"] = _service_extras(
-            request, len(report.attempts), fallback=True,
-            resilient=report.summary(),
-        )
-        return result
+        return report.result
 
     # -- shutdown ------------------------------------------------------
 

@@ -132,13 +132,14 @@ class TestIsolation:
         assert report.result.answers == baseline.answers
         assert sg_db.to_text() == snapshot
 
-    def test_unisolated_policy_skips_snapshots(self, sg_query, sg_db,
-                                               fault_injector):
+    def test_snapshot_input_is_never_copied(self, sg_query, sg_db,
+                                            fault_injector):
+        # A DatabaseSnapshot is read-only by type: no attempt can
+        # mutate it, so isolation takes no copy of it.
         fault_injector.corrupt_copies(every=1)
-        policy = FallbackPolicy(chain=("naive",), isolate=False)
+        policy = FallbackPolicy(chain=("pointer_counting", "naive"))
         with fault_injector:
-            report = run_resilient(sg_query, sg_db, policy)
-        # No snapshot copy was taken, so nothing got corrupted.
+            report = run_resilient(sg_query, sg_db.snapshot(), policy)
         assert fault_injector.copies_corrupted == 0
         assert report.succeeded
 

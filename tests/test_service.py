@@ -39,14 +39,17 @@ from repro.errors import (
     CountingDivergenceError,
     DeadlineExceeded,
     EvaluationCancelled,
+    EvaluationError,
     FactBudgetExceeded,
     NotApplicableError,
+    ReproError,
     RoundBudgetExceeded,
     Overloaded,
     ServiceClosed,
     ServiceError,
 )
 from repro.exec import AnswerCache, CountingTableStore, PreparedQuery
+from repro.exec import resilient
 from repro.exec.resilient import FallbackPolicy, run_resilient
 from repro.exec.strategies import run_strategy
 from repro.serve import (
@@ -766,6 +769,214 @@ class TestResilientBreakers:
         assert attempt["method"] == summary["method"]
         assert attempt["outcome"] == "ok"
         assert attempt["breaker"] is None
+
+
+class TickingClock(FakeClock):
+    """Every reading is ``step`` seconds after the last."""
+
+    def __init__(self, step):
+        super().__init__()
+        self.step = step
+
+    def __call__(self):
+        self.now += self.step
+        return self.now
+
+
+class TestOneReportPerRequest:
+    """A poisoned binding served through the service: the primary
+    ``pointer_counting`` attempt and every fallback stage are one
+    ``run_resilient`` report."""
+
+    BINDING = (forest_root(1),)
+
+    @staticmethod
+    def poisoned():
+        db, _source = sg_forest(trees=2, fanout=2, depth=3)
+        prepared = PreparedQuery(WORKLOADS["sg_forest"].query, db)
+        poison_forest(db, tree=1)
+        return prepared, db
+
+    def test_every_attempt_is_reported(self, tmp_path):
+        prepared, db = self.poisoned()
+        path = str(tmp_path / "audit.jsonl")
+        audit = AuditLog(path, flush_every=1)
+        service = QueryService(prepared, db, workers=1, audit=audit)
+        try:
+            result = service.run(self.BINDING, wait=60.0)
+        finally:
+            service.drain()
+            audit.close()
+        block = result.extras["service"]
+        assert [a["method"] for a in block["resilient"]["attempts"]] == [
+            "pointer_counting", "extended_counting", "magic_counting"]
+        assert block["attempts"] == 3
+        assert block["resilient"]["fallback_depth"] == 2
+        (row,), torn = read_audit(path)
+        assert torn is None
+        assert (row["attempts"], row["fallback"]) == (3, True)
+
+    def test_fallback_takes_no_copy_of_the_snapshot(self, monkeypatch):
+        prepared, db = self.poisoned()
+        copies = []
+        original = Database.copy
+
+        def counted_copy(self):
+            copies.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(Database, "copy", counted_copy)
+        service = QueryService(prepared, db, workers=1)
+        try:
+            result = service.run(self.BINDING, wait=60.0)
+        finally:
+            service.drain()
+        assert result.extras["service"]["fallback"] is True
+        assert copies == []
+
+    def test_deadline_in_a_fallback_stage_fails_the_request_with_it(
+            self, monkeypatch):
+        prepared, db = self.poisoned()
+        started = []
+        cold = resilient.run_strategy
+
+        def spied(method, *args, **kwargs):
+            started.append(method)
+            return cold(method, *args, **kwargs)
+
+        monkeypatch.setattr(resilient, "run_strategy", spied)
+        service = QueryService(prepared, db, workers=1,
+                               clock=TickingClock(0.05))
+        try:
+            with pytest.raises(DeadlineExceeded) as info:
+                service.run(self.BINDING, timeout=1.0, wait=60.0)
+        finally:
+            service.drain()
+        attempts = info.value.report.attempts
+        assert attempts[0].method == "pointer_counting"
+        assert attempts[-1].error is info.value
+        # No stage started after the one whose deadline fired.
+        assert started == [a.method for a in attempts[1:]]
+
+
+class Scripted:
+    """Per-stage outcomes for the failure-table tests: the stage of
+    ``method`` raises a fresh ``errors[method]()`` on every call, every
+    other stage answers; ``calls`` logs the stages that ran."""
+
+    def __init__(self, errors):
+        self.errors = errors
+        self.calls = []
+
+    def __call__(self, method):
+        self.calls.append(method)
+        if method in self.errors:
+            raise self.errors[method]()
+        result = FakeResult({("a",)})
+        result.method = method
+        return result
+
+
+class ScriptedPrepared(FakePrepared):
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+
+    def run(self, constants, db=None, budget=None):
+        return self.script(self.method)
+
+
+#: One row per outcome of :data:`repro.exec.resilient.OUTCOMES` (plus
+#: success and a refusing breaker): the error the stage raises, the
+#: action under a per-attempt limit and under the caller's budget, and
+#: the stage breaker's (successes, failures, rejections) record.
+TABLE = [
+    ("success", None, "return", "return", (1, 0, 0)),
+    ("not_applicable", NotApplicableError, "next", "next", (0, 1, 0)),
+    ("divergence", CountingDivergenceError, "next", "next", (0, 1, 0)),
+    ("evaluation_error", EvaluationError, "next", "next", (0, 1, 0)),
+    ("breaker_open", "open", "skip", "skip", (0, 0, 1)),
+    ("cancelled", EvaluationCancelled, "raise", "raise", (0, 0, 0)),
+    ("deadline", DeadlineExceeded, "next", "retry", (0, 0, 0)),
+    ("fact_cap", FactBudgetExceeded, "next", "raise", (0, 0, 0)),
+    ("round_cap", RoundBudgetExceeded, "next", "raise", (0, 0, 0)),
+]
+TABLE_CASES = [
+    pytest.param(row, caller, stage, route,
+                 id="%s-%s-stage%d-%s" % (row[0], budget, stage, route))
+    for row in TABLE
+    for budget, caller, routes in (
+        ("per_attempt", False, ("run_resilient",)),
+        ("caller", True, ("run_resilient", "service")),
+    )
+    for stage in (0, 1)
+    for route in routes
+]
+
+
+class TestOneFailureTable:
+    """Every row of the one failure table, through ``run_resilient``
+    and — under the caller's budget — through ``QueryService``: the two
+    routes take the same action and leave the same breaker record."""
+
+    CHAIN = resilient.DEFAULT_CHAIN  # stage 0 is FakePrepared.method
+
+    @pytest.mark.parametrize("row, caller, stage, route", TABLE_CASES)
+    def test_row(self, monkeypatch, row, caller, stage, route):
+        _name, error, per_attempt, on_caller, expected_record = row
+        method = self.CHAIN[stage]
+        errors = {self.CHAIN[0]: lambda: NotApplicableError("stage 0")} \
+            if stage else {}
+        board = BreakerBoard(threshold=1, cooldown=1e9, clock=FakeClock())
+        breaker = board.get(method)
+        if error == "open":
+            breaker.record_failure()
+        elif error is not None:
+            errors[method] = lambda: error("scripted")
+        before = (breaker.successes, breaker.failures, breaker.rejections)
+        script = Scripted(errors)
+        monkeypatch.setattr(
+            resilient, "run_strategy",
+            lambda name, query, db, budget=None, **_: script(name),
+        )
+        retry = RetryPolicy(max_attempts=2, seed=0)
+        raised = None
+        try:
+            if route == "service":
+                service = QueryService(
+                    ScriptedPrepared(script), tiny_db(), workers=1,
+                    snapshots=False, breakers=board, retry=retry,
+                    sleep=lambda _s: None,
+                )
+                try:
+                    service.run(wait=10.0)
+                finally:
+                    service.drain()
+            else:
+                run_resilient(
+                    WORKLOADS["sg_forest"].query, tiny_db(),
+                    FallbackPolicy(self.CHAIN,
+                                   timeout=None if caller else 30.0),
+                    breakers=board,
+                    budget_factory=ResourceBudget if caller else None,
+                    first=lambda budget: script(self.CHAIN[0]),
+                    retry=(retry, 0, 0), sleep=lambda _s: None,
+                )
+        except ReproError as exc:
+            raised = exc
+        calls = script.calls
+        if method not in calls:
+            action = "skip"
+        elif calls.count(method) > 1:
+            action = "retry"
+        elif calls[-1] != method:
+            action = "next"
+        else:
+            action = "return" if raised is None else "raise"
+        assert action == (on_caller if caller else per_attempt)
+        after = (breaker.successes, breaker.failures, breaker.rejections)
+        assert tuple(b - a for a, b in zip(before, after)) == \
+            expected_record
 
 
 class TestAnswersIdentical:
