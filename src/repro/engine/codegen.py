@@ -337,7 +337,8 @@ def _projection_exprs(projection, written, ns):
     return exprs
 
 
-def _generate_batched(steps, projection, eager, entry=None, bound=False):
+def _generate_batched(steps, projection, eager, entry=None, bound=False,
+                      batch=False):
     """Shared emitter/collector generation; None outside the shape.
 
     Requirements: the last step is a scan whose ops are writes and
@@ -356,7 +357,8 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     ``(state, values, stats)``: ``state[0]`` is the resolver and the
     remaining slots persist each scan's resolved relation and probe
     view between calls.  The generated function carries the state size
-    as ``_state_size``.
+    as ``_state_size``.  ``batch`` (requires ``bound``) wraps the body
+    in one more loop, over the ``values`` of ``(state, batch, stats)``.
     """
     last_spec = steps[-1] if steps else None
     if last_spec is not None:
@@ -364,7 +366,8 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
             return None
         if any(kind == OP_MATCH for _pos, kind, _data in last_spec[5]):
             return None  # matcher ops mutate slots; cannot substitute
-        if sum(step[0] in ("scan", "each") for step in steps) > _MAX_LOOPS:
+        loops = sum(step[0] in ("scan", "each") for step in steps)
+        if loops + batch > _MAX_LOOPS:
             return None
 
     tag = "collector" if eager else "emitter"
@@ -375,31 +378,43 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     def w(depth, text):
         lines.append("    " * depth + text)
 
+    pad = 1
     if entry is None:
         w(0, "def _run(resolver, slots, stats):")
     else:
         nslots, loader = entry
-        if bound:
+        if batch:
+            w(0, "def _run(state, batch, stats=_none):")
+            w(1, "resolver = state[0]")
+            w(1, "_res = []")
+            w(1, "for values in batch:")
+            pad = 2
+        elif bound:
             w(0, "def _run(state, values, stats):")
             w(1, "resolver = state[0]")
         else:
             w(0, "def _run(resolver, values, stats):")
-        w(1, "slots = [_none] * %d" % nslots)
-        # Unrolled in loader order: duplicate in_names keep their
-        # later-wins semantics.
-        for j, slot in enumerate(loader):
-            w(1, "slots[%d] = values[%d]" % (slot, j))
-    pad = 1
+        # One list display; a duplicate in_name keeps its later-wins
+        # semantics.
+        loads = {slot: j for j, slot in enumerate(loader)}
+        w(pad, "slots = [%s]" % ", ".join(
+            "values[%d]" % loads[slot] if slot in loads else "_none"
+            for slot in range(nslots)
+        ))
 
     if last_spec is None:
         exprs = _projection_exprs(projection, {}, ns)
         if exprs is None:
             return None
-        batch = "[(%s)]" % (
+        rows = "[(%s)]" % (
             ", ".join(exprs) + ("," if len(exprs) == 1 else "")
             if exprs else ""
         )
-        w(pad, ("return %s" if eager else "yield %s") % batch)
+        if batch:
+            w(pad, "_res.append(%s)" % rows)
+            w(1, "return _res")
+        else:
+            w(pad, ("return %s" if eager else "yield %s") % rows)
         fn = _compile_fn(lines, ns, tag)
         if bound:
             fn._state_size = state_alloc[0]
@@ -407,6 +422,10 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
 
     if eager:
         w(pad, "_out = []")
+    if batch:
+        # Appended first: a failed filter at the top of the batch loop
+        # continues with the next values and leaves this list empty.
+        w(pad, "_res.append(_out)")
     scans = []
     for i, step in enumerate(steps[:-1]):
         if step[0] == "scan":
@@ -440,7 +459,16 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False):
     comp = "%s for _r%d in _reversed(_c%d)" % (tuple_expr, i, i)
     for cond in conds:
         comp += " if %s" % cond
-    if eager:
+    if batch:
+        # Per binding, buckets are small (a node's out-arcs): a plain
+        # loop beats the comprehension's per-call frame.
+        w(pad, "for _r%d in _reversed(_c%d):" % (i, i))
+        if conds:
+            pad += 1
+            w(pad, "if %s:" % " and ".join(conds))
+        w(pad + 1, "_out.append(%s)" % tuple_expr)
+        w(1, "return _res")
+    elif eager:
         w(pad, "_out += [%s]" % comp)
         w(1, "return _out")
     else:
@@ -486,7 +514,8 @@ def generate_entry_collector(steps, projection, nslots, loader):
     )
 
 
-def generate_bound_collector(steps, projection, nslots, loader):
+def generate_bound_collector(steps, projection, nslots, loader,
+                             batch=False):
     """An eager collector taking ``(state, values, stats)``.
 
     The pass-level form behind :meth:`BoundQuery.bind`: ``state[0]``
@@ -496,8 +525,12 @@ def generate_bound_collector(steps, projection, nslots, loader):
     resolver's ``(index, atom) -> relation`` mapping changes — the
     counting engines bind once per (call site, rule) and evaluate one
     run, over which the mapping is fixed by construction.
+
+    With ``batch`` — the form behind :meth:`BoundQuery.bind_batch` —
+    it takes ``(state, batch, stats)`` and returns one result list per
+    ``values`` of ``batch``, from one call.
     """
     return _generate_batched(
         steps, projection, eager=True, entry=(nslots, tuple(loader)),
-        bound=True,
+        bound=True, batch=batch,
     )

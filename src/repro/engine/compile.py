@@ -48,6 +48,8 @@ raises — slots hold values, not terms, and
 the same message.
 """
 
+from functools import partial
+
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.terms import (
     ARITH_FUNCTORS,
@@ -492,15 +494,18 @@ class CompiledBody:
             generate_entry_collector, projection, self.nslots, loader
         )
 
-    def bound_collector(self, projection, loader):
+    def bound_collector(self, projection, loader, batch=False):
         """An eager collector taking ``(state, values, stats)``.
 
         The pass-level form: ``state`` (caller-owned, ``state[0]`` the
         resolver) persists each scan's resolved relation and probe
-        view across calls — see :meth:`BoundQuery.bind`.
+        view across calls — see :meth:`BoundQuery.bind`; with
+        ``batch``, ``(state, batch, stats)`` — see
+        :meth:`BoundQuery.bind_batch`.
         """
         return self._generated(
-            generate_bound_collector, projection, self.nslots, loader
+            generate_bound_collector, projection, self.nslots, loader,
+            batch,
         )
 
 
@@ -676,6 +681,25 @@ class BoundQuery:
                 return _emit(_state, values, stats)
             return _slow(_resolver, values, stats)
         return run
+
+    def bind_batch(self, resolver):
+        """:meth:`bind` over a batch: ``run(batch, stats=None)`` equals
+        ``[list(bind(resolver)(values, stats)) for values in batch]``,
+        counter updates included, for bindings holding one value per in
+        name — in one compiled call (the counting engines' phase-1
+        waves and exit seeds)."""
+        emit = self.compiled.bound_collector(
+            self._out_spec, self._loader, batch=True
+        )
+        if emit is None:
+            one = self.bind(resolver)
+
+            def run(batch, stats=None):
+                return [list(one(values, stats)) for values in batch]
+            return run
+        state = [None] * emit._state_size
+        state[0] = resolver
+        return partial(emit, state)
 
 
 #: Structural (body, in_names, out_names) -> BoundQuery.  The counting

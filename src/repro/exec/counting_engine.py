@@ -48,7 +48,7 @@ from ..engine import faults
 from ..engine.compile import bound_query
 from ..engine.instrumentation import EvalStats
 from ..errors import EvaluationError, NotApplicableError
-from ..graph.dfs import classify_arcs
+from ..graph.dfs import classify_ids, explore
 
 #: Sentinel triple marking the source row.
 SOURCE_TRIPLE = (None, (), None)
@@ -173,6 +173,31 @@ class CountingTable:
             self.rows.append(CountingRow(row_id, pred, values, self))
         return self.rows[row_id]
 
+    @classmethod
+    def from_ranks(cls, nodes, ahead, back=()):
+        """The table whose row ``i`` is ``nodes[i]`` (the source at 0),
+        with one in-triple per ``(source row, target row, (label,
+        shared))`` arc, ahead arcs first, written straight into the
+        flat arrays."""
+        table = cls()
+        table.rows = [
+            CountingRow(i, pred, values, table)
+            for i, (pred, values) in enumerate(nodes)
+        ]
+        table.index = dict(zip(nodes, range(len(nodes))))
+        arcs = [*ahead, *back]
+        table.t_label = [None] + [arc[2][0] for arc in arcs]
+        table.t_shared = [()] + [arc[2][1] for arc in arcs]
+        table.t_prev = array("q", [_NO_PREV] + [arc[0] for arc in arcs])
+        table.t_row = array("q", [0] + [arc[1] for arc in arcs])
+        ordinals = [row.triples.ordinals for row in table.rows]
+        ordinals[0].append(0)
+        for ordinal, arc in enumerate(arcs, 1):
+            ordinals[arc[1]].append(ordinal)
+        table.ahead_arc_count = len(ahead)
+        table.back_arc_count = len(back)
+        return table
+
     def __len__(self):
         return len(self.rows)
 
@@ -260,8 +285,8 @@ class CountingEngine:
         self.stats = stats if stats is not None else EvalStats()
         self.require_acyclic = require_acyclic
         #: Optional :class:`~repro.engine.guard.ResourceBudget` checked
-        #: per node expansion in the counting-set DFS and per state pop
-        #: in the answer phase.
+        #: once per breadth wave of phase 1 and per state pop in the
+        #: answer phase.
         self.budget = budget
         if answer_order not in ("bfs", "dfs"):
             raise ValueError("answer_order must be 'bfs' or 'dfs'")
@@ -306,9 +331,9 @@ class CountingEngine:
         self.table_store = table_store
         #: True when phase 1 was served from ``table_store``.
         self.table_reused = False
-        #: Optional replacement for :meth:`_successors` during phase 1 —
+        #: Optional replacement for :meth:`_expand` (one phase-1 wave) —
         #: :func:`repro.parallel.counting.parallel_successor_map` installs
-        #: a cache-backed resolver here so the counting-set DFS replays
+        #: a cache-backed resolver here so phase 1 replays
         #: worker-computed expansions instead of probing the database.
         self.successor_resolver = None
         self.table = None
@@ -326,15 +351,17 @@ class CountingEngine:
         # queries themselves are shared through ``self._queries``.
         self._unwind_entries = {}
         self._exit_entries = {}
+        self._arc_entries = None
 
     # -- phase 1: counting set ---------------------------------------
 
-    def _query(self, site, rule, body, in_names, out_names):
+    def _query(self, site, rule, body, in_names, out_names, batch=False):
         """The cached bound runner for one (call site, rule).
 
         The shared :class:`BoundQuery` is bound to this engine's
-        resolver (``BoundQuery.bind``), so repeated runs reuse the
-        resolved relations and hoisted probe views across every state
+        resolver (``BoundQuery.bind``, or ``bind_batch`` for the sites
+        that run a batch of bindings per call), so repeated runs reuse
+        the resolved relations and hoisted probe views across every
         expansion of the run.  Safe because ``get_relation`` is a
         fixed mapping for one engine's lifetime: the support engine
         (if any) finished before construction, and evaluation never
@@ -347,49 +374,71 @@ class CountingEngine:
             if query is None:
                 query = bound_query(body, in_names, out_names)
                 self._queries[key] = query
-            runner = query.bind(self._resolver)
-            self._bound[key] = runner
+            bind = query.bind_batch if batch else query.bind
+            runner = self._bound[key] = bind(self._resolver)
         return runner
 
-    def _successors(self, node):
-        """Left-graph successors of ``node`` with (label, shared) labels."""
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        pred, values = node
-        results = []
-        for rule in self.canonical.recursive_rules:
-            if rule.head_key != pred:
-                continue
-            if rule.is_left_linear_shape():
-                # Empty left part: the rule contributes no arc to G_L;
-                # the answer phase applies it in place (same row).
-                continue
-            query = self._query(
-                "left", rule, rule.left, rule.bound_vars,
-                rule.rec_bound_vars + rule.shared_vars,
-            )
-            split = len(rule.rec_bound_vars)
-            self.stats.rule_firings += 1
-            for result in query(values, self.stats):
-                results.append(
-                    ((rule.rec_key, result[:split]),
-                     (rule.label, result[split:]))
-                )
-        return results
+    def _expand(self, wave):
+        """Left-graph successors of each node of ``wave``, as
+        ``(target, (label, shared))`` pairs: one compiled call per
+        arc-producing rule for all the wave's nodes it applies to."""
+        entries = self._arc_entries
+        if entries is None:
+            # pred -> (rec key, label, split, batch runner) per rule.  A
+            # left-linear shaped rule has an empty left part: it adds no
+            # arc to G_L; the answer phase applies it in place.
+            entries = self._arc_entries = {}
+            for rule in self.canonical.recursive_rules:
+                if not rule.is_left_linear_shape():
+                    entries.setdefault(rule.head_key, []).append((
+                        rule.rec_key, rule.label, len(rule.rec_bound_vars),
+                        self._query("left", rule, rule.left,
+                                    rule.bound_vars,
+                                    rule.rec_bound_vars + rule.shared_vars,
+                                    batch=True),
+                    ))
+        stats = self.stats
+        expanded = [[] for _ in wave]
+        groups = {}
+        for (pred, values), successors in zip(wave, expanded):
+            outs, batch = groups.setdefault(pred, ([], []))
+            outs.append(successors)
+            batch.append(values)
+        for pred, (outs, batch) in groups.items():
+            for rec_key, label, split, run in entries.get(pred, ()):
+                stats.rule_firings += len(batch)
+                for successors, rows in zip(outs, run(batch, stats)):
+                    successors += [
+                        ((rec_key, row[:split]), (label, row[split:]))
+                        for row in rows
+                    ]
+        return expanded
+
+    def left_graph(self):
+        """Phase 1 up to, not including, the table: the left graph
+        reachable from the source, expanded one breadth wave at a time
+        (one budget check and one :meth:`_expand` or
+        ``successor_resolver`` call per wave) and classified by
+        Algorithm 2's DFS over integer ids — an
+        :class:`~repro.graph.dfs.IdClassification` whose ranks are the
+        counting table's row ids.  Every reader of the left graph goes
+        through here, so all see the same arcs in the same order.
+        """
+        expand = self.successor_resolver or self._expand
+        budget = self.budget
+        if budget is not None:
+            def expand(wave, _expand=expand, _stats=self.stats):
+                budget.check(_stats)
+                return _expand(wave)
+        return classify_ids(
+            *explore((self.goal_key, self.source_values), expand)
+        )
 
     def classify(self):
-        """DFS arc classification of the left graph reachable from the
-        source node — phase 1 up to, not including, the table.
-
-        Goes through ``successor_resolver`` when one is installed, so
-        every reader of the left graph (the counting set, the
-        divergence check, ``choose_method``, the magic-counting split)
-        sees the same arcs in the same discovery order.
-        """
-        return classify_arcs(
-            (self.goal_key, self.source_values),
-            self.successor_resolver or self._successors,
-        )
+        """:meth:`left_graph` viewed as an
+        :class:`~repro.graph.dfs.ArcClassification` — what the
+        divergence check and ``choose_method`` read."""
+        return self.left_graph().view()
 
     def build_counting_set(self):
         """DFS the left graph and materialize the counting table.
@@ -416,34 +465,15 @@ class CountingEngine:
                 self.table = table
                 self.table_reused = True
                 return table
-        classification = self.classify()
-        if self.require_acyclic and not classification.is_acyclic():
+        graph = self.left_graph()
+        if self.require_acyclic and graph.back:
             raise NotApplicableError(
                 "left-part graph contains %d back arcs; the acyclic "
-                "pointer method does not apply"
-                % len(classification.back)
+                "pointer method does not apply" % len(graph.back)
             )
-        table = CountingTable()
-        source_row = table.row_for(*source)
-        table.source_id = source_row.id
-        source_row.triples.append(SOURCE_TRIPLE)
-        # Discovery order assigns ids; arcs become in-triples.
-        for node in classification.order:
-            table.row_for(*node)
-        for arc in classification.ahead:
-            target = table.row_for(*arc.target)
-            source_id = table.row_for(*arc.source).id
-            label, shared = arc.label
-            target.triples.append((label, shared, source_id))
-            table.ahead_arc_count += 1
-            self.stats.facts_derived += 1
-        for arc in classification.back:
-            target = table.row_for(*arc.target)
-            source_id = table.row_for(*arc.source).id
-            label, shared = arc.label
-            target.triples.append((label, shared, source_id))
-            table.back_arc_count += 1
-            self.stats.facts_derived += 1
+        # Discovery ranks are the row ids; every arc is an in-triple.
+        table = CountingTable.from_ranks(graph.nodes, graph.ahead, graph.back)
+        self.stats.facts_derived += len(graph.ahead) + len(graph.back)
         self.table = table
         if self.table_store is not None:
             self.table_store.put(source, table)
@@ -452,26 +482,39 @@ class CountingEngine:
     # -- phase 2: answers ---------------------------------------------
 
     def _exit_queries(self, pred):
-        """Cached ``(rule, query)`` pairs of the exit rules for ``pred``."""
+        """Cached ``(rule, batch query)`` pairs of the exit rules for
+        ``pred``."""
         entries = self._exit_entries.get(pred)
         if entries is None:
             exit_rules, _ = self.canonical.rules_by_head(pred)
             entries = tuple(
                 (exit_rule,
                  self._query("exit", exit_rule, exit_rule.body,
-                             exit_rule.bound_vars, exit_rule.free_vars))
+                             exit_rule.bound_vars, exit_rule.free_vars,
+                             batch=True))
                 for exit_rule in exit_rules
             )
             self._exit_entries[pred] = entries
         return entries
 
     def _exit_states(self, stats):
-        """Seed states from the exit rules at every counting node."""
-        for row in self.table.rows:
-            for exit_rule, query in self._exit_queries(row.pred):
-                stats.rule_firings += 1
-                for values in query(row.values, stats):
-                    yield (row.pred, values, row.id), exit_rule.label
+        """Seed states from the exit rules at every counting node, in
+        row order and then exit-rule order; one compiled call per
+        (exit rule, predicate) covers all of the predicate's rows."""
+        rows = self.table.rows
+        by_pred = {}
+        for row in rows:
+            by_pred.setdefault(row.pred, []).append(row.values)
+        results = {}
+        for pred, batch in by_pred.items():
+            queries = self._exit_queries(pred)
+            stats.rule_firings += len(batch) * len(queries)
+            results[pred] = [(exit_rule.label, iter(query(batch, stats)))
+                             for exit_rule, query in queries]
+        for row in rows:
+            for label, outs in results[row.pred]:
+                for values in next(outs):
+                    yield (row.pred, values, row.id), label
 
     def unwind_entry(self, label):
         """Cached ``(rule, query)`` for one modified-rule pop step; the

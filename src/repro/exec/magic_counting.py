@@ -33,8 +33,8 @@ from ..datalog.terms import Constant, Variable
 from ..engine.instrumentation import EvalStats
 from ..engine.relation import WILDCARD
 from ..engine.seminaive import SemiNaiveEngine
-from ..graph.properties import strongly_connected_components
-from .counting_engine import SOURCE_TRIPLE, CountingEngine, CountingTable
+from ..graph.dfs import recurring_ids
+from .counting_engine import CountingEngine, CountingTable
 
 #: Prefixes of the hybrid's internal predicates (kept out of the way
 #: of user predicates and of the other rewritings).
@@ -53,43 +53,17 @@ class _ResolverDatabase:
 
 
 def recurring_nodes(classification):
-    """Nodes of the reachable left graph with infinitely many paths.
-
-    A node is recurring iff it lies on a cycle or is reachable from
-    one; cycles are SCCs of size > 1 plus self-loops.
-    """
-    adjacency = {}
-    for arc in classification.arcs:
-        adjacency.setdefault(arc.source, set()).add(arc.target)
-    sccs = strongly_connected_components(
-        adjacency, nodes=set(classification.order)
-    )
-    by_component = {}
-    for node, component in sccs.items():
-        by_component.setdefault(component, []).append(node)
-    cyclic = set()
-    for component, members in by_component.items():
-        if len(members) > 1:
-            cyclic.update(members)
-    for node, targets in adjacency.items():
-        if node in targets:
-            cyclic.add(node)
-    recurring = set()
-    stack = list(cyclic)
-    while stack:
-        node = stack.pop()
-        if node in recurring:
-            continue
-        recurring.add(node)
-        stack.extend(adjacency.get(node, ()))
-    return recurring
+    """Nodes of the reachable left graph with infinitely many paths:
+    those on or below a cycle (:meth:`ArcClassification.recurring
+    <repro.graph.dfs.ArcClassification.recurring>`)."""
+    return classification.recurring()
 
 
 class MagicCountingEngine:
     """Hybrid evaluator; same interface as :class:`CountingEngine`."""
 
     def __init__(self, canonical, goal_key, source_values, get_relation,
-                 stats=None, budget=None):
+                 stats=None, budget=None, query_cache=None):
         self.canonical = canonical
         self.goal_key = goal_key
         self.source_values = tuple(source_values)
@@ -97,11 +71,11 @@ class MagicCountingEngine:
         self.stats = stats if stats is not None else EvalStats()
         #: Optional :class:`~repro.engine.guard.ResourceBudget`; shared
         #: with the embedded pointer engine and the magic-part
-        #: semi-naive run, and checked per frontier pop here.
+        #: semi-naive run.
         self.budget = budget
         self._pointer = CountingEngine(
             canonical, goal_key, source_values, get_relation,
-            stats=self.stats, budget=budget,
+            stats=self.stats, budget=budget, query_cache=query_cache,
         )
         self.table = None
         self.recurring = frozenset()
@@ -180,19 +154,24 @@ class MagicCountingEngine:
     # -- phases -------------------------------------------------------
 
     def run(self):
-        classification = self._pointer.classify()
-        self.recurring = frozenset(recurring_nodes(classification))
-        source = (self.goal_key, self.source_values)
+        graph = self._pointer.left_graph()
+        nodes, arcs = graph.nodes, graph.arcs
+        flags = recurring_ids(len(nodes), arcs, graph.back)
+        self.recurring = frozenset(
+            node for node, flag in zip(nodes, flags) if flag
+        )
+        source = nodes[0]
 
         # Boundary seeds: recurring targets of arcs from the acyclic
         # part, plus the source itself when recurring.
+        boundary_arcs = [
+            arc for arc in arcs if flags[arc[1]] and not flags[arc[0]]
+        ]
         boundary = {}
-        for arc in classification.arcs:
-            if arc.source not in self.recurring and \
-                    arc.target in self.recurring:
-                pred, values = arc.target
-                boundary.setdefault(pred, set()).add(values)
-        if source in self.recurring:
+        for arc in boundary_arcs:
+            pred, values = nodes[arc[1]]
+            boundary.setdefault(pred, set()).add(values)
+        if flags[0]:
             boundary.setdefault(source[0], set()).add(source[1])
 
         self.magic_relations = {}
@@ -206,7 +185,7 @@ class MagicCountingEngine:
             )
             self.magic_relations = engine.run()
 
-        if source in self.recurring:
+        if flags[0]:
             # Pure magic: read the answers straight off.
             relation = self.magic_relations.get(
                 (ANSWER_PART_PREFIX + source[0][0],
@@ -220,31 +199,22 @@ class MagicCountingEngine:
                         answers.add(row[width:])
             return frozenset(answers)
 
-        # Counting table over the acyclic (non-recurring) part.
-        table = CountingTable()
-        source_row = table.row_for(*source)
-        table.source_id = source_row.id
-        source_row.triples.append(SOURCE_TRIPLE)
-        for node in classification.order:
-            if node not in self.recurring:
-                table.row_for(*node)
-        boundary_arcs = []
-        for arc in classification.arcs:
-            if arc.source in self.recurring:
-                continue
-            if arc.target in self.recurring:
-                boundary_arcs.append(arc)
-                continue
-            label, shared = arc.label
-            table.row_for(*arc.target).triples.append(
-                (label, shared, table.row_for(*arc.source).id)
-            )
-            table.ahead_arc_count += 1
+        # Counting table over the acyclic (non-recurring) part: its
+        # nodes in discovery order, and the ahead arcs between them (a
+        # non-recurring target has a non-recurring source; no back arc
+        # has one).
+        kept = [rank for rank, flag in enumerate(flags) if not flag]
+        row_of = dict(zip(kept, range(len(kept))))
+        table = CountingTable.from_ranks(
+            [nodes[rank] for rank in kept],
+            [(row_of[s], row_of[t], label)
+             for s, t, label in graph.ahead if not flags[t]],
+        )
         self.table = self._pointer.table = table
         # One answer loop for all three evaluators: the boundary states
         # join the exit rules' as seeds.
         return self._pointer.compute_answers(
-            self._boundary_states(boundary_arcs, table)
+            self._boundary_states(boundary_arcs, nodes, row_of)
         )
 
     def _free_arity(self, key):
@@ -258,12 +228,14 @@ class MagicCountingEngine:
                 return len(rule.rec_free_vars)
         raise KeyError(key)
 
-    def _boundary_states(self, boundary_arcs, table):
+    def _boundary_states(self, boundary_arcs, nodes, row_of):
         """Virtual exits: magic answers at boundary nodes, pulled one
-        right-part application back into the acyclic part."""
-        for arc in boundary_arcs:
-            label, shared = arc.label
-            pred, target_values = arc.target
+        right-part application back into the acyclic part.
+        ``boundary_arcs`` are ``(source rank, target rank, (label,
+        shared))`` over ``nodes``; ``row_of`` maps a non-recurring rank
+        to its table row."""
+        for source, target, (label, shared) in boundary_arcs:
+            pred, target_values = nodes[target]
             answer_key = (
                 ANSWER_PART_PREFIX + pred[0],
                 len(target_values) + self._free_arity(pred),
@@ -271,8 +243,8 @@ class MagicCountingEngine:
             relation = self.magic_relations.get(answer_key)
             if relation is None:
                 continue
-            row_id = table.row_for(*arc.source).id
-            source_pred, source_values = arc.source
+            row_id = row_of[source]
+            source_values = nodes[source][1]
             width = len(target_values)
             pattern = tuple(target_values) + (WILDCARD,) * (
                 relation.arity - width

@@ -467,7 +467,7 @@ class _CountingForm(_Form):
         if self.method == "magic_counting":
             engine = MagicCountingEngine(
                 self.canonical, self.goal_key, source, get_relation,
-                stats=stats, budget=budget,
+                stats=stats, budget=budget, query_cache=self.queries,
             )
             answers = engine.run()
             return answers, {

@@ -16,7 +16,14 @@ counting method's counting set finite (Section 4).
 The classification depends on the DFS visit order; the paper notes that
 "more than one different partitions are possible".  We fix a
 deterministic order (sorted successors) so results are reproducible.
+
+The search runs over integer ids: :func:`explore` expands the graph
+one breadth wave at a time (the counting engines answer a wave with one
+compiled call per rule) and :func:`classify_ids` replays the DFS over
+the adjacency lists it returns.
 """
+
+from collections import namedtuple
 
 
 class Arc:
@@ -91,6 +98,14 @@ class ArcClassification:
             preds.setdefault(arc.target, []).append(arc)
         return {node: tuple(arcs) for node, arcs in preds.items()}
 
+    def recurring(self):
+        """The nodes on or below a cycle (§2's *recurring* nodes): those
+        reachable from a back-arc target (see :func:`recurring_ids`)."""
+        rank = {node: i for i, node in enumerate(self.order)}
+        ranked = [(rank[arc.source], rank[arc.target]) for arc in self.arcs]
+        flags = recurring_ids(len(rank), ranked, ranked[len(self.ahead):])
+        return {node for node, flag in zip(self.order, flags) if flag}
+
     def __repr__(self):
         return (
             "ArcClassification(%d nodes, %d tree, %d forward, %d cross, "
@@ -105,23 +120,142 @@ class ArcClassification:
         )
 
 
-def _sort_key(item):
-    """Deterministic ordering for successor lists of mixed types."""
-    target, label = item
-    return (repr(target), repr(label))
+def explore(source, expand):
+    """The graph reachable from ``source``, as ``(nodes, adjacency)``.
 
-
-def _ordered(successor_pairs):
-    """Successor list in deterministic order.
-
-    Sorting is by ``repr``, which is expensive on deeply nested node
-    keys; lists of fewer than two entries (the whole graph, on
-    chain-shaped data) need no ordering at all.
+    ``expand(wave)`` returns a list holding, for each node of the list
+    ``wave`` in order, its ``(target, label)`` pairs; it is called once
+    per breadth wave.  ``nodes[i]`` is the node with id ``i`` (the
+    source is 0) and ``adjacency[i]`` its ``(target id, label)`` pairs
+    sorted by ``(repr(target), repr(label))`` — deterministic over
+    mixed types, with each text computed once.
     """
-    pairs = list(successor_pairs)
-    if len(pairs) > 1:
-        pairs.sort(key=_sort_key)
-    return pairs
+    nodes = [source]
+    ident = {source: 0}
+    adjacency = []
+    target_texts = {}
+    label_texts = {}
+
+    def sort_key(arc):
+        target_id, label = arc
+        target = target_texts.get(target_id)
+        if target is None:
+            target = target_texts[target_id] = repr(nodes[target_id])
+        text = label_texts.get(label)
+        if text is None:
+            text = label_texts[label] = repr(label)
+        return target, text
+
+    while len(adjacency) < len(nodes):
+        wave = nodes[len(adjacency):]
+        expanded = expand(wave)
+        if len(expanded) != len(wave):
+            raise ValueError("expand must answer every node of a wave")
+        for successors in expanded:
+            arcs = []
+            for target, label in successors:
+                target_id = ident.get(target)
+                if target_id is None:
+                    target_id = ident[target] = len(nodes)
+                    nodes.append(target)
+                arcs.append((target_id, label))
+            if len(arcs) > 1:
+                arcs.sort(key=sort_key)
+            adjacency.append(arcs)
+    return nodes, adjacency
+
+
+class IdClassification(
+        namedtuple("IdClassification", "nodes tree forward cross back")):
+    """Result of :func:`classify_ids`: the classification over ranks.
+
+    A node's *rank* is its DFS discovery position — ``nodes[rank]``,
+    the source at 0.  Each arc is a ``(source rank, target rank,
+    label)`` tuple, each class in discovery order.
+    """
+
+    __slots__ = ()
+
+    @property
+    def ahead(self):
+        return self.tree + self.forward + self.cross
+
+    @property
+    def arcs(self):
+        return self.ahead + self.back
+
+    def view(self):
+        """The same classification as an :class:`ArcClassification`."""
+        nodes = self.nodes
+
+        def arcs(ranked):
+            return [Arc(nodes[s], nodes[t], label) for s, t, label in ranked]
+
+        return ArcClassification(
+            nodes[0], arcs(self.tree), arcs(self.forward),
+            arcs(self.cross), arcs(self.back), nodes,
+        )
+
+
+def classify_ids(nodes, adjacency):
+    """Algorithm 2's DFS from id 0 over ``explore``'s adjacency lists:
+    integer work only, no node object touched."""
+    rank = [-1] * len(nodes)
+    rank[0] = 0
+    order = [0]
+    on_stack = bytearray(len(nodes))
+    on_stack[0] = 1
+    tree, forward, cross, back = [], [], [], []
+    stack = [(0, iter(adjacency[0]))]
+    while stack:
+        node, edges = stack[-1]
+        here = rank[node]
+        for target, label in edges:
+            there = rank[target]
+            if there < 0:
+                there = rank[target] = len(order)
+                order.append(target)
+                tree.append((here, there, label))
+                on_stack[target] = 1
+                stack.append((target, iter(adjacency[target])))
+                break
+            if on_stack[target]:
+                back.append((here, there, label))
+            elif there > here:
+                forward.append((here, there, label))
+            else:
+                cross.append((here, there, label))
+        else:
+            stack.pop()
+            on_stack[node] = 0
+    return IdClassification(
+        [nodes[i] for i in order], tree, forward, cross, back
+    )
+
+
+def recurring_ids(count, arcs, back):
+    """Flags, by id, of the nodes reachable from a back-arc target.
+
+    ``arcs`` and its subset ``back`` are ``(source, target, ...)``
+    tuples of a DFS classification over ids ``0 .. count - 1``.  Every
+    cycle holds a back arc, and every back-arc target lies on a cycle
+    (the tree path down to the arc's source closes it), so these are
+    exactly the nodes on or below a cycle — in O(V + E), and O(V)
+    without a back arc.
+    """
+    flags = bytearray(count)
+    if not back:
+        return flags
+    successors = [[] for _ in range(count)]
+    for arc in arcs:
+        successors[arc[0]].append(arc[1])
+    stack = [arc[1] for arc in back]
+    while stack:
+        node = stack.pop()
+        if not flags[node]:
+            flags[node] = 1
+            stack.extend(successors[node])
+    return flags
 
 
 def classify_arcs(source, successors):
@@ -130,45 +264,9 @@ def classify_arcs(source, successors):
     ``successors(node)`` must yield ``(target, label)`` pairs; the same
     pair may be yielded once per distinct arc.
     """
-    discovery = {}
-    finished = set()
-    on_stack = set()
-    tree, forward, cross, back = [], [], [], []
-    order = []
-    clock = [0]
-
-    def discover(node):
-        discovery[node] = clock[0]
-        clock[0] += 1
-        order.append(node)
-        on_stack.add(node)
-
-    discover(source)
-    stack = [(source, iter(_ordered(successors(source))))]
-    while stack:
-        node, edges = stack[-1]
-        advanced = False
-        for target, label in edges:
-            arc = Arc(node, target, label)
-            if target not in discovery:
-                tree.append(arc)
-                discover(target)
-                stack.append(
-                    (target, iter(_ordered(successors(target))))
-                )
-                advanced = True
-                break
-            if target in on_stack:
-                back.append(arc)
-            elif discovery[target] > discovery[node]:
-                forward.append(arc)
-            else:
-                cross.append(arc)
-        if not advanced:
-            stack.pop()
-            on_stack.discard(node)
-            finished.add(node)
-    return ArcClassification(source, tree, forward, cross, back, order)
+    return classify_ids(*explore(
+        source, lambda wave: [successors(node) for node in wave]
+    )).view()
 
 
 def adjacency_successors(arcs):

@@ -25,57 +25,6 @@ def _reachable_arcs(classification):
     return arcs
 
 
-def _cycle_nodes(adjacency, nodes):
-    """Nodes lying on some cycle of the reachable subgraph."""
-    # A node is on a cycle iff it can reach itself through >= 1 arc.
-    # Compute SCCs with an iterative Kosaraju pass; SCCs of size > 1 and
-    # self-loop nodes are cyclic.
-    order = []
-    visited = set()
-    for start in nodes:
-        if start in visited:
-            continue
-        stack = [(start, iter(sorted(adjacency.get(start, ()), key=repr)))]
-        visited.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append(
-                        (succ, iter(sorted(adjacency.get(succ, ()), key=repr)))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                order.append(node)
-    reverse = {}
-    for source, targets in adjacency.items():
-        for target in targets:
-            reverse.setdefault(target, set()).add(source)
-    assigned = {}
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        component = []
-        stack = [root]
-        assigned[root] = root
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for pred in reverse.get(node, ()):
-                if pred in nodes and pred not in assigned:
-                    assigned[pred] = root
-                    stack.append(pred)
-        if len(component) > 1:
-            for node in component:
-                yield node
-        elif component[0] in adjacency.get(component[0], ()):
-            yield component[0]
-
-
 def strongly_connected_components(adjacency, nodes=None):
     """SCC ids for a graph given as ``{node: iterable-of-successors}``.
 
@@ -146,16 +95,7 @@ def node_classes(source, successors):
     classification = classify_arcs(source, successors)
     nodes = classification.nodes
     adjacency = _reachable_arcs(classification)
-    cyclic = set(_cycle_nodes(adjacency, nodes))
-    # Recurring nodes: reachable from a cyclic node (or cyclic itself).
-    recurring = set()
-    stack = list(cyclic)
-    while stack:
-        node = stack.pop()
-        if node in recurring:
-            continue
-        recurring.add(node)
-        stack.extend(adjacency.get(node, ()))
+    recurring = classification.recurring()
     # Path counting on the remaining acyclic portion, in topological
     # order of ahead arcs (recurring nodes are excluded — their counts
     # are infinite).

@@ -1,8 +1,9 @@
 """Parallel construction of the counting set (phase 1 of §3).
 
-Phase 1 of the counting method is a DFS over the left-part graph: each
-node expansion runs the recursive rules' bound left-queries against the
-database.  Those expansions are independent of one another — only the
+Phase 1 of the counting method expands the left-part graph in breadth
+waves, running the recursive rules' bound left-queries against the
+database, then replays Algorithm 2's DFS over integer ids.  Node
+expansions are independent of one another — only the
 *classification* of the discovered arcs (tree/forward/cross/back)
 depends on visit order — so the expensive part fans out cleanly:
 
@@ -10,10 +11,11 @@ depends on visit order — so the expensive part fans out cleanly:
    spreading each wave's expansions across the worker pool (the first
    wave is exactly the source's root subtrees);
 2. every worker returns, per node, the successor list *and* the work
-   counters that computing it cost;
-3. the coordinator then replays the serial DFS
-   (:func:`~repro.graph.dfs.classify_arcs`) over the cached successor
-   map — the replay performs no database work, so the resulting
+   counters that computing it cost (a one-node wave of the engine's
+   ``_expand``);
+3. the engine's own phase 1 then takes each wave's expansion from
+   :class:`CachedSuccessors` — the replay performs no database
+   work, so the resulting
    :class:`~repro.exec.counting_engine.CountingTable` is byte-identical
    to a serial build, and merging each node's recorded counters exactly
    once reproduces the serial :class:`EvalStats` totals.
@@ -101,7 +103,7 @@ def _counting_worker_main(index, conn, payload):
                 expanded = {}
                 for node in message[1]:
                     before = _counters(engine.stats)
-                    successors = engine._successors(node)
+                    successors = engine._expand([node])[0]
                     after = _counters(engine.stats)
                     expanded[node] = (successors, before, after)
                 conn.send(("ok", expanded))
@@ -113,7 +115,7 @@ def _counting_worker_main(index, conn, payload):
 
 
 class CachedSuccessors:
-    """Successor resolver backed by the parallel expansion cache.
+    """Wave expansion backed by the parallel expansion cache.
 
     Serving a node merges its recorded counters into the engine stats
     exactly once; a cache miss (impossible when the wave expansion
@@ -127,10 +129,13 @@ class CachedSuccessors:
         self.cache = cache
         self.deltas = deltas
 
-    def __call__(self, node):
+    def __call__(self, wave):
+        return [self._cached(node) for node in wave]
+
+    def _cached(self, node):
         cached = self.cache.get(node)
         if cached is None:
-            return self.engine._successors(node)
+            return self.engine._expand([node])[0]
         delta = self.deltas.pop(node, None)
         if delta is not None:
             _merge_counters(self.engine.stats, delta[0], delta[1])
@@ -143,7 +148,7 @@ def parallel_successor_map(engine, db, workers):
 
     Raises :class:`~repro.parallel.executor.WorkerCrashError` (or the
     worker's own typed error) on any pool failure — callers fall back
-    to the serial DFS.
+    to the serial phase 1.
     """
     if workers < 1:
         raise EvaluationError("parallel counting needs workers >= 1")

@@ -84,7 +84,7 @@ class TestExample5CountingSet:
         assert len(classification.back) == 1
         # It reads the left graph the way the build does: through the
         # installed successor resolver.
-        engine.successor_resolver = lambda node: []
+        engine.successor_resolver = lambda wave: [[] for _ in wave]
         assert engine.classify().order == classification.order[:1]
 
 
