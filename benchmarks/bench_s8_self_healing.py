@@ -14,17 +14,19 @@ parallel oracle:
   completes in parallel.
 * **respawn** — a replacement is forked into the dead worker's slot
   and rebuilt from the retained spawn payload plus the replicate log.
-* **serial restart** — ``RecoveryPolicy(mode="serial")`` under the
-  resilient chain: the PR 9 baseline that abandons the parallel
-  attempt and re-runs the query serially from scratch.
+* **serial restart** — ``RecoveryPolicy(mode="serial")``: the PR 9
+  baseline that abandons the parallel attempt on its typed
+  ``WorkerCrashError`` and re-runs the query from scratch with the
+  default chain's first serial strategy.
 
 Claims asserted:
 
 * every healed run completes *without* serial fallback, with answers
   and merged ``EvalStats`` byte-identical to the undisturbed oracle,
   and its recovery extras record exactly one crash and one repair;
-* the serial-restart baseline really does degrade (the winning method
-  is not ``parallel``) and re-does the rounds the parallel attempt had
+* the serial-restart baseline really does degrade (the parallel
+  attempt fails with ``WorkerCrashError`` and the answers come from a
+  serial strategy) and re-does the rounds the parallel attempt had
   already completed;
 * a straggling worker (repeating injected delay) is beaten by
   speculative re-execution — at least one speculative win, same
@@ -36,8 +38,10 @@ Claims asserted:
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the workload for CI smoke runs.
 """
 
+import collections
 import gc
 import os
+import time
 
 import pytest
 
@@ -46,10 +50,9 @@ from _common import assert_claims
 
 from repro.data.workloads import WORKLOADS
 from repro.engine.faults import FaultInjector
-from repro.exec.resilient import PARALLEL_CHAIN, FallbackPolicy, \
-    run_resilient
+from repro.exec.resilient import DEFAULT_CHAIN
 from repro.exec.strategies import run_strategy
-from repro.parallel import RecoveryPolicy
+from repro.parallel import RecoveryPolicy, WorkerCrashError
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 WIDTH = 8 if SMOKE else 40
@@ -89,13 +92,19 @@ def _healed_run(query, db, mode):
         )
 
 
+#: The serial-restart baseline: the fail-fast parallel attempt's typed
+#: crash, the serial result that replaced it, and the wall clock of
+#: both together.
+Restart = collections.namedtuple("Restart", "crash result elapsed")
+
+
 def _restart_run(query, db):
-    with _crash_injector():
-        return run_resilient(
-            query, db,
-            FallbackPolicy(chain=PARALLEL_CHAIN, workers=WORKERS,
-                           recovery="serial"),
-        )
+    started = time.perf_counter()
+    with _crash_injector(), pytest.raises(WorkerCrashError) as crash:
+        run_strategy("parallel", query, db, workers=WORKERS,
+                     recovery="serial")
+    result = run_strategy(DEFAULT_CHAIN[0], query, db)
+    return Restart(crash.value, result, time.perf_counter() - started)
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +130,11 @@ def measurements():
             if best is None or healed.elapsed < best.elapsed:
                 sides[mode] = healed
         gc.collect()
-        report = _restart_run(query, db)
-        assert report.result.answers == oracle.answers
+        restart = _restart_run(query, db)
+        assert restart.result.answers == oracle.answers
         best = sides.get("restart")
-        if best is None or report.total_elapsed < best.total_elapsed:
-            sides["restart"] = report
+        if best is None or restart.elapsed < best.elapsed:
+            sides["restart"] = restart
     gc.collect()
     with FaultInjector(seed=0).slow_worker(worker=1, seconds=0.2):
         straggled = run_strategy(
@@ -164,12 +173,12 @@ def _render_table(data):
                recovery["rounds_replayed"],
                recovery["recovery_seconds"] * 1e3)
         )
-    report = data["sides"]["restart"]
+    restart = data["sides"]["restart"]
     lines.append(
-        "crash + restart   : %.1f ms total (%s after %d failed "
-        "attempt(s), %d parallel round(s) thrown away)"
-        % (report.total_elapsed * 1e3, report.method,
-           report.fallback_depth, report.attempts[0].rounds)
+        "crash + restart   : %.1f ms total (%s after %s, %d parallel "
+        "round(s) thrown away)"
+        % (restart.elapsed * 1e3, restart.result.method,
+           type(restart.crash).__name__, restart.crash.rounds)
     )
     recovery = data["straggled"].extras["recovery"]
     lines.append(
@@ -215,16 +224,13 @@ def test_s8_healed_runs_match_the_oracle(measurements, benchmark):
 
 def test_s8_restart_baseline_really_degrades(measurements, benchmark):
     def check():
-        report = measurements["sides"]["restart"]
-        assert report.succeeded
-        assert report.method != "parallel"
-        first = report.attempts[0]
-        assert first.error_class == "WorkerCrashError"
+        restart = measurements["sides"]["restart"]
+        assert restart.result.method != "parallel"
+        assert type(restart.crash) is WorkerCrashError
         # The rounds the parallel attempt completed before the crash
         # are exactly what the serial restart re-computes.
-        assert first.rounds > 0
-        assert first.recovery is not None
-        assert first.recovery["crashes"] == 1
+        assert restart.crash.rounds > 0
+        assert restart.crash.recovery["crashes"] == 1
 
     assert_claims(benchmark, check)
 
@@ -250,7 +256,7 @@ def test_s8_speculation_beats_the_straggler(measurements, benchmark):
 def test_s8_repair_beats_serial_restart(measurements, benchmark):
     def check():
         healed = measurements["sides"]["reassign"].elapsed
-        restart = measurements["sides"]["restart"].total_elapsed
+        restart = measurements["sides"]["restart"].elapsed
         assert healed < restart, (
             "crash+reassign %.1f ms not faster than serial restart "
             "%.1f ms" % (healed * 1e3, restart * 1e3)

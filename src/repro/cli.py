@@ -4,15 +4,14 @@ Main subcommands::
 
     python -m repro run PROGRAM.dl [--db FACTS.dl] [--method auto]
                        [--timeout S] [--max-facts N] [--resilient]
-                       [--workers N] [--cache [CAPACITY]]
-                       [--batch BINDINGS] [--wal DIR] [--fsync batch]
-                       [--checkpoint]
+                       [--cache [CAPACITY]] [--batch BINDINGS]
+                       [--wal DIR] [--fsync batch] [--checkpoint]
     python -m repro rewrite PROGRAM.dl --method magic
     python -m repro explain PROGRAM.dl [--db FACTS.dl]
     python -m repro bench WORKLOAD [--methods m1,m2] [--param k=v ...]
     python -m repro serve-bench [--queries N] [--workers N]
-                       [--eval-workers N] [--capacity N] [--timeout S]
-                       [--poison] [--audit PATH] [--tenants N]
+                       [--capacity N] [--timeout S] [--poison]
+                       [--audit PATH] [--tenants N]
                        [--quota RATE[:BURST]]
     python -m repro recover DIR [--checkpoint] [--dump FACTS.dl]
 
@@ -122,8 +121,7 @@ def _cmd_run_prepared(args, query, db, out):
     )
     out.write("method : %s (prepared)\n" % prepared.method)
     budget = _make_budget(args)
-    results = prepared.run_batch(bindings, db=db, budget=budget,
-                                 workers=args.workers)
+    results = prepared.run_batch(bindings, db=db, budget=budget)
     for binding, result in zip(bindings, results):
         shown = binding if binding is not None else \
             prepared.default_constants
@@ -203,16 +201,6 @@ def _run_loaded(args, query, db, out):
             )
             return 1
         return _cmd_run_prepared(args, query, db, out)
-    workers = args.workers
-    recovery = getattr(args, "recovery", None)
-    max_repairs = getattr(args, "max_repairs", None)
-    if recovery is not None or max_repairs is not None:
-        from .parallel import RecoveryPolicy
-
-        recovery = RecoveryPolicy(
-            mode=recovery if recovery is not None else "reassign",
-            max_repairs=max_repairs if max_repairs is not None else 2,
-        )
     if args.resilient:
         from .exec.resilient import DEFAULT_CHAIN, FallbackPolicy, \
             run_resilient
@@ -223,16 +211,8 @@ def _run_loaded(args, query, db, out):
         elif args.method != "auto":
             # Start the default chain at the requested method.
             chain = chain[chain.index(args.method):]
-        if workers is not None and workers >= 2:
-            # Sharded fixpoint leads; every worker failure degrades
-            # into the serial chain.
-            chain = ("parallel",) + tuple(
-                m for m in chain if m != "parallel"
-            )
         policy = FallbackPolicy(
             chain=chain, timeout=args.timeout, max_facts=args.max_facts,
-            workers=workers if workers is not None else 2,
-            recovery=recovery,
         )
         report = run_resilient(query, db, policy)
         result = report.result
@@ -247,46 +227,10 @@ def _run_loaded(args, query, db, out):
                     % (attempt.method, attempt.error_class, attempt.error)
                 )
     else:
-        result = None
-        if workers is not None and workers >= 2:
-            from .errors import EvaluationError, NotApplicableError
-            from .exec.strategies import run_strategy
-
-            try:
-                result = run_strategy(
-                    "parallel", query, db, budget=_make_budget(args),
-                    workers=workers, recovery=recovery,
-                )
-            except (NotApplicableError, EvaluationError) as exc:
-                out.write(
-                    "note   : parallel evaluation fell back to serial "
-                    "(%s: %s)\n" % (type(exc).__name__, exc)
-                )
-            else:
-                out.write(
-                    "method : parallel (%d workers, %d barriers, "
-                    "%d exchange bytes)\n"
-                    % (result.extras["workers"],
-                       result.extras["barriers"],
-                       result.extras["exchange_bytes"])
-                )
-                healing = result.extras.get("recovery") or {}
-                if healing.get("repairs"):
-                    out.write(
-                        "healed : %d repairs (%d crashes, %d hangs, "
-                        "%d reassigned, %d respawned, %d rounds "
-                        "replayed, %.4fs)\n"
-                        % (healing["repairs"], healing["crashes"],
-                           healing["hangs"], healing["reassignments"],
-                           healing["respawns"],
-                           healing["rounds_replayed"],
-                           healing["recovery_seconds"])
-                    )
-        if result is None:
-            plan = optimize(query, db if args.method == "auto" else None,
-                            method=args.method)
-            result = plan.execute(db, budget=_make_budget(args))
-            out.write("method : %s\n" % plan.explain())
+        plan = optimize(query, db if args.method == "auto" else None,
+                        method=args.method)
+        result = plan.execute(db, budget=_make_budget(args))
+        out.write("method : %s\n" % plan.explain())
     for answer in sorted(result.answers):
         out.write("answer : %s\n" % (answer,))
     out.write("count  : %d answers\n" % len(result.answers))
@@ -424,8 +368,6 @@ def _cmd_serve_bench(args, out):
         retry=RetryPolicy(seed=args.seed),
         breakers=BreakerBoard(threshold=args.breaker_threshold),
         audit=audit, tenants=tenants,
-        eval_workers=args.eval_workers,
-        eval_recovery=getattr(args, "recovery", None),
     )
     out.write(
         "method : %s (%d worker(s), queue capacity %d)\n"
@@ -598,23 +540,6 @@ def build_parser():
              "failing on the first method error",
     )
     run.add_argument(
-        "--workers", type=int, metavar="N",
-        help="evaluate with N data-parallel processes (sharded "
-             "fixpoint); falls back to the serial --method on any "
-             "planning or worker failure",
-    )
-    run.add_argument(
-        "--recovery", choices=("reassign", "respawn", "serial"),
-        help="self-healing policy for --workers: reassign dead "
-             "workers' shards onto survivors, respawn replacements, "
-             "or degrade to serial on the first failure",
-    )
-    run.add_argument(
-        "--max-repairs", type=int, metavar="N",
-        help="repairs the supervisor may attempt before giving up "
-             "(default 2)",
-    )
-    run.add_argument(
         "--cache", type=int, nargs="?", const=128, metavar="CAPACITY",
         help="prepare the query once and serve it through an LRU "
              "answer cache (default capacity 128)",
@@ -692,16 +617,6 @@ def build_parser():
     serve.add_argument("--queries", type=int, default=32,
                        help="bindings submitted open-loop (default 32)")
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument(
-        "--eval-workers", type=int, metavar="N",
-        help="grant each request N data-parallel evaluation processes "
-             "(distinct from --workers, the service's thread pool)",
-    )
-    serve.add_argument(
-        "--recovery", choices=("reassign", "respawn", "serial"),
-        help="self-healing policy for --eval-workers pools (see "
-             "'run --recovery')",
-    )
     serve.add_argument("--capacity", type=int, default=8,
                        help="admission queue capacity (default 8)")
     serve.add_argument(

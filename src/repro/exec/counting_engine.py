@@ -331,11 +331,6 @@ class CountingEngine:
         self.table_store = table_store
         #: True when phase 1 was served from ``table_store``.
         self.table_reused = False
-        #: Optional replacement for :meth:`_expand` (one phase-1 wave) —
-        #: :func:`repro.parallel.counting.parallel_successor_map` installs
-        #: a cache-backed resolver here so phase 1 replays
-        #: worker-computed expansions instead of probing the database.
-        self.successor_resolver = None
         self.table = None
         self._answers = None
         #: ``state -> (label, parent)``, recorded by :meth:`answer_path`.
@@ -417,14 +412,13 @@ class CountingEngine:
     def left_graph(self):
         """Phase 1 up to, not including, the table: the left graph
         reachable from the source, expanded one breadth wave at a time
-        (one budget check and one :meth:`_expand` or
-        ``successor_resolver`` call per wave) and classified by
-        Algorithm 2's DFS over integer ids — an
+        (one budget check and one :meth:`_expand` call per wave) and
+        classified by Algorithm 2's DFS over integer ids — an
         :class:`~repro.graph.dfs.IdClassification` whose ranks are the
         counting table's row ids.  Every reader of the left graph goes
         through here, so all see the same arcs in the same order.
         """
-        expand = self.successor_resolver or self._expand
+        expand = self._expand
         budget = self.budget
         if budget is not None:
             def expand(wave, _expand=expand, _stats=self.stats):

@@ -27,9 +27,6 @@ query it takes, for comparison) — and adds what is about *repetition*:
 3. **The per-generation memo** handed to ``evaluate``, which keeps
    there what it derives from the database alone until an epoch of
    ``read_keys`` moves.
-4. **The parallel attempt.**  ``workers >= 2`` tries the sharded
-   fixpoint, or spreads phase 1 of the counting-set build over worker
-   processes, and degrades to the serial evaluation.
 
 What a strategy does for one binding is :mod:`repro.exec.strategies`'
 business alone; no strategy is named here.
@@ -41,7 +38,7 @@ import weakref
 from ..datalog.rules import Query
 from ..datalog.terms import Constant
 from ..engine.instrumentation import EvalStats
-from ..errors import EvaluationError, NotApplicableError
+from ..errors import NotApplicableError
 from ..rewriting.pipeline import optimize
 from .strategies import (
     ExecutionResult,
@@ -223,27 +220,13 @@ class PreparedQuery:
 
     # -- evaluation ----------------------------------------------------
 
-    def run(self, constants=None, db=None, budget=None, workers=None,
-            recovery=None):
+    def run(self, constants=None, db=None, budget=None):
         """Evaluate the form for one binding; returns an
         :class:`~repro.exec.strategies.ExecutionResult`.
 
         ``stats.cache_hits`` / ``stats.cache_misses`` record the answer
         cache's verdict; ``stats.prepare_reuse`` is 1 when this run
         reused the prepared rewriting instead of building it.
-
-        ``workers`` (>= 2) asks for data-parallel evaluation: the
-        pointer/cyclic counting family parallelizes phase 1 of the
-        counting-set build, every other family first attempts the
-        sharded-fixpoint ``parallel`` strategy.  Either path degrades
-        to the prepared serial evaluation on any worker or planning
-        failure — ``extras["parallel_fallback"]`` then names the error
-        class.  ``recovery`` tunes the sharded stage's self-healing
-        (a :class:`~repro.parallel.supervisor.RecoveryPolicy` or mode
-        string; default shard reassignment), so a worker crash is
-        repaired in place before this serial fallback is considered.
-        Answers are byte-identical either way, so the answer cache is
-        keyed without ``workers`` or ``recovery``.
         """
         if db is None:
             raise TypeError("PreparedQuery.run() requires a database")
@@ -257,8 +240,7 @@ class PreparedQuery:
         if self._runs:
             stats.prepare_reuse = 1
         self._runs += 1
-        result = self._execute(constants, db, stats, budget, started,
-                               workers=workers, recovery=recovery)
+        result = self._execute(constants, db, stats, budget, started)
         if key is not None:
             # A copy: the caller owns (and the service extends) its own.
             self.cache.put(
@@ -309,59 +291,31 @@ class PreparedQuery:
             elapsed=time.perf_counter() - started,
         )
 
-    def run_batch(self, bindings, db=None, budget=None, workers=None,
-                  recovery=None):
+    def run_batch(self, bindings, db=None, budget=None):
         """Evaluate many bindings; results in the order of ``bindings``."""
-        return [
-            self.run(binding, db=db, budget=budget, workers=workers,
-                     recovery=recovery)
-            for binding in bindings
-        ]
+        return [self.run(binding, db=db, budget=budget)
+                for binding in bindings]
 
-    def _execute(self, constants, db, stats, budget, started,
-                 workers=None, recovery=None):
+    def _execute(self, constants, db, stats, budget, started):
         form = self._form
-        parallel = workers is not None and workers >= 2
-        phase1 = form is not None and form.phase1
-        added = {}
-        cold = None
-        if parallel and not phase1:
-            # Sharded-fixpoint attempt; the serial evaluation below is
-            # the fallback.  Budget errors propagate — they describe the
-            # caller's limits, and a serial retry cannot beat them.
-            try:
-                cold = run_strategy(
-                    "parallel", self.bind(constants), db,
-                    budget=budget, workers=workers, recovery=recovery,
-                )
-            except (NotApplicableError, EvaluationError) as exc:
-                added["parallel_fallback"] = type(exc).__name__
-        if cold is None and form is None:
+        if form is None:
             cold = run_strategy(
                 self.method, self.bind(constants), db, budget=budget
             )
-        if cold is not None:
             cold.stats.merge(stats)
-            cold.extras.update(added, prepared=False, cache_hit=False)
+            cold.extras.update(prepared=False, cache_hit=False)
             return cold
         epochs = db.epochs(self.read_keys)
         options = {}
-        if phase1:
-            store = None
-            if self.counting_store is not None:
-                store = _ScopedTableStore(
-                    self.counting_store, self._form_key, epochs
-                )
-            options["table_store"] = store
-            if parallel:
-                options["phase1"] = self._parallel_phase1(
-                    db, workers, store, added
-                )
+        if form.phase1:
+            options["table_store"] = None if self.counting_store is None \
+                else _ScopedTableStore(self.counting_store, self._form_key,
+                                       epochs)
         answers, extras = form.evaluate(
             db, stats, budget, constants=constants,
             memo=self._memo(db, epochs), **options
         )
-        extras.update(added, prepared=True, cache_hit=False)
+        extras.update(prepared=True, cache_hit=False)
         return ExecutionResult(
             self.method, answers, stats, extras,
             elapsed=time.perf_counter() - started,
@@ -375,28 +329,6 @@ class PreparedQuery:
         if entry is None or entry[0]() is not db or entry[1] != epochs:
             entry = self._generation = (weakref.ref(db), epochs, {})
         return entry[2]
-
-    def _parallel_phase1(self, db, workers, store, added):
-        """The ``phase1`` hook that expands the left graph across
-        ``workers`` processes; what happened lands in ``added``."""
-
-        def phase1(engine):
-            if self._form.support_rules:
-                return  # support resolvers don't ship
-            source = (engine.goal_key, engine.source_values)
-            if store is not None and store.get(source) is not None:
-                return  # phase 1 will be skipped altogether
-            from ..parallel.counting import parallel_successor_map
-
-            try:
-                engine.successor_resolver = parallel_successor_map(
-                    engine, db, workers
-                )
-                added["parallel_phase1_workers"] = workers
-            except EvaluationError as exc:
-                added["parallel_fallback"] = type(exc).__name__
-
-        return phase1
 
     def __repr__(self):
         return "PreparedQuery(%s, %s, %d run(s))" % (

@@ -49,12 +49,6 @@ DEFAULT_CHAIN = (
     "naive",
 )
 
-#: Multiprocess-first chain: the sharded fixpoint leads, and any worker
-#: failure (a crash mid-round, an unshippable program, a budget firing)
-#: degrades to the serial chain above — the caller always gets complete
-#: answers or a typed exhaustion, never a partial parallel result.
-PARALLEL_CHAIN = ("parallel",) + DEFAULT_CHAIN
-
 NEXT, RETRY, RAISE = "next", "retry", "raise"
 
 #: The one failure policy: the first row matching a failed attempt's
@@ -82,20 +76,13 @@ class FallbackPolicy:
     ``timeout`` / ``max_facts`` / ``max_rounds`` configure a *fresh*
     :class:`ResourceBudget` per attempt (budgets are single-use; a
     shared budget would charge stage N for stage N-1's spending).
-    ``workers`` sizes the pool of any ``parallel`` stage in the chain
-    (ignored by serial strategies).  ``recovery`` is that stage's
-    self-healing policy (a
-    :class:`~repro.parallel.supervisor.RecoveryPolicy`, a mode string,
-    or ``None`` for the default shard-reassignment policy): with it,
-    degrading to a serial stage happens only *after* in-place repair
-    has been exhausted — the last resort, not the first response.
+    Every stage runs with its strategy's defaults.
     """
 
-    __slots__ = ("chain", "timeout", "max_facts", "max_rounds",
-                 "workers", "recovery")
+    __slots__ = ("chain", "timeout", "max_facts", "max_rounds")
 
     def __init__(self, chain=DEFAULT_CHAIN, timeout=None, max_facts=None,
-                 max_rounds=None, workers=2, recovery=None):
+                 max_rounds=None):
         chain = tuple(chain)
         if not chain:
             raise ValueError("fallback chain must name at least one strategy")
@@ -109,8 +96,6 @@ class FallbackPolicy:
         self.timeout = timeout
         self.max_facts = max_facts
         self.max_rounds = max_rounds
-        self.workers = workers
-        self.recovery = recovery
 
     def make_budget(self):
         """A fresh per-attempt budget, or ``None`` when unlimited."""
@@ -134,10 +119,10 @@ class AttemptRecord:
     """One stage of a resilient run: a strategy and its outcome."""
 
     __slots__ = ("method", "error", "elapsed", "stats", "breaker_state",
-                 "rounds", "recovery", "budget")
+                 "rounds", "budget")
 
     def __init__(self, method, error=None, elapsed=0.0, stats=None,
-                 breaker_state=None, rounds=0, recovery=None, budget=None):
+                 breaker_state=None, rounds=0, budget=None):
         self.method = method
         #: The typed error the stage failed with, or ``None`` on success.
         self.error = error
@@ -150,15 +135,11 @@ class AttemptRecord:
         #: :class:`~repro.errors.CircuitOpenError` attempt with
         #: ``elapsed == 0`` is a skip, not a real execution.
         self.breaker_state = breaker_state
-        #: Fixpoint rounds the stage completed before failing — for a
-        #: crashed/hung parallel attempt, how much work the serial
-        #: restart is re-doing.
+        #: Fixpoint rounds the stage ran: ``stats.iterations`` of a
+        #: stage that answered; for a failed one, the ``rounds`` its
+        #: error reports (0 when it reports none) — work the next stage
+        #: does again.
         self.rounds = rounds
-        #: The parallel stage's self-healing story (the supervisor's
-        #: ``as_dict()``: crashes, hangs, repairs, the event log), or
-        #: ``None`` for serial stages.  Carried even on failure so the
-        #: report shows what recovery tried before degrading.
-        self.recovery = recovery
         #: The attempt's budget (``None`` for a skip or an unlimited
         #: run); :attr:`usage` reads what it consumed.
         self.budget = budget
@@ -170,11 +151,6 @@ class AttemptRecord:
         usage = {} if self.budget is None else self.budget.usage(self.stats)
         usage["seconds"] = self.elapsed
         return usage
-
-    @property
-    def repair_count(self):
-        """In-place repairs the stage's supervisor performed."""
-        return 0 if not self.recovery else self.recovery.get("repairs", 0)
 
     @property
     def failed(self):
@@ -253,10 +229,6 @@ class ExecutionReport:
             )
             if attempt.breaker_state is not None:
                 outcome += "  [breaker: %s]" % attempt.breaker_state
-            if attempt.recovery is not None:
-                outcome += "  [recovery: %d repairs, %d rounds]" % (
-                    attempt.repair_count, attempt.rounds
-                )
             lines.append(
                 "%-18s %8.4fs  %s" % (attempt.method, attempt.elapsed,
                                       outcome)
@@ -285,8 +257,6 @@ class ExecutionReport:
                     "elapsed": attempt.elapsed,
                     "breaker": attempt.breaker_state,
                     "rounds": attempt.rounds,
-                    "repairs": attempt.repair_count,
-                    "recovery": attempt.recovery,
                 }
                 for attempt in self.attempts
             ],
@@ -356,10 +326,6 @@ def run_resilient(query, db, policy=None, breakers=None,
             continue
         budget = budget_factory() if budget_factory is not None \
             else policy.make_budget()
-        options = (
-            {"workers": policy.workers, "recovery": policy.recovery}
-            if method == "parallel" else {}
-        )
         started = clock()
         try:
             if stage == 0 and first is not None:
@@ -369,7 +335,7 @@ def run_resilient(query, db, policy=None, breakers=None,
                 result = run_strategy(
                     method, query,
                     db if isinstance(db, DatabaseSnapshot) else db.copy(),
-                    budget=budget, **options
+                    budget=budget
                 )
         except _HANDLED as exc:
             _classes, per_attempt, caller, feeds_breaker = next(
@@ -385,12 +351,7 @@ def run_resilient(query, db, policy=None, breakers=None,
                     stats=getattr(exc, "stats", None),
                     breaker_state=None if breaker is None
                     else breaker.state,
-                    # A failed parallel stage ships its recovery story
-                    # on the error (repair log + rounds completed), so
-                    # the degraded report still shows what self-healing
-                    # tried before the serial restart.
                     rounds=getattr(exc, "rounds", 0) or 0,
-                    recovery=getattr(exc, "recovery", None),
                     budget=budget,
                 )
             )
@@ -412,14 +373,12 @@ def run_resilient(query, db, policy=None, breakers=None,
         if breaker is not None:
             breaker.record_success()
         stats = getattr(result, "stats", None)
-        extras = getattr(result, "extras", None) or {}
         report.attempts.append(
             AttemptRecord(
                 method, elapsed=clock() - started, stats=stats,
                 breaker_state=None if breaker is None
                 else breaker.state,
                 rounds=getattr(stats, "iterations", 0),
-                recovery=extras.get("recovery"),
                 budget=budget,
             )
         )

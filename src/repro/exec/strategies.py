@@ -448,6 +448,8 @@ class _CountingForm(_Form):
         clique, self.support_rules = goal_clique_of(adorned)
         self.canonical = canonicalize_clique(clique, adorned)
         self.goal_key = adorned.goal.key
+        #: Whether ``evaluate`` builds a counting table, and so takes a
+        #: ``table_store``.
         self.phase1 = method != "magic_counting"
         #: Compiled-BoundQuery cache shared by every engine of the form
         #: (keyed on canonical rule identity, so it is valid across
@@ -455,11 +457,9 @@ class _CountingForm(_Form):
         self.queries = {}
 
     def evaluate(self, db, stats, budget=None, constants=(), memo=None,
-                 table_store=None, phase1=None):
+                 table_store=None):
         """``table_store`` is a node-keyed counting-table store for
-        this form and database generation; ``phase1(engine)`` runs
-        before the engine does and may install a ``successor_resolver``
-        (:func:`repro.parallel.counting.parallel_successor_map`)."""
+        this form and database generation."""
         memo = {} if memo is None else memo
         get_relation = _materialize_support(self.support_rules, db, stats,
                                             budget, memo)
@@ -484,8 +484,6 @@ class _CountingForm(_Form):
             require_acyclic=self.method == "pointer_counting",
             query_cache=self.queries, table_store=table_store,
         )
-        if phase1 is not None:
-            phase1(engine)
         answers = engine.run()
         extras = {
             "counting_rows": len(engine.table),
@@ -638,7 +636,8 @@ def run_strategy(name, query, db, budget=None, **options):
     underlying engines; a budget firing surfaces as a typed
     :class:`~repro.errors.BudgetExceededError` carrying partial stats.
     Extra keyword ``options`` are forwarded to the strategy runner —
-    the ``parallel`` strategy takes ``workers=N`` this way.
+    the ``parallel`` strategy takes ``workers``, ``inline``, ``plan``
+    and ``recovery`` this way.
     """
     try:
         runner = STRATEGIES[name]

@@ -4,10 +4,12 @@
 :class:`~repro.parallel.plan.PartitionedPlan` for a query — partition
 columns, shard-vs-broadcast decisions, delta-exchange schedule — and
 :mod:`repro.parallel.executor` runs it over a persistent
-``multiprocessing`` worker pool.  :mod:`repro.parallel.counting`
-parallelizes phase 1 of the counting method (the left-graph DFS) with
-a byte-identical serial replay.  See ``docs/api.md`` ("Parallel
-evaluation") for the worker lifecycle and fallback semantics.
+``multiprocessing`` worker pool, supervised by
+:mod:`repro.parallel.supervisor`.  The only entry point outside this
+package is the ``parallel`` strategy,
+:func:`~repro.exec.strategies.run_parallel`.  See ``docs/api.md``
+("Parallel evaluation") for the worker lifecycle and recovery
+semantics.
 """
 
 from .executor import (

@@ -101,15 +101,10 @@ __all__ = [
     "WorkerHungError",
 ]
 
-#: Seconds between liveness checks while waiting at a round barrier.
+#: Seconds between liveness checks while waiting at a round barrier;
+#: how long a barrier may last is the supervised
+#: :class:`~repro.parallel.supervisor.RecoveryPolicy.barrier_timeout`.
 _POLL_INTERVAL = 0.05
-
-#: Barrier patience of pools that run *without* a supervisor (the
-#: phase-1 counting pool in :mod:`repro.parallel.counting`).  The
-#: sharded fixpoint itself uses the supervised
-#: :class:`~repro.parallel.supervisor.RecoveryPolicy.barrier_timeout`
-#: instead.
-_BARRIER_TIMEOUT = 600.0
 
 
 # ----------------------------------------------------------------- #
@@ -1249,9 +1244,8 @@ class ParallelEngine:
                     self._recursive_rounds(inline_worker, deltas)
                 self._replicate(clique_index)
         except ReproError as exc:
-            # Ship the recovery story with the failure: the resilient
-            # runner copies it onto the attempt record, so a degraded
-            # report still shows what self-healing tried first.
+            # Ship the recovery story with the failure, so a caller
+            # that degrades still sees what self-healing tried first.
             if getattr(exc, "recovery", None) is None:
                 exc.recovery = self.supervisor.as_dict()
             if getattr(exc, "rounds", None) in (None, 0):

@@ -135,9 +135,8 @@ class RecoveryPolicy:
     @classmethod
     def coerce(cls, value):
         """``None`` -> default policy, mode string -> policy, policy
-        -> itself.  The single entry point every knob (strategy
-        options, ``FallbackPolicy``, the service, the CLI) funnels
-        through."""
+        -> itself: what the ``parallel`` strategy's ``recovery``
+        option goes through."""
         if value is None:
             return cls()
         if isinstance(value, cls):

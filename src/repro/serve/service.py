@@ -264,11 +264,11 @@ class _TenantState:
 class _Request:
     __slots__ = ("id", "prepared", "constants", "deadline", "budget",
                  "token", "future", "db", "submitted_at", "tenant",
-                 "tstate", "form", "cost", "eval_workers")
+                 "tstate", "form", "cost")
 
     def __init__(self, request_id, prepared, constants, deadline,
                  budget, token, future, db, submitted_at, tenant,
-                 tstate, form, cost, eval_workers=None):
+                 tstate, form, cost):
         self.id = request_id
         #: The resolved prepared form this request evaluates.
         self.prepared = prepared
@@ -288,16 +288,12 @@ class _Request:
         #: Registered form name (None when serving the default form).
         self.form = form
         self.cost = cost
-        #: Granted data-parallel evaluation pool size (post tenant
-        #: clamp), or None for serial evaluation.
-        self.eval_workers = eval_workers
 
 
 def _service_extras(request, attempts, fallback=False, **more):
     """The ``extras["service"]`` block of every served result."""
     return dict(attempts=attempts, fallback=fallback,
-                generation=id(request.db),
-                eval_workers=request.eval_workers, **more)
+                generation=id(request.db), **more)
 
 
 class QueryService:
@@ -360,29 +356,12 @@ class QueryService:
     quantum : float
         Deficit-round-robin quantum (deficit earned per rotation per
         unit weight).
-    eval_workers : int or None
-        Default data-parallel evaluation pool size per request (the
-        sharded-fixpoint ``parallel`` strategy / parallel counting
-        phase 1).  ``None`` = serial.  A submit's ``eval_workers``
-        overrides it per request; the tenant quota's
-        ``max_eval_workers`` clamps whatever was asked, so one tenant
-        cannot fan out past its allowance.  Worker failures are
-        repaired in place by the sharded executor's self-healing
-        policy (``eval_recovery``); evaluation degrades to serial only
-        once that allowance is spent — parallelism never changes
-        answers.
-    eval_recovery : RecoveryPolicy, str or None
-        Self-healing policy for data-parallel attempts (a
-        :class:`~repro.parallel.supervisor.RecoveryPolicy` or a mode
-        string ``"reassign"`` / ``"respawn"`` / ``"serial"``).
-        ``None`` leaves the executor's default (shard reassignment).
     """
 
     def __init__(self, prepared, db, workers=2, queue_capacity=16,
                  default_timeout=None, retry=None, breakers=None,
                  fallback=True, snapshots=True, audit=None, clock=None,
-                 sleep=None, registry=None, tenants=None, quantum=1.0,
-                 eval_workers=None, eval_recovery=None):
+                 sleep=None, registry=None, tenants=None, quantum=1.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_capacity < 1:
@@ -400,10 +379,6 @@ class QueryService:
         self.fallback = fallback
         self.snapshots = snapshots
         self.audit = audit
-        if eval_workers is not None and eval_workers < 1:
-            raise ValueError("eval_workers must be >= 1")
-        self.eval_workers = eval_workers
-        self.eval_recovery = eval_recovery
         self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep if sleep is not None else time.sleep
         #: One lock under which admission counters, the inflight gauge
@@ -476,14 +451,9 @@ class QueryService:
     # -- admission -----------------------------------------------------
 
     def submit(self, constants=None, timeout=None, budget=None,
-               tenant=None, form=None, version=None, eval_workers=None):
+               tenant=None, form=None, version=None):
         """Admit one request; returns a :class:`QueryFuture`, already
         resolved on an answer-cache hit (module docstring: two paths).
-
-        ``eval_workers`` asks for data-parallel evaluation with that
-        many processes (``None`` inherits the service default).  The
-        grant is clamped to the tenant quota's ``max_eval_workers`` —
-        never shed over it — and a grant below 2 evaluates serially.
 
         Raises — all before the request counts as submitted —
         ``ValueError`` when ``constants`` does not match the form's
@@ -540,9 +510,7 @@ class QueryService:
                 request = _Request(
                     request_id, prepared, constants, deadline, budget,
                     token, future, generation, now, tenant, tstate,
-                    form_name, cost,
-                    eval_workers=self._granted_workers(tstate, eval_workers),
-                )
+                    form_name, cost)
                 if hit is None:
                     self._enqueue(request)
                 self.stats.note_admitted()
@@ -595,26 +563,12 @@ class QueryService:
         tstate.in_system += 1
 
     def run(self, constants=None, timeout=None, budget=None,
-            tenant=None, form=None, version=None, wait=None,
-            eval_workers=None):
+            tenant=None, form=None, version=None, wait=None):
         """Submit and block for the result (closed-loop convenience)."""
         return self.submit(
             constants, timeout=timeout, budget=budget, tenant=tenant,
-            form=form, version=version, eval_workers=eval_workers,
+            form=form, version=version
         ).result(wait)
-
-    def _granted_workers(self, tstate, requested):
-        """The per-request parallel-evaluation grant: the request's ask
-        (or the service default), clamped by the tenant's
-        ``max_eval_workers``; grants below 2 collapse to serial."""
-        granted = requested if requested is not None else \
-            self.eval_workers
-        if granted is None:
-            return None
-        cap = tstate.quota.max_eval_workers
-        if cap is not None:
-            granted = min(granted, cap)
-        return granted if granted >= 2 else None
 
     def _resolve_form(self, form, version):
         """(prepared, form name, DRR cost) for one submit."""
@@ -897,27 +851,18 @@ class QueryService:
         call (stage 0: the prepared form's own ``run``); counters, pool
         charges and ``extras["service"]`` come off its report."""
         prepared, tstate = request.prepared, request.tstate
-        method, workers = prepared.method, request.eval_workers
-        # A granted request degrades *through* the sharded fixpoint
-        # first; any worker failure continues down the serial chain.
-        later = ("parallel",) + DEFAULT_CHAIN if workers else DEFAULT_CHAIN
+        method = prepared.method
         chain = (method,) + tuple(
-            m for m in later if self.fallback and m != method)
-        # The grant, for stage 0's run and any parallel stage; duck-typed
-        # stand-ins without these keywords work when none is granted.
-        options = {} if workers is None else \
-            {"workers": workers, "recovery": self.eval_recovery}
+            m for m in DEFAULT_CHAIN if self.fallback and m != method)
         error = None
         try:
             report = run_resilient(
                 lambda: prepared.bind(request.constants), request.db,
-                FallbackPolicy(chain, **options),
+                FallbackPolicy(chain),
                 breakers=tstate.board,
                 budget_factory=lambda: self._budget_for(request),
                 first=lambda budget: prepared.run(
-                    request.constants, db=request.db, budget=budget,
-                    **options
-                ),
+                    request.constants, db=request.db, budget=budget),
                 retry=None if self.retry is None
                 else (self.retry, request.id, tstate.stream),
                 clock=self._clock, sleep=self._sleep,

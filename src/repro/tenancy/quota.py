@@ -199,31 +199,20 @@ class TenantQuota:
     facts, rounds, seconds : (capacity, refill_per_second) or None
         Cumulative :class:`ResourcePool` specs, charged post-paid from
         every attempt's :meth:`~repro.engine.guard.ResourceBudget.usage`.
-    max_eval_workers : int or None
-        Cap on the data-parallel evaluation processes one request of
-        this tenant may be granted (see
-        :meth:`~repro.serve.service.QueryService.submit`'s
-        ``eval_workers``).  Requests asking for more are *clamped*, not
-        shed — parallelism is an accelerator, never a correctness
-        requirement.  ``None`` = no tenant cap; ``1`` forces the tenant
-        serial.
     """
 
     __slots__ = ("rate", "burst", "max_concurrent", "queue_capacity",
-                 "weight", "facts", "rounds", "seconds",
-                 "max_eval_workers")
+                 "weight", "facts", "rounds", "seconds")
 
     def __init__(self, rate=None, burst=None, max_concurrent=None,
                  queue_capacity=None, weight=1.0, facts=None,
-                 rounds=None, seconds=None, max_eval_workers=None):
+                 rounds=None, seconds=None):
         if weight <= 0:
             raise ValueError("weight must be positive")
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if max_eval_workers is not None and max_eval_workers < 1:
-            raise ValueError("max_eval_workers must be >= 1")
         self.rate = rate
         self.burst = burst
         self.max_concurrent = max_concurrent
@@ -232,7 +221,6 @@ class TenantQuota:
         self.facts = facts
         self.rounds = rounds
         self.seconds = seconds
-        self.max_eval_workers = max_eval_workers
 
     def bucket(self, clock=None):
         """A fresh :class:`TokenBucket`, or None without a rate."""
@@ -258,8 +246,6 @@ class TenantQuota:
             parts.append("rate=%g/s" % self.rate)
         if self.max_concurrent is not None:
             parts.append("max_concurrent=%d" % self.max_concurrent)
-        if self.max_eval_workers is not None:
-            parts.append("max_eval_workers=%d" % self.max_eval_workers)
         for name in ("facts", "rounds", "seconds"):
             if getattr(self, name) is not None:
                 parts.append("%s=%r" % (name, getattr(self, name)))

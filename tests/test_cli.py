@@ -108,6 +108,29 @@ class TestRun:
         assert code == 0
         assert "method : sup_magic (resilient, 0 failed attempts)" in text
 
+    def test_parallel_method_answers_like_naive(self, tmp_path):
+        """``--method parallel`` reaches the strategy through
+        ``optimize`` -> ``run_strategy``, the one CLI route to it."""
+        from repro.data.workloads import WORKLOADS
+        from repro.datalog import format_query
+
+        workload = WORKLOADS["sg_tree"]
+        program = tmp_path / "sg_tree.dl"
+        program.write_text(format_query(workload.query))
+        facts = tmp_path / "sg_tree_facts.dl"
+        facts.write_text(workload.make_db(fanout=3, depth=4)[0].to_text())
+
+        def answers(method):
+            code, text = run_cli("run", str(program), "--db", str(facts),
+                                 "--method", method)
+            assert code == 0, text
+            return [line for line in text.splitlines()
+                    if line.startswith("answer :")]
+
+        naive = answers("naive")
+        assert naive
+        assert answers("parallel") == naive
+
 
 class TestRewrite:
     @pytest.mark.parametrize(

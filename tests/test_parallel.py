@@ -3,9 +3,8 @@
 Covers the partition planner's decisions and determinism (hypothesis
 property tests), the multiprocess executor's answer/counter equivalence
 against serial evaluation across the full workload matrix, picklable
-typed errors, per-worker deterministic fault derivation, the SIGKILL
-degradation path through the resilient chain, and the serving-layer
-worker-budget plumbing.
+typed errors, per-worker deterministic fault derivation, and the
+strategy as one stage of a resilient chain.
 """
 
 import pickle
@@ -30,7 +29,6 @@ from repro.errors import (
 )
 from repro.exec.resilient import (
     DEFAULT_CHAIN,
-    PARALLEL_CHAIN,
     FallbackPolicy,
     run_resilient,
 )
@@ -316,112 +314,14 @@ class TestFaultDerivation:
 
 
 class TestCrashDegradation:
-    def test_sigkill_mid_round_degrades_to_serial(self, fault_injector):
-        """With recovery="serial" a SIGKILLed worker surfaces as a
-        typed attempt record and the chain completes serially — no
-        hang, no partial answers.  (The self-healing default would
-        instead repair the pool in place; see test_self_healing.py.)"""
-        w = WORKLOADS["sg_tree"]
-        db, _src = w.make_db(fanout=3, depth=5)
-        naive = run_strategy("naive", w.query, db)
-        fault_injector.kill_worker(worker=1, after=2)
-        with fault_injector:
-            report = run_resilient(
-                w.query, db,
-                FallbackPolicy(chain=PARALLEL_CHAIN, workers=2,
-                               recovery="serial"),
-            )
-        assert report.succeeded
-        assert report.method != "parallel"
-        assert report.result.answers == naive.answers
-        first = report.attempts[0]
-        assert first.method == "parallel"
-        assert first.error_class == "WorkerCrashError"
-
-    def test_parallel_chain_shape(self):
-        assert PARALLEL_CHAIN[0] == "parallel"
-        assert PARALLEL_CHAIN[1:] == DEFAULT_CHAIN
-
     def test_clean_run_stays_parallel(self):
+        """A chain may name ``parallel`` like any registered strategy;
+        the stage runs with the strategy's own defaults."""
         w = WORKLOADS["sg_tree"]
         db, _src = w.make_db(fanout=3, depth=4)
         report = run_resilient(
-            w.query, db, FallbackPolicy(chain=PARALLEL_CHAIN, workers=2)
+            w.query, db,
+            FallbackPolicy(chain=("parallel",) + DEFAULT_CHAIN),
         )
         assert report.method == "parallel"
         assert report.fallback_depth == 0
-
-
-# -- prepared queries and serving --------------------------------------
-
-
-class TestPreparedAndService:
-    def test_prepared_counting_parallel_phase1(self):
-        from repro.exec.prepared import PreparedQuery
-
-        w = WORKLOADS["sg_tree"]
-        db, _src = w.make_db(fanout=3, depth=5)
-        serial = PreparedQuery(w.query, db, method="pointer_counting") \
-            .run(db=db)
-        prepared = PreparedQuery(w.query, db, method="pointer_counting")
-        parallel = prepared.run(db=db, workers=2)
-        assert parallel.answers == serial.answers
-        assert parallel.extras["parallel_phase1_workers"] == 2
-        assert parallel.stats.as_dict() == serial.stats.as_dict()
-        assert parallel.extras["counting_rows"] == \
-            serial.extras["counting_rows"]
-        assert parallel.extras["counting_triples"] == \
-            serial.extras["counting_triples"]
-
-    def test_prepared_naive_uses_sharded_fixpoint(self):
-        from repro.exec.prepared import PreparedQuery
-
-        w = WORKLOADS["sg_tree"]
-        db, _src = w.make_db(fanout=3, depth=4)
-        naive = run_strategy("naive", w.query, db)
-        prepared = PreparedQuery(w.query, db, method="naive")
-        result = prepared.run(db=db, workers=2)
-        assert result.method == "parallel"
-        assert result.answers == naive.answers
-
-    def test_service_clamps_eval_workers_to_tenant_quota(self):
-        from repro.exec.prepared import PreparedQuery
-        from repro.serve.service import QueryService
-        from repro.tenancy.quota import TenantQuota
-
-        w = WORKLOADS["sg_tree"]
-        db, _src = w.make_db(fanout=3, depth=4)
-        naive = run_strategy("naive", w.query, db)
-        prepared = PreparedQuery(w.query, db, method="naive")
-        service = QueryService(
-            prepared, db, workers=1,
-            tenants={
-                "fast": TenantQuota(max_eval_workers=2),
-                "serial": TenantQuota(max_eval_workers=1),
-            },
-        )
-        try:
-            granted = service.run(tenant="fast", eval_workers=16)
-            assert granted.extras["service"]["eval_workers"] == 2
-            assert granted.answers == naive.answers
-            clamped = service.run(tenant="serial", eval_workers=16)
-            assert clamped.extras["service"]["eval_workers"] is None
-            assert clamped.method == "naive"
-            assert clamped.answers == naive.answers
-        finally:
-            service.drain()
-
-    def test_service_default_eval_workers(self):
-        from repro.exec.prepared import PreparedQuery
-        from repro.serve.service import QueryService
-
-        w = WORKLOADS["sg_tree"]
-        db, _src = w.make_db(fanout=3, depth=4)
-        prepared = PreparedQuery(w.query, db, method="naive")
-        service = QueryService(prepared, db, workers=1, eval_workers=2)
-        try:
-            result = service.run()
-            assert result.extras["service"]["eval_workers"] == 2
-            assert result.method == "parallel"
-        finally:
-            service.drain()

@@ -24,8 +24,6 @@ import pytest
 from repro.data.workloads import WORKLOADS
 from repro.engine.faults import FaultInjector, strip_worker_plans
 from repro.errors import RecoveryExhaustedError, WorkerHungError
-from repro.exec.resilient import PARALLEL_CHAIN, FallbackPolicy, \
-    run_resilient
 from repro.exec.strategies import run_strategy
 from repro.parallel import (
     RECOVERY_MODES,
@@ -272,32 +270,22 @@ class TestCrashHealing:
 
 class TestDegradation:
     def test_serial_mode_restores_fail_fast(self, fault_injector):
-        """mode="serial" is PR 9 behaviour: the typed error escapes
-        and the resilient chain restarts serially — and the attempt
-        record still carries the supervisor's story."""
+        """mode="serial" is PR 9 behaviour: the typed error escapes the
+        strategy, carrying the rounds it completed and the supervisor's
+        story, and nothing is repaired."""
         w = WORKLOADS["sg_tree"]
         db, _src = w.make_db(fanout=3, depth=5)
-        serial = run_strategy("naive", w.query, db)
         fault_injector.kill_worker(worker=1, after=2)
         with fault_injector:
-            report = run_resilient(
-                w.query, db,
-                FallbackPolicy(chain=PARALLEL_CHAIN, workers=2,
-                               recovery="serial"),
-            )
-        assert report.succeeded
-        assert report.method != "parallel"
-        assert report.result.answers == serial.answers
-        first = report.attempts[0]
-        assert first.error_class == "WorkerCrashError"
-        assert first.rounds > 0
-        assert first.recovery is not None
-        assert first.recovery["crashes"] == 1
-        assert first.repair_count == 0
-        assert "[recovery: 0 repairs" in report.render()
-        attempt = report.summary()["attempts"][0]
-        assert attempt["rounds"] == first.rounds
-        assert attempt["recovery"]["policy"]["mode"] == "serial"
+            with pytest.raises(WorkerCrashError) as info:
+                run_strategy("parallel", w.query, db, workers=2,
+                             recovery="serial")
+        exc = info.value
+        assert type(exc) is WorkerCrashError
+        assert exc.rounds > 0
+        assert exc.recovery["crashes"] == 1
+        assert exc.recovery["repairs"] == 0
+        assert exc.recovery["policy"]["mode"] == "serial"
 
     def test_exhausted_allowance_raises_with_the_repair_log(self):
         w = WORKLOADS["sg_tree"]
@@ -315,29 +303,6 @@ class TestDegradation:
         assert exc.repairs and exc.repairs[0]["kind"] == "crash"
         assert exc.rounds > 0
         assert exc.recovery is not None
-
-    def test_exhausted_allowance_degrades_last(self, fault_injector):
-        """Degrade-to-serial is the LAST resort: it happens only once
-        max_repairs is spent, and the failed attempt carries the full
-        repair log."""
-        w = WORKLOADS["sg_tree"]
-        db, _src = w.make_db(fanout=3, depth=5)
-        serial = run_strategy("naive", w.query, db)
-        fault_injector.kill_worker(worker=0, after=1)
-        with fault_injector:
-            report = run_resilient(
-                w.query, db,
-                FallbackPolicy(
-                    chain=PARALLEL_CHAIN, workers=2,
-                    recovery=RecoveryPolicy(max_repairs=0),
-                ),
-            )
-        assert report.succeeded
-        assert report.result.answers == serial.answers
-        first = report.attempts[0]
-        assert first.error_class == "RecoveryExhaustedError"
-        assert first.recovery["crashes"] == 1
-        assert report.summary()["attempts"][0]["repairs"] == 0
 
     def test_errors_pickle_with_their_payload(self):
         hung = WorkerHungError("worker 3 hung", stats=None)

@@ -1145,7 +1145,7 @@ class TestCallerThreadHits:
         assert result.stats.total_work == 0
         assert result.extras["cache_hit"] is True
         assert result.extras["service"] == {
-            "attempts": 1, "fallback": False, "eval_workers": None,
+            "attempts": 1, "fallback": False,
             "generation": evaluated.extras["service"]["generation"],
         }
         # One id sequence, in admission order, across both paths.
