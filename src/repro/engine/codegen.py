@@ -21,10 +21,18 @@ Each step is a tuple whose first element names its kind:
   ``ops`` one ``(pos, OP_*, data)`` triple per open position (write a
   slot, check against a slot, or run a ``(value, slots) -> bool``
   matcher);
-* ``("filter", test)`` / ``("rfilter", test)`` — keep the candidate
-  when ``test(slots)`` / ``test(slots, resolver)`` is true;
-* ``("assign", slot, fn)`` — ``slots[slot] = fn(slots)``;
+* ``("filter", test, inline)`` / ``("rfilter", test)`` — keep the
+  candidate when ``test(slots)`` / ``test(slots, resolver)`` is true;
+* ``("assign", slot, fn, inline)`` — ``slots[slot] = fn(slots)``;
 * ``("each", gen)`` — continue once per item of ``gen(slots)``.
+
+``inline`` is None or the ``(tree, leaves, fallback)`` of an integer
+expression (see :func:`repro.engine.compile._inline`): it is rendered
+as source — ``I is J - 1, I >= 0`` becomes one subtraction and one
+comparison — guarded by ``type(leaf) is int`` on every operand of an
+operator, with ``fallback`` over the leaf values (the closure itself,
+so the same value and the same error at the same match) for any other
+operand type.
 
 Two forms are generated:
 
@@ -32,11 +40,15 @@ Two forms are generated:
   the enumeration order of :func:`repro.engine.join.evaluate_body`;
 * the **batched** forms (emitter and the collectors) used by the
   set-at-a-time rule pass and by
-  :class:`~repro.engine.compile.BoundQuery`: when the last body step is
-  a plain scan (writes and checks only), the innermost loop collapses
-  into a list comprehension that projects whole result batches — one
-  list per innermost index bucket — with the projection's slot reads
-  substituted by direct row indexing.  The comprehension's loop
+  :class:`~repro.engine.compile.BoundQuery`: when the last scan's ops
+  are writes and checks only and every step after it is a ``filter``
+  or ``assign`` with an inline expression, the innermost loop
+  collapses into a list comprehension that projects whole result
+  batches — one list per innermost index bucket — with the
+  projection's slot reads substituted by direct row indexing, each
+  trailing assign bound as a comprehension-local name
+  (``for _a in [expr]``, which CPython compiles to a plain store) and
+  each trailing filter as an ``if`` clause.  The comprehension's loop
   bookkeeping runs in C, which is where the "emit whole column slices
   instead of per-row slot writes" speedup comes from.
 
@@ -57,7 +69,9 @@ what any probe sees.
 
 A runner exists for every body.  The batched forms exist only for the
 shape described above and are ``None`` otherwise; any other failure to
-generate is a bug and raises.
+generate is a bug and raises.  Trailing filters and assigns touch no
+relation and no counter, so a batch drained before the next probe
+still gives every probe row-at-a-time visibility.
 """
 
 #: Per-position op kinds inside a scan step.
@@ -79,7 +93,58 @@ _MAX_LOOPS = 16
 
 def _namespace():
     return {"_reversed": reversed, "_len": len, "_getattr": getattr,
-            "_none": None, "__builtins__": {}}
+            "_none": None, "_type": type, "_int": int,
+            "__builtins__": {}}
+
+
+def _slot(index):
+    return "slots[%d]" % index
+
+
+def _render(tree, read):
+    kind = tree[0]
+    if kind == "const":
+        return "(%r)" % (tree[1],)
+    if kind == "slot":
+        return read(tree[1])
+    return "(%s %s %s)" % (_render(tree[1], read), kind,
+                           _render(tree[2], read))
+
+
+def _guarded(tree, out, under=False):
+    """Collect into ``out`` the leaf slots an operator reads whose
+    result depends on the operand type: every operand of ``+ - * //``
+    and of an ordering.  ``==`` / ``!=`` on plain leaves never raise and
+    mean the same for every type."""
+    kind = tree[0]
+    if kind == "slot":
+        if under:
+            out.add(tree[1])
+    elif kind != "const":
+        under = under or kind not in ("==", "!=")
+        _guarded(tree[1], out, under)
+        _guarded(tree[2], out, under)
+
+
+def _inline_expr(name, inline, read, ns):
+    """Source computing an ``(tree, leaves, fallback)`` inline
+    expression (see :func:`repro.engine.compile._inline`): the rendered
+    tree when every guarded leaf holds an ``int``, else ``fallback``
+    over the leaf values, bound in ``ns`` as ``name``."""
+    tree, leaves, fallback = inline
+    body = _render(tree, read)
+    guarded = set()
+    _guarded(tree, guarded)
+    if not guarded:
+        return body
+    ns[name] = fallback
+    return "(%s if %s else %s((%s,)))" % (
+        body,
+        " and ".join("_type(%s) is _int" % read(slot)
+                     for slot in sorted(guarded)),
+        name,
+        ", ".join(read(slot) for slot in leaves),
+    )
 
 
 def _key_expr(i, positions, key_parts, ns):
@@ -239,9 +304,18 @@ def _step(i, step, ns, w, pad, abort, state_alloc=None):
     if kind == "scan":
         return _scan_loop(i, step, ns, w, pad, state_alloc)
     name = "_f%d" % i
+    inline = step[-1] if kind in ("filter", "assign") else None
     if kind == "assign":
-        ns[name] = step[2]
-        w(pad, "slots[%d] = %s(slots)" % (step[1], name))
+        if inline is None:
+            ns[name] = step[2]
+            value = "%s(slots)" % name
+        else:
+            value = _inline_expr(name, inline, _slot, ns)
+        w(pad, "slots[%d] = %s" % (step[1], value))
+        return pad
+    if inline is not None:
+        w(pad, "if not %s: %s"
+          % (_inline_expr(name, inline, _slot, ns), abort))
         return pad
     ns[name] = step[1]
     if kind == "each":
@@ -341,10 +415,12 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
                       batch=False):
     """Shared emitter/collector generation; None outside the shape.
 
-    Requirements: the last step is a scan whose ops are writes and
-    checks only, every projection entry is computable without actually
+    Requirements: the last scan's ops are writes and checks only, the
+    steps after it are ``filter`` / ``assign`` steps with an inline
+    expression, every projection entry is computable without actually
     performing the innermost writes (slot reads are substituted by row
-    indexing), and the body's loops fit one code object.
+    indexing, assigned slots by comprehension-local names), and the
+    body's loops fit one code object.
 
     ``entry`` — ``(nslots, loader)`` — switches the signature to
     ``(resolver, values, stats)``: the slot list is allocated and the
@@ -360,14 +436,24 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
     as ``_state_size``.  ``batch`` (requires ``bound``) wraps the body
     in one more loop, over the ``values`` of ``(state, batch, stats)``.
     """
-    last_spec = steps[-1] if steps else None
-    if last_spec is not None:
-        if last_spec[0] != "scan":
+    last = max(
+        (i for i, step in enumerate(steps) if step[0] == "scan"),
+        default=None,
+    )
+    if last is None:
+        if steps:
             return None
+        last_spec = None
+    else:
+        last_spec = steps[last]
         if any(kind == OP_MATCH for _pos, kind, _data in last_spec[5]):
             return None  # matcher ops mutate slots; cannot substitute
+        trailing = steps[last + 1:]
+        if any(step[0] not in ("filter", "assign") or step[-1] is None
+               for step in trailing):
+            return None
         loops = sum(step[0] in ("scan", "each") for step in steps)
-        if loops + batch > _MAX_LOOPS:
+        if max(loops + batch, len(trailing)) > _MAX_LOOPS:
             return None
 
     tag = "collector" if eager else "emitter"
@@ -427,7 +513,7 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
         # continues with the next values and leaves this list empty.
         w(pad, "_res.append(_out)")
     scans = []
-    for i, step in enumerate(steps[:-1]):
+    for i, step in enumerate(steps[:last]):
         if step[0] == "scan":
             scans.append(i)
         if pad > 1:
@@ -436,10 +522,11 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
             abort = "return _out" if eager else "return"
         pad = _step(i, step, ns, w, pad, abort, state_alloc)
 
-    i = len(steps) - 1
+    i = last
     scans.append(i)
     # Walk the ops in order, tracking which slots the scan would have
-    # written so later checks and the projection read the row directly.
+    # written so later checks, the trailing steps and the projection
+    # read the row directly.
     written = {}
     conds = []
     for pos, kind, data in last_spec[5]:
@@ -448,6 +535,25 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
         else:
             rhs = written.get(data, "slots[%d]" % data)
             conds.append("_r%d[%d] == %s" % (i, pos, rhs))
+
+    def read(slot):
+        return written.get(slot, "slots[%d]" % slot)
+
+    # The trailing steps, per candidate row and in body order: an
+    # assign binds a local (``for _a in [expr]`` in a comprehension,
+    # which CPython compiles to a plain store), a filter drops the row.
+    clauses = []
+    statements = []
+    for j, step in enumerate(trailing, last + 1):
+        expr = _inline_expr("_f%d" % j, step[-1], read, ns)
+        if step[0] == "assign":
+            local = "_a%d" % step[1]
+            clauses.append("for %s in [%s]" % (local, expr))
+            statements.append("%s = %s" % (local, expr))
+            written[step[1]] = local
+        else:
+            clauses.append("if %s" % expr)
+            statements.append("if not %s: continue" % expr)
     exprs = _projection_exprs(projection, written, ns)
     if exprs is None:
         return None
@@ -456,23 +562,26 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
         ", ".join(exprs) + ("," if len(exprs) == 1 else "")
         if exprs else ""
     )
-    comp = "%s for _r%d in _reversed(_c%d)" % (tuple_expr, i, i)
-    for cond in conds:
-        comp += " if %s" % cond
     if batch:
         # Per binding, buckets are small (a node's out-arcs): a plain
         # loop beats the comprehension's per-call frame.
         w(pad, "for _r%d in _reversed(_c%d):" % (i, i))
         if conds:
-            pad += 1
-            w(pad, "if %s:" % " and ".join(conds))
+            w(pad + 1, "if not (%s): continue" % " and ".join(conds))
+        for statement in statements:
+            w(pad + 1, statement)
         w(pad + 1, "_out.append(%s)" % tuple_expr)
         w(1, "return _res")
-    elif eager:
-        w(pad, "_out += [%s]" % comp)
-        w(1, "return _out")
     else:
-        w(pad, "yield [%s]" % comp)
+        comp = " ".join(
+            ["%s for _r%d in _reversed(_c%d)" % (tuple_expr, i, i)]
+            + ["if %s" % cond for cond in conds] + clauses
+        )
+        if eager:
+            w(pad, "_out += [%s]" % comp)
+            w(1, "return _out")
+        else:
+            w(pad, "yield [%s]" % comp)
     fn = _compile_fn(lines, ns, tag, () if bound else scans)
     if bound:
         fn._state_size = state_alloc[0]

@@ -179,6 +179,71 @@ def _compile_eval(term, slot_of):
     raise EvaluationError("not a term: %r" % (term,))
 
 
+def _inline_tree(term, slot_of):
+    """``term`` as an expression tree codegen renders as source, or None.
+
+    Trees cover integer constants, slotted variables and the binary
+    ``+ - * //`` functors: ``("const", value)``, ``("slot", index)`` and
+    ``(functor, left, right)``.  Anything else — floats, lists, tuples,
+    ``min`` / ``max`` — stays on its closure alone.
+    """
+    if isinstance(term, Constant):
+        return ("const", term.value) if type(term.value) is int else None
+    if isinstance(term, Variable):
+        return ("slot", slot_of[term.name])
+    if (isinstance(term, Compound) and term.functor in _ARITH_BINOPS
+            and len(term.args) == 2):
+        left = _inline_tree(term.args[0], slot_of)
+        right = _inline_tree(term.args[1], slot_of)
+        if left is not None and right is not None:
+            return (term.functor, left, right)
+    return None
+
+
+def _inline(build, terms, op, slot_of):
+    """The ``(tree, leaves, fallback)`` codegen renders for the closure
+    ``build(slot_of)``, or None when a term has no tree.
+
+    ``tree`` is the tree of the single term, or ``(op, left, right)``
+    over two; ``leaves`` the slots it reads, ascending.  When every leaf
+    holds an ``int`` the rendered tree computes what the closure does —
+    the only error it can raise is ``//``'s ``ZeroDivisionError``, which
+    the closure raises too.  Otherwise the generated code calls
+    ``fallback``, the same closure built over the tuple of leaf values:
+    same value, same error text, at the same match.
+    """
+    trees = [_inline_tree(term, slot_of) for term in terms]
+    if any(tree is None for tree in trees):
+        return None
+    tree = trees[0] if op is None else (op, trees[0], trees[1])
+    names = sorted(
+        {name for term in terms for name in term.iter_variables()},
+        key=slot_of.__getitem__,
+    )
+    fallback = build({name: i for i, name in enumerate(names)})
+    return tree, tuple(slot_of[name] for name in names), fallback
+
+
+def _test_fn(op, left, right, slot_of):
+    """``slots -> bool`` for a comparison over ground ``left`` and
+    ``right`` (``==`` is the test ``=`` / ``is`` make of two ground
+    sides)."""
+    left_fn = _compile_eval(left, slot_of)
+    right_fn = _compile_eval(right, slot_of)
+    if op == "==":
+        return lambda slots: left_fn(slots) == right_fn(slots)
+    if op == "!=":
+        return lambda slots: left_fn(slots) != right_fn(slots)
+    return lambda slots: _ordered(op, left_fn(slots), right_fn(slots))
+
+
+def _test_step(op, left, right, slot_of):
+    """The ``("filter", test, inline)`` step of a ground comparison."""
+    return ("filter", _test_fn(op, left, right, slot_of), _inline(
+        partial(_test_fn, op, left, right), (left, right), op, slot_of,
+    ))
+
+
 def _compile_match(term, slot_of, live, alloc):
     """Compile pattern ``term`` to ``(value, slots) -> bool``.
 
@@ -297,7 +362,7 @@ def _compile_negation(lit_index, negation, slot_of, bound):
         return ("filter", _raises(
             "negated atom %s not ground at evaluation time" % atom.pred,
             (), slot_of, bound,
-        ))
+        ), None)
     fns = tuple(_compile_eval(arg, slot_of) for arg in atom.args)
 
     def negate_test(slots, resolver):
@@ -326,21 +391,15 @@ def _compile_comparison(comparison, slot_of, bound, alloc):
             return ("filter", _raises(
                 "comparison %s on non-ground terms " % op, (left, right),
                 slot_of, bound,
-            ))
-        left_fn = _compile_eval(left, slot_of)
-        right_fn = _compile_eval(right, slot_of)
-        if op == "!=":
-            return ("filter",
-                    lambda slots: left_fn(slots) != right_fn(slots))
-        return ("filter",
-                lambda slots: _ordered(op, left_fn(slots), right_fn(slots)))
+            ), None)
+        return _test_step(op, left, right, slot_of)
 
     if not right_ground:
         if op != "=":
             return ("filter", _raises(
                 "right side of %r is not ground: " % op, (right,),
                 slot_of, bound,
-            ))
+            ), None)
         if not left_ground:
             free = {
                 name for side in (left, right)
@@ -349,7 +408,7 @@ def _compile_comparison(comparison, slot_of, bound, alloc):
             return ("filter", _raises(
                 "'=' cannot bind variables %s" % sorted(free), (),
                 slot_of, bound,
-            ))
+            ), None)
         # '=' is symmetric: bind or decompose the right side instead.
         left, right = right, left
         left_ground = False
@@ -379,13 +438,14 @@ def _compile_comparison(comparison, slot_of, bound, alloc):
         ))
 
     if left_ground:
-        left_fn = _compile_eval(left, slot_of)
-        return ("filter", lambda slots: left_fn(slots) == right_fn(slots))
+        return _test_step("==", left, right, slot_of)
     if isinstance(left, Variable):
         bound.add(left.name)
-        return ("assign", alloc(left.name), right_fn)
+        return ("assign", alloc(left.name), right_fn, _inline(
+            partial(_compile_eval, right), (right,), None, slot_of,
+        ))
     matcher = _compile_match(left, slot_of, bound, alloc)
-    return ("filter", lambda slots: matcher(right_fn(slots), slots))
+    return ("filter", lambda slots: matcher(right_fn(slots), slots), None)
 
 
 # -- compiled bodies -------------------------------------------------
@@ -535,7 +595,7 @@ def compile_body(body, bound_names=()):
         else:
             steps.append(("filter", _raises(
                 "unknown literal %r" % (lit,), (), slot_of, bound
-            )))
+            ), None))
     return CompiledBody(
         tuple(body), tuple(dict.fromkeys(bound_names)), slot_of, steps,
         bound,

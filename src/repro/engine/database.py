@@ -304,6 +304,9 @@ class _PinnedRelation:
     def probe_index(self, positions, stats=None):
         return self._rel().probe_index(positions, stats)
 
+    def select(self, positions, key):
+        return self._rel().select(positions, key)
+
     def probe_set(self):
         return self._rel().probe_set()
 

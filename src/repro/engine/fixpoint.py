@@ -9,7 +9,7 @@ directly.
 """
 
 from ..datalog.rules import Query
-from ..datalog.terms import Constant, ground_value
+from ..datalog.terms import Constant, Variable, ground_value
 from .instrumentation import EvalStats
 
 
@@ -42,17 +42,69 @@ class QueryResult:
         return "QueryResult(%d answers)" % len(self.answers)
 
 
-def goal_filter(goal, rows):
-    """Rows of the goal relation compatible with the goal's constants."""
-    checks = []
+def _selection(goal):
+    """The goal's ground positions with their values, and the position
+    groups of every variable it repeats."""
+    positions, values, seen = [], [], {}
     for i, arg in enumerate(goal.args):
         if isinstance(arg, Constant):
-            checks.append((i, arg.value))
+            positions.append(i)
+            values.append(arg.value)
         elif arg.is_ground():
-            checks.append((i, ground_value(arg)))
-    for row in rows:
-        if all(row[i] == value for i, value in checks):
-            yield row
+            positions.append(i)
+            values.append(ground_value(arg))
+        elif isinstance(arg, Variable):
+            seen.setdefault(arg.name, []).append(i)
+    repeats = [group for group in seen.values() if len(group) > 1]
+    return tuple(positions), tuple(values), repeats
+
+
+def agreeing(rows, repeats):
+    """``rows`` whose positions in each group of ``repeats`` (lists of
+    row indexes) hold one value."""
+    for group in repeats:
+        first, rest = group[0], group[1:]
+        rows = [
+            row for row in rows
+            if all(row[i] == row[first] for i in rest)
+        ]
+    return rows
+
+
+def goal_filter(goal, rows):
+    """Rows of the goal relation the goal matches: its ground arguments'
+    values at their positions, and one value wherever it repeats a
+    variable (``p(X, X)`` selects the diagonal).
+
+    A relation selects the ground positions with one probe, counting
+    nothing and never adding a persistent index to a database relation
+    (:meth:`~repro.engine.relation.Relation.select`); any other
+    iterable of rows is scanned.
+    """
+    positions, values, repeats = _selection(goal)
+    if positions:
+        key = values[0] if len(positions) == 1 else values
+        select = getattr(rows, "select", None)
+        if select is not None:
+            rows = select(positions, key)
+        else:
+            rows = [
+                row for row in rows
+                if all(row[i] == v for i, v in zip(positions, values))
+            ]
+    return agreeing(rows, repeats)
+
+
+def free_repeats(goal):
+    """The repeated variables of ``goal`` as groups of indexes into its
+    :func:`project_free` answers — the check a method that answers on
+    the free positions directly (the counting evaluators) must still
+    apply (see :func:`agreeing`)."""
+    free = {}
+    for i, arg in enumerate(goal.args):
+        if not arg.is_ground():
+            free[i] = len(free)
+    return [[free[i] for i in group] for group in _selection(goal)[2]]
 
 
 def project_free(goal, rows):

@@ -152,16 +152,36 @@ class Relation:
                     "arity mismatch for %s: expected %d, got %r"
                     % (self.name, self.arity, row)
                 )
+        return self.add_trusted(rows)
+
+    def add_trusted(self, rows):
+        """:meth:`add_all` for a sequence of rows known to have the
+        relation's arity — a compiled rule head's batch, whose width
+        the engine checks once per pass — without the per-row check."""
         # One hash per row, as in :meth:`add`; never ``set(rows)``,
         # whose iteration order would depend on the hash seed.
         tuples = self.tuples
+        insert = tuples.add
         size = len(tuples)
         new = []
+        keep = new.append
         for row in rows:
-            tuples.add(row)
+            insert(row)
             if len(tuples) != size:
                 size += 1
-                new.append(row)
+                keep(row)
+        self._logged(new)
+        return new
+
+    def extend_new(self, rows):
+        """Insert distinct rows known to be absent and of the right
+        arity — a pass's new rows into its delta relation — without
+        deduplicating them again."""
+        self.tuples.update(rows)
+        self._logged(rows)
+
+    def _logged(self, new):
+        """Log, id-encode and index rows just added to the tuple set."""
         # Log (and ids) before the epoch bump, as in :meth:`add`.
         self._log.extend(new)
         if self._ids is not None:
@@ -172,7 +192,6 @@ class Relation:
             key_of = itemgetter(*positions)
             for row in new:
                 index.setdefault(key_of(row), []).append(row)
-        return new
 
     def _index_for(self, positions, stats=None):
         index = self._indexes.get(positions)
@@ -263,6 +282,32 @@ class Relation:
             index = self._index_for(positions, stats)
         if stats is not None:
             stats.index_probes += 1
+        return index.get(key, ())
+
+    def select(self, positions, key):
+        """The rows with ``positions`` equal to ``key``, counting nothing.
+
+        ``key`` follows :meth:`lookup`'s convention.  One probe of the
+        index on ``positions`` when the relation has it, else — on a
+        relation without id columns, i.e. one the engine derived — of
+        one built now and kept.  A database relation never gains a
+        persistent index here: without one it is scanned.
+        """
+        if len(positions) == self.arity:
+            row = key if self.arity != 1 else (key,)
+            return (row,) if row in self.tuples else ()
+        index = self._indexes.get(positions)
+        if index is None:
+            if self._ids is None and self.use_indexes:
+                index = self._index_for(positions)
+            elif len(positions) == 1:
+                position = positions[0]
+                return [row for row in self.tuples if row[position] == key]
+            else:
+                return [
+                    row for row in self.tuples
+                    if all(row[i] == v for i, v in zip(positions, key))
+                ]
         return index.get(key, ())
 
     def match(self, pattern, stats=None):
@@ -488,7 +533,7 @@ class _FrozenRelation(Relation):
                                             self.epoch)
         )
 
-    add_all = add
+    add_all = add_trusted = extend_new = add
 
 
 class EmptyRelation:
@@ -518,6 +563,9 @@ class EmptyRelation:
                 "pattern arity mismatch for %s: %r" % (self.name, pattern)
             )
         return iter(())
+
+    def select(self, positions, key):
+        return ()
 
     def lookup(self, positions, key, stats=None):
         for position in positions:

@@ -17,6 +17,7 @@ from ..datalog.analysis import ProgramAnalysis
 from ..datalog.atoms import Atom
 from ..errors import EvaluationError
 from . import faults
+from .codegen import KEY_EVAL
 from .compile import compiled_rule
 from .instrumentation import EvalStats
 from .relation import EmptyRelation, Relation
@@ -100,15 +101,6 @@ class SemiNaiveEngine:
     def _full_resolver(self, _index, atom):
         return self.full(atom.key)
 
-    def _delta_resolver(self, deltas, delta_at):
-        def resolver(index, atom):
-            key = atom.key
-            if index != delta_at:
-                return self.full(key)
-            return deltas.get(key) or EmptyRelation(key[0], key[1])
-
-        return resolver
-
     # -- evaluation ---------------------------------------------------
 
     def run(self):
@@ -127,67 +119,134 @@ class SemiNaiveEngine:
             compiled = self._compiled[id(rule)] = compiled_rule(rule)
         return compiled
 
-    def _apply_rule(self, rule, delta, deltas=None, occurrence=None):
-        """Run one rule pass, optionally recording derivations — the
-        ``delta_first`` variant when body ``occurrence`` reads ``deltas``."""
+    def _rule_pass(self, rule, occurrence=None):
+        """Plan one rule's pass once; returns ``run(delta, deltas)``.
+
+        ``run`` evaluates the rule into the head relation, recording the
+        new rows in ``delta`` — with ``occurrence``, as the
+        ``delta_first`` variant whose body literal ``occurrence`` reads
+        ``deltas`` (the previous round's new rows).  Everything that
+        does not change between the rounds of a clique is fixed here:
+        the compiled variant, its batched function, the head relation
+        and, once resolved, the full relations the other literals read.
+        """
         stats = self.stats
-        started = perf_counter()
-        derived_before = stats.facts_derived
         compiled = self._compiled_rule(rule)
+        key = rule.head.key
+        relation = self._relation(key)
+        if len(compiled.head_spec) != relation.arity:
+            raise ValueError(
+                "arity mismatch for %s: expected %d, got a head of %d"
+                % (key[0], relation.arity, len(compiled.head_spec))
+            )
         resolver = self._full_resolver
+        current = [None]
+        skip = None
         if occurrence is not None:
             compiled = compiled.delta_variant(occurrence)
-            resolver = self._delta_resolver(deltas, compiled.delta_at)
-        if self.trace is None:
-            self._apply_compiled(compiled, resolver, delta)
+            resolver = self._plan_resolver(compiled, current)
+            first = compiled.compiled.steps[0]
+            if compiled.delta_at == 0 and all(
+                kind != KEY_EVAL for kind, _data in first[4]
+            ):
+                # The delta drives the outermost loop, and its probe key
+                # evaluates nothing: with no delta rows the pass scans
+                # and probes nothing.
+                skip = first[2].key
+        label = rule.label
+        if self.trace is not None:
+            def apply(delta):
+                self._apply_traced(rule, compiled, resolver, relation, delta)
         else:
-            self._apply_traced(rule, compiled, resolver, delta)
-        stats.note_rule(
-            rule.label,
-            perf_counter() - started,
-            stats.facts_derived - derived_before,
-        )
+            apply = self._apply_batched(compiled, resolver, relation)
 
-    def _apply_compiled(self, compiled, resolver, delta):
-        """Set-at-a-time rule pass: batched probes, batched writes.
+        def run(delta, deltas):
+            if skip is not None and skip not in deltas:
+                stats.rule_firings += 1
+                stats.note_rule(label, 0.0, 0)
+                return
+            started = perf_counter()
+            derived_before = stats.facts_derived
+            current[0] = deltas
+            apply(delta)
+            stats.note_rule(
+                label,
+                perf_counter() - started,
+                stats.facts_derived - derived_before,
+            )
+
+        return run
+
+    def _plan_resolver(self, compiled, current):
+        """The resolver of a delta pass: literal ``compiled.delta_at``
+        reads ``current[0]``, the round's deltas; every other literal
+        its full relation, resolved on first use and kept."""
+        delta_at = compiled.delta_at
+        delta_key = compiled.compiled.body[delta_at].key
+        empty = EmptyRelation(*delta_key)
+        fixed = {}
+        full = self.full
+
+        def resolver(index, atom):
+            if index == delta_at:
+                return current[0].get(delta_key) or empty
+            relation = fixed.get(index)
+            if relation is None:
+                relation = fixed[index] = full(atom.key)
+            return relation
+
+        return resolver
+
+    def _apply_batched(self, compiled, resolver, relation):
+        """The set-at-a-time pass body: batched probes, batched writes.
 
         A pass that reads the head's relation inserts one batch per
         innermost probe (per match without a vectorized body) before
         the next is produced: later probes see derivations exactly as
         they would row at a time.  Any other pass cannot observe what
-        it derives: it is collected eagerly and inserted once.
+        it derives: it is collected eagerly and inserted once.  Rows
+        have the head's width by construction (checked when the pass is
+        planned), so they go in through the trusted insert, and the new
+        ones into the delta without a second deduplication.
         """
         stats = self.stats
-        stats.rule_firings += 1
-        key = compiled.rule.head.key
-        relation = self._relation(key)
+        key = relation.name, relation.arity
         body = compiled.compiled
-        args = (resolver, body.make_slots(), stats)
-        if compiled.reads_head:
+        head = compiled.head
+        reads_head = compiled.reads_head
+        if reads_head:
             emit = body.emitter(compiled.head_spec)
-            batches = emit(*args) if emit is not None else (
-                (compiled.head(match),) for match in body.execute(*args)
-            )
         else:
             collect = body.collector(compiled.head_spec)
-            batches = (collect(*args) if collect is not None else list(
-                map(compiled.head, body.execute(*args))
-            ),)
-        for batch in filter(None, batches):
-            new = relation.add_all(batch)
-            stats.facts_duplicate += len(batch) - len(new)
-            if new:
-                stats.facts_derived += len(new)
-                (delta.get(key) or delta.setdefault(
-                    key, Relation(key[0], key[1])
-                )).add_all(new)
 
-    def _apply_traced(self, rule, compiled, resolver, delta):
+        def apply(delta):
+            stats.rule_firings += 1
+            args = (resolver, body.make_slots(), stats)
+            if reads_head:
+                batches = emit(*args) if emit is not None else (
+                    (head(match),) for match in body.execute(*args)
+                )
+            else:
+                batches = (collect(*args) if collect is not None else list(
+                    map(head, body.execute(*args))
+                ),)
+            for batch in filter(None, batches):
+                new = relation.add_trusted(batch)
+                stats.facts_duplicate += len(batch) - len(new)
+                if new:
+                    stats.facts_derived += len(new)
+                    target = delta.get(key)
+                    if target is None:
+                        target = delta[key] = Relation(key[0], key[1])
+                    target.extend_new(new)
+
+        return apply
+
+    def _apply_traced(self, rule, compiled, resolver, relation, delta):
         """Rule pass recording the first derivation of every fact."""
         stats = self.stats
         stats.rule_firings += 1
         key = rule.head.key
-        relation = self._relation(key)
         premise_keys = tuple(atom.key for atom in rule.body_atoms())
         body = compiled.compiled
         head = compiled.head
@@ -231,33 +290,34 @@ class SemiNaiveEngine:
         for rule in clique.rules:
             if rule.is_fact():
                 continue
-            self._apply_rule(rule, delta)
+            self._rule_pass(rule)(delta, None)
         rounds += 1
         self.stats.iterations += 1
-        if not clique.is_recursive():
+        if not clique.is_recursive() or not delta:
             return
-        # Recursive occurrences: (rule, body index) pairs to drive with
-        # the delta relation.
-        # Positive atoms only: a Negation wrapping a same-clique atom
-        # must never become a delta-driven occurrence (stratification
-        # already rejects such programs at construction time), and duck
-        # typing on ``.key`` would silently misclassify literal kinds.
-        occurrences = []
-        for rule in clique.recursive_rules:
-            for index, lit in enumerate(rule.body):
-                if isinstance(lit, Atom) and lit.key in clique.predicates:
-                    occurrences.append((rule, index))
+        if self.seminaive:
+            # Recursive occurrences: one pass per (rule, body index),
+            # that literal restricted to the delta.  Positive atoms
+            # only: a Negation wrapping a same-clique atom must never
+            # become a delta-driven occurrence (stratification already
+            # rejects such programs at construction time), and duck
+            # typing on ``.key`` would silently misclassify literal
+            # kinds.
+            passes = [
+                self._rule_pass(rule, index)
+                for rule in clique.recursive_rules
+                for index, lit in enumerate(rule.body)
+                if isinstance(lit, Atom) and lit.key in clique.predicates
+            ]
+        else:
+            passes = [self._rule_pass(rule) for rule in clique.recursive_rules]
         while delta:
             self._round_boundary(rounds)
             rounds += 1
             self.stats.iterations += 1
             new_delta = {}
-            if self.seminaive:
-                for rule, index in occurrences:
-                    self._apply_rule(rule, new_delta, delta, index)
-            else:
-                for rule in clique.recursive_rules:
-                    self._apply_rule(rule, new_delta)
+            for run in passes:
+                run(new_delta, delta)
             delta = new_delta
 
 

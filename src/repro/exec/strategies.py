@@ -56,7 +56,12 @@ from ..datalog.rules import Program, Query, Rule
 from ..datalog.terms import Compound, Constant
 from ..engine.compile import compiled_rule
 from ..engine.database import Database
-from ..engine.fixpoint import goal_filter, project_free
+from ..engine.fixpoint import (
+    agreeing,
+    free_repeats,
+    goal_filter,
+    project_free,
+)
 from ..engine.instrumentation import EvalStats
 from ..engine.seminaive import SemiNaiveEngine
 from ..errors import CountingDivergenceError, EvaluationError
@@ -160,6 +165,31 @@ def _substitute(node, mapping):
     return node
 
 
+def _base_facts(program):
+    """``program``'s ground facts of predicates no proper rule derives,
+    as ``(name, values)`` — base facts (the paper's definition) that a
+    rewritten program or a dedicated evaluator, reading rules only,
+    would otherwise never see."""
+    derived = {rule.head.key for rule in program.rules if not rule.is_fact()}
+    return tuple(
+        (key[0], values) for key, values in program.facts()
+        if key not in derived
+    )
+
+
+def _with_facts(db, facts, memo):
+    """``db`` joined by ``facts``: a copy, kept in ``memo`` (see
+    :func:`prepare`) while the database does not move; ``db`` itself
+    when there are none."""
+    if not facts:
+        return db
+    joined = memo.get("facts")
+    if joined is None:
+        joined = memo["facts"] = db.copy()
+        joined.add_facts(facts)
+    return joined
+
+
 class _Form:
     """What :func:`prepare` keeps of one strategy for one query form."""
 
@@ -168,6 +198,9 @@ class _Form:
     phase1 = False
     #: The method's rewriting, for ``ExecutionResult.rewriting``.
     rewriting = None
+    #: The query program's :func:`_base_facts` the evaluated program
+    #: does not carry; ``evaluate`` adds them to the database.
+    facts = ()
 
     def __init__(self, method, goal):
         self.method = method
@@ -319,6 +352,7 @@ class _RewritingForm(_Form):
         if rewrite is not None:
             self.rewriting = rewrite(query)
             executed = self.rewriting.query
+            self.facts = _base_facts(query.program)
         self.program = executed.program
         self.goal = executed.goal
         #: The extended rewriting whose list path argument survives
@@ -384,6 +418,7 @@ class _RewritingForm(_Form):
 
     def evaluate(self, db, stats, budget=None, constants=(), memo=None):
         memo = {} if memo is None else memo
+        db = _with_facts(db, self.facts, memo)
         mapping, source = self._bind(constants)
         label = self.method.replace("_", " ")
         pathed = self.pathed
@@ -428,8 +463,7 @@ class _RewritingForm(_Form):
                 # until the database moves.
                 memo["fixpoint"] = fixpoint
         relation, extras = fixpoint
-        tuples = set(goal_filter(goal, relation))
-        return project_free(goal, tuples), dict(extras)
+        return project_free(goal, goal_filter(goal, relation)), dict(extras)
 
 
 # -- dedicated counting evaluators -------------------------------------
@@ -448,6 +482,10 @@ class _CountingForm(_Form):
         clique, self.support_rules = goal_clique_of(adorned)
         self.canonical = canonicalize_clique(clique, adorned)
         self.goal_key = adorned.goal.key
+        self.facts = _base_facts(query.program)
+        #: The evaluators answer on the free positions as if each held
+        #: its own variable; a repeated one is checked afterwards.
+        self.repeats = free_repeats(adorned.goal)
         #: Whether ``evaluate`` builds a counting table, and so takes a
         #: ``table_store``.
         self.phase1 = method != "magic_counting"
@@ -461,6 +499,7 @@ class _CountingForm(_Form):
         """``table_store`` is a node-keyed counting-table store for
         this form and database generation."""
         memo = {} if memo is None else memo
+        db = _with_facts(db, self.facts, memo)
         get_relation = _materialize_support(self.support_rules, db, stats,
                                             budget, memo)
         _mapping, source = self._bind(constants)
@@ -469,7 +508,7 @@ class _CountingForm(_Form):
                 self.canonical, self.goal_key, source, get_relation,
                 stats=stats, budget=budget, query_cache=self.queries,
             )
-            answers = engine.run()
+            answers = agreeing(engine.run(), self.repeats)
             return answers, {
                 "recurring_nodes": len(engine.recurring),
                 "counting_rows": (
@@ -484,7 +523,7 @@ class _CountingForm(_Form):
             require_acyclic=self.method == "pointer_counting",
             query_cache=self.queries, table_store=table_store,
         )
-        answers = engine.run()
+        answers = agreeing(engine.run(), self.repeats)
         extras = {
             "counting_rows": len(engine.table),
             "counting_triples": engine.table.triple_count,
@@ -513,7 +552,8 @@ def prepare(method, query):
     of the goal, in position order; ``memo`` is a dict the caller keeps
     while the database does not move, where ``evaluate`` leaves what it
     derived from the database alone (the support relations; the
-    fixpoint of an unrewritten program) for the next binding.  A cold
+    fixpoint of an unrewritten program; the database joined by the
+    program's own base facts) for the next binding.  A cold
     call evaluates one binding and so passes none.
     """
     if method in _REWRITINGS:
@@ -600,6 +640,7 @@ def run_qsq(query, db, budget=None):
 
     stats = EvalStats()
     started = time.perf_counter()
+    db = _with_facts(db, _base_facts(query.program), {})
     answers, engine = qsq_evaluate(query, db, stats=stats,
                                    budget=budget)
     elapsed = time.perf_counter() - started

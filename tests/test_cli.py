@@ -131,6 +131,28 @@ class TestRun:
         assert naive
         assert answers("parallel") == naive
 
+    def test_inline_facts_without_db(self, tmp_path):
+        # The program carries its own base facts and no --db is given:
+        # every method prints naive's answers.
+        program = tmp_path / "a.dl"
+        program.write_text("""
+            e(a, b). e(b, c). e(c, a). e(d, d). e(a, e).
+            p(X, Y) :- e(X, Y).
+            p(X, Y) :- e(X, Z), p(Z, Y).
+            ?- p(a, Y).
+        """)
+
+        def answers(method):
+            code, text = run_cli("run", str(program), "--method", method)
+            assert code == 0, text
+            return [line for line in text.splitlines()
+                    if line.startswith("answer :")]
+
+        naive = answers("naive")
+        assert len(naive) == 4
+        for method in ("auto", "magic", "cyclic_counting"):
+            assert answers(method) == naive, method
+
 
 class TestRewrite:
     @pytest.mark.parametrize(

@@ -12,8 +12,10 @@ most tests here are differential.
 import pytest
 
 from repro import Database, parse_program
+from repro.datalog.atoms import Comparison
+from repro.datalog.rules import Program, Rule
 from repro.datalog.safety import check_rule_safety
-from repro.datalog.terms import Constant
+from repro.datalog.terms import Compound, Constant
 from repro.engine import DerivationTrace, EvalStats, SemiNaiveEngine
 from repro.engine.compile import BoundQuery, CompiledRule, compile_body
 from repro.engine.interning import InternPool
@@ -41,17 +43,27 @@ class ReferenceEngine(SemiNaiveEngine):
     tuple-at-a-time reference evaluator instead of generated code:
     each derivation enters the relation before the next is computed,
     so equal work counters prove the compiled engine's pass-level
-    drain changes nothing a probe can see."""
+    drain changes nothing a probe can see.  Nothing is planned and no
+    pass is skipped: an occurrence reading an empty delta runs."""
 
-    def _apply_rule(self, rule, delta, deltas=None, occurrence=None):
+    def _rule_pass(self, rule, occurrence=None):
+        def run(delta, deltas):
+            self._reference_pass(rule, delta, deltas, occurrence)
+        return run
+
+    def _reference_pass(self, rule, delta, deltas, occurrence):
         stats = self.stats
         key = rule.head.key
         relation = self._relation(key)
         resolver = self._full_resolver
         if occurrence is not None:
-            resolver = self._delta_resolver(
-                deltas, delta_position(rule, occurrence)
-            )
+            delta_at = delta_position(rule, occurrence)
+
+            def resolver(index, atom):
+                if index != delta_at:
+                    return self.full(atom.key)
+                return deltas.get(atom.key) or EmptyRelation(*atom.key)
+
             rule = delta_first(rule, occurrence)
         for row in evaluate_rule(rule, resolver, stats):
             if relation.add(row):
@@ -470,3 +482,230 @@ class TestProfile:
             assert derived >= 0
         assert stats.batch_rows > 0
         assert stats.index_probes > 0
+
+
+# -- trailing arithmetic: the batched form past the last scan ----------
+
+
+def outcome(engine, program, facts):
+    """``(answer or error, work counters)`` of one evaluation."""
+    stats = EvalStats()
+    try:
+        derived = engine(program, Database.from_facts(facts),
+                         stats=stats).run()
+    except Exception as exc:  # noqa: BLE001 — compared, not handled
+        return (type(exc).__name__, str(exc)), stats
+    return {
+        key: sorted(rel, key=repr) for key, rel in derived.items() if len(rel)
+    }, stats
+
+
+def floor_division(text):
+    """Parse ``text`` reading every ``*`` as ``//``, which the parser
+    does not have."""
+    def term(node):
+        if not isinstance(node, Compound):
+            return node
+        functor = "//" if node.functor == "*" else node.functor
+        return Compound(functor, tuple(term(arg) for arg in node.args))
+
+    def literal(lit):
+        if not isinstance(lit, Comparison):
+            return lit
+        return Comparison(lit.op, term(lit.left), term(lit.right))
+
+    return tuple(
+        Rule(rule.head, tuple(literal(lit) for lit in rule.body))
+        for rule in parse_program(text).rules
+    )
+
+
+def closure_outcome(program, facts):
+    """:func:`outcome` with no inline expression compiled: every ``is``
+    / comparison runs its closure, and a body ending in one has no
+    batched form — the executor as it was before expressions were
+    rendered as source."""
+    from repro.engine import compile as compile_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compile_module, "_inline", lambda *args: None)
+        patch.setattr(compile_module, "_COMPILED_RULE_CACHE", {})
+        return outcome(SemiNaiveEngine, program, facts)
+
+
+def assert_trailing_parity(text, facts):
+    """Answers or error equal to the reference engine's and to the
+    closures'; every counter equal to the closures', and the work
+    counters to the reference's when nothing raised (a batch that
+    raises is not inserted, while the reference has inserted the rows
+    before the failing one)."""
+    program = parse_program(text) if isinstance(text, str) else text
+    got, stats = outcome(SemiNaiveEngine, program, facts)
+    expected, reference = outcome(ReferenceEngine, program, facts)
+    closures, before = closure_outcome(program, facts)
+    assert got == expected == closures
+    assert stats.as_dict() == before.as_dict()
+    if isinstance(got, dict):
+        assert work_counters(stats) == work_counters(reference)
+    return got, stats
+
+
+COUNTING_ANSWER = """
+    c(n0, 0).
+    c(X1, J) :- c(X, I), up(X, X1), J is I + 1.
+    a(Y, I) :- c(X, I), flat(X, Y).
+    a(Y, I) :- a(Y1, J), down(Y1, Y), I is J - 1, I >= 0.
+"""
+
+
+class TestTrailingArithmetic:
+    """A body whose last scan is followed by ``is`` / comparisons runs
+    batched, with integer arithmetic rendered as source and the closure
+    as the fallback — observably the reference evaluator."""
+
+    CHAIN = [
+        ("up", ("n%d" % i, "n%d" % (i + 1))) for i in range(6)
+    ] + [("flat", ("n%d" % i, "m%d" % i)) for i in range(7)] + [
+        ("down", ("m%d" % (i + 1), "m%d" % i)) for i in range(6)
+    ]
+
+    def test_is_then_ordering_counting_answer_rule(self):
+        answer = parse_program(
+            "a(Y, I) :- a(Y1, J), down(Y1, Y), I is J - 1, I >= 0."
+        ).rules[0]
+        compiled = CompiledRule(answer)
+        assert compiled.compiled.steps[-1][0] == "filter"
+        assert compiled.compiled.collector(compiled.head_spec) is not None
+        got, _stats = assert_trailing_parity(COUNTING_ANSWER, self.CHAIN)
+        assert ("m0", 0) in got[("a", 2)]
+
+    def test_classical_rewriting_of_sg(self, sg_query, sg_db):
+        from repro.rewriting.counting import classical_counting_rewrite
+
+        program = classical_counting_rewrite(sg_query).query.program
+        facts = [(key[0], row) for key in sg_db.keys()
+                 for row in sg_db.get(key)]
+        assert_trailing_parity(program, facts)
+
+    def test_encoded_rule_big_integers_and_floor_division(self):
+        program = Program(parse_program(
+            "e(n0, %d). e(X1, K) :- e(X, I), up(X, X1), K is I * 4 + 1."
+            % 2 ** 70
+        ).rules + floor_division(
+            "d(X, J) :- e(X, K), K > 1, J is K * 2, J * 3 >= 0."
+        ))
+        facts = [("up", ("n%d" % i, "n%d" % (i + 1))) for i in range(8)]
+        got, _stats = assert_trailing_parity(program, facts)
+        assert max(row[1] for row in got[("d", 2)]) > 2 ** 63
+
+    @pytest.mark.parametrize("value", [1.5, True, -2.0],
+                             ids=["float", "bool", "negative-float"])
+    def test_float_and_bool_operands_take_the_fallback(self, value):
+        program = Program(parse_program(
+            "p(X, J) :- v(X, I), J is I + 1, J > 0."
+        ).rules + floor_division("q(X, J) :- v(X, I), J is I * 1, J >= 0."))
+        facts = [("v", ("a", value)), ("v", ("b", 2))]
+        got, _stats = assert_trailing_parity(program, facts)
+        assert ("a", value + 1) in got.get(("p", 2), []) or value + 1 <= 0
+
+    def test_non_numeric_operand_raises_the_same_error(self):
+        text = "p(X, J) :- v(X, I), J is I + 1."
+        facts = [("v", ("a", 1)), ("v", ("b", "x"))]
+        got, _stats = assert_trailing_parity(text, facts)
+        assert got == ("EvaluationError",
+                       "arithmetic on non-numeric value 'x'")
+
+    def test_ordering_across_types_raises_the_same_error(self):
+        got, _stats = assert_trailing_parity(
+            "p(X) :- v(X, I), I < 3.", [("v", ("a", 1)), ("v", ("b", "x"))]
+        )
+        assert got[0] == "EvaluationError"
+
+    def test_floor_division_by_zero(self):
+        program = Program(floor_division("p(X, J) :- v(X, I), J is 6 * I."))
+        got, _stats = assert_trailing_parity(
+            program, [("v", ("a", 2)), ("v", ("b", 0))]
+        )
+        assert got == ("ZeroDivisionError",
+                       "integer division or modulo by zero")
+
+    def test_head_reading_rule_sees_each_batch(self):
+        # The initial round reads ``p`` in full after ``e``: each probe
+        # of ``p`` must see what every earlier e-row's batch derived.
+        text = """
+            p(a, 0) :- seed(a).
+            p(X, J) :- e(Y, X), p(Y, I), J is I + 1, J < 6.
+        """
+        facts = [("seed", ("a",))] + [
+            ("e", (x, y)) for x, y in
+            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c"), ("d", "a")]
+        ]
+        rule = parse_program(text).rules[1]
+        compiled = CompiledRule(rule)
+        assert compiled.reads_head
+        assert compiled.compiled.emitter(compiled.head_spec) is not None
+        assert_trailing_parity(text, facts)
+
+    def test_inline_and_closures_agree_on_every_counter(
+        self, sg_query, sg_db, monkeypatch
+    ):
+        def matrix():
+            return {
+                method: run_strategy(method, sg_query, sg_db)
+                for method in ("classical_counting", "encoded_counting",
+                               "magic", "sup_magic")
+            }
+
+        inline = matrix()
+        # No inline expression: every ``is`` / comparison runs its
+        # closure, and a body ending in one has no batched form.
+        from repro.engine import compile as compile_module
+
+        monkeypatch.setattr(compile_module, "_inline", lambda *a: None)
+        monkeypatch.setattr(compile_module, "_COMPILED_RULE_CACHE", {})
+        closures = matrix()
+        for method, result in inline.items():
+            assert result.answers == closures[method].answers
+            assert result.stats.as_dict() == closures[method].stats.as_dict()
+
+
+class TestEmptyDeltaPass:
+    """A delta pass whose first step reads an empty delta only counts
+    its firing; the reference runs it and must count the same."""
+
+    TEXT = """
+        a(X, Y) :- e(X, Y).
+        a(X, Y) :- b(X, Z), e(Z, Y).
+        b(X, Y) :- a(X, Z), f(Z, Y).
+        b(X, Y) :- b(X, Z), g(Z, Y).
+    """
+    FACTS = [("e", ("n%d" % i, "n%d" % (i + 1))) for i in range(5)] + [
+        ("f", ("n%d" % i, "n%d" % (i + 2))) for i in range(0, 6, 2)
+    ] + [("g", ("n3", "n4"))]
+
+    def test_rule_firings_equal_with_and_without_the_fast_path(
+        self, monkeypatch
+    ):
+        program = parse_program(self.TEXT)
+        applied = []
+        planned = SemiNaiveEngine._apply_batched
+
+        def counting(self, *args):
+            apply = planned(self, *args)
+
+            def run(delta):
+                applied.append(1)
+                apply(delta)
+            return run
+
+        monkeypatch.setattr(SemiNaiveEngine, "_apply_batched", counting)
+        got, stats = outcome(SemiNaiveEngine, program, self.FACTS)
+        expected, reference = outcome(ReferenceEngine, program, self.FACTS)
+        assert got == expected
+        assert stats.as_dict()["rule_firings"] == \
+            reference.as_dict()["rule_firings"]
+        assert work_counters(stats) == work_counters(reference)
+        # Some passes really were skipped.
+        assert len(applied) < stats.rule_firings
+        assert sum(entry["calls"] for entry in stats.rule_profile.values()) \
+            == stats.rule_firings

@@ -406,8 +406,10 @@ def call_sites():
     exit_rule = shared.exit_rules[0]
     right = next(r for r in mixed.recursive_rules
                  if r.is_left_linear_shape())
+    # A negation after the last scan has no batched form (a trailing
+    # comparison has one since the generator inlines it).
     slow = parse_query("""
-        p(X, Y) :- up1(X, Y, W), W != X.
+        p(X, Y) :- up1(X, Y, W), not up1(W, X, Y).
         ?- p(a, Y).
     """).program.rules[0]
     return {

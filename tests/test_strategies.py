@@ -97,3 +97,48 @@ class TestRunnerPlumbing:
         assert result.elapsed >= 0
         assert result.stats.total_work > 0
         assert "ExecutionResult" in repr(result)
+
+
+# -- the goal as written: repeated variables, inline facts --------------
+
+CYCLIC_E = "e(a, b). e(b, c). e(c, a). e(d, d). e(a, e)."
+ACYCLIC_E = "e(a, b). e(b, c). e(a, e). e(c, f). e(b, f)."
+TC = "p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y)."
+PAIRS = "q(X, Y, Z) :- e(X, Y), e(X, Z). q(X, Y, Z) :- e(X, W), q(W, Y, Z)."
+
+
+def _answers(method, text, facts):
+    from repro import Database, parse_query
+
+    db = Database.from_text(facts) if facts else Database()
+    return run_strategy(method, parse_query(text), db).answers
+
+
+@pytest.mark.parametrize("method", ["naive", "magic", "sup_magic", "qsq",
+                                    "parallel"])
+def test_repeated_goal_variable_selects_the_diagonal(method):
+    # ``p(X, X)``: the pairs on a cycle of ``e``, not every pair.
+    got = _answers(method, TC + " ?- p(X, X).", CYCLIC_E)
+    assert got == {("a", "a"), ("b", "b"), ("c", "c"), ("d", "d")}
+
+
+@pytest.mark.parametrize("method", sorted(STRATEGIES))
+def test_repeated_free_variable_is_checked(method):
+    # ``q(a, Y, Y)``: both e-successors of one node reachable from a,
+    # and equal — the counting evaluators answer on the free positions
+    # directly and must check the repeat too.
+    got = _answers(method, PAIRS + " ?- q(a, Y, Y).", ACYCLIC_E)
+    assert got == {("b", "b"), ("e", "e"), ("c", "c"), ("f", "f")}
+
+
+@pytest.mark.parametrize(
+    "method", sorted(set(STRATEGIES) - {"naive", "parallel"})
+)
+def test_inline_base_facts_reach_every_strategy(method):
+    # The facts of ``e`` live in the program, no database is given: the
+    # rewritings carry rules only, so the facts must join the database
+    # at evaluation.  (``parallel`` requires a fact-free program.)
+    text = ACYCLIC_E + " " + TC + " ?- p(a, Y)."
+    expected = _answers("naive", text, None)
+    assert expected == {("b",), ("c",), ("e",), ("f",)}
+    assert _answers(method, text, None) == expected
