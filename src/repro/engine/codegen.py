@@ -34,7 +34,7 @@ operator, with ``fallback`` over the leaf values (the closure itself,
 so the same value and the same error at the same match) for any other
 operand type.
 
-Two forms are generated:
+Three forms are generated:
 
 * a **runner** — yields the shared slot array once per body match, in
   the enumeration order of :func:`repro.engine.join.evaluate_body`;
@@ -50,7 +50,14 @@ Two forms are generated:
   (``for _a in [expr]``, which CPython compiles to a plain store) and
   each trailing filter as an ``if`` clause.  The comprehension's loop
   bookkeeping runs in C, which is where the "emit whole column slices
-  instead of per-row slot writes" speedup comes from.
+  instead of per-row slot writes" speedup comes from;
+* the **answer loop** of the counting evaluators
+  (:func:`generate_answer_loop`), one function per clique: the
+  ``while`` loop over pending answer states with each step rule's right
+  part inlined in the batched shape — its probes, its counter bumps
+  (into locals, flushed to ``stats`` at every budget check and fault
+  point) and the projection straight into the next state — and the
+  bound runner as the step of any other body.
 
 Equivalence contract
 --------------------
@@ -185,7 +192,7 @@ def _key_expr(i, positions, key_parts, ns):
     return "(%s,)" % ", ".join(parts)
 
 
-def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
+def _scan_prologue(i, spec, ns, w, pad, state_alloc=None, local=False):
     """Emit the probe + batch-counter lines shared by every scan.
 
     The relation is resolved lazily on the scan's first invocation and
@@ -206,8 +213,21 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
     binding's lifetime: the caller guarantees its resolver is a fixed
     mapping for as long as it uses the binding, and both view kinds
     are maintained in place by ``Relation.add``.
+
+    With ``local`` (the answer loop, see :func:`generate_answer_loop`)
+    the ``index_probes`` bump goes to the function's local ``_ip`` and
+    the batch length, ``tuples_scanned`` and ``batch_rows`` alike, to
+    ``_ts``; the caller flushes both to ``stats``.
     """
     _kind, lit_index, atom, positions, key_parts, _ops = spec
+
+    def count_probe(depth):
+        if local:
+            w(depth, "_ip += 1")
+        else:
+            w(depth, "if stats is not None:")
+            w(depth + 1, "stats.index_probes += 1")
+
     ns["_atom%d" % i] = atom
     ns["_pos%d" % i] = tuple(positions)
     key = _key_expr(i, positions, key_parts, ns)
@@ -241,8 +261,7 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
         w(pad + 1, "_c%d = _rel%d.lookup(_pos%d, %s, stats)"
           % (i, i, i, key))
         w(pad, "else:")
-        w(pad + 1, "if stats is not None:")
-        w(pad + 2, "stats.index_probes += 1")
+        count_probe(pad + 1)
         if len(positions) == 1:
             w(pad + 1, "_t%d = (%s,)" % (i, key))
         else:
@@ -266,18 +285,20 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None):
         w(pad + 1, "_c%d = _rel%d.lookup(_pos%d, %s, stats)"
           % (i, i, i, key))
         w(pad, "else:")
-        w(pad + 1, "if stats is not None:")
-        w(pad + 2, "stats.index_probes += 1")
+        count_probe(pad + 1)
         w(pad + 1, "_c%d = _v%d.get(%s, ())" % (i, i, key))
-    w(pad, "if stats is not None:")
-    w(pad + 1, "_b%d = _len(_c%d)" % (i, i))
-    w(pad + 1, "stats.tuples_scanned += _b%d" % i)
-    w(pad + 1, "stats.batch_rows += _b%d" % i)
+    if local:
+        w(pad, "_ts += _len(_c%d)" % i)
+    else:
+        w(pad, "if stats is not None:")
+        w(pad + 1, "_b%d = _len(_c%d)" % (i, i))
+        w(pad + 1, "stats.tuples_scanned += _b%d" % i)
+        w(pad + 1, "stats.batch_rows += _b%d" % i)
 
 
-def _scan_loop(i, spec, ns, w, pad, state_alloc=None):
+def _scan_loop(i, spec, ns, w, pad, state_alloc=None, local=False):
     """Emit the row loop with inlined ops; returns the body indent."""
-    _scan_prologue(i, spec, ns, w, pad, state_alloc)
+    _scan_prologue(i, spec, ns, w, pad, state_alloc, local)
     w(pad, "for _r%d in _reversed(_c%d):" % (i, i))
     inner = pad + 1
     for j, (pos, kind, data) in enumerate(spec[5]):
@@ -293,7 +314,7 @@ def _scan_loop(i, spec, ns, w, pad, state_alloc=None):
     return inner
 
 
-def _step(i, step, ns, w, pad, abort, state_alloc=None):
+def _step(i, step, ns, w, pad, abort, state_alloc=None, local=False):
     """Emit step ``i``; returns the body indent (deeper iff it loops).
 
     ``abort`` is the statement that skips the current candidate when a
@@ -302,7 +323,7 @@ def _step(i, step, ns, w, pad, abort, state_alloc=None):
     """
     kind = step[0]
     if kind == "scan":
-        return _scan_loop(i, step, ns, w, pad, state_alloc)
+        return _scan_loop(i, step, ns, w, pad, state_alloc, local)
     name = "_f%d" % i
     inline = step[-1] if kind in ("filter", "assign") else None
     if kind == "assign":
@@ -383,7 +404,7 @@ def generate_runner(steps):
     return _compile_fn(lines, ns, "runner", scans)
 
 
-def _projection_exprs(projection, written, ns):
+def _projection_exprs(projection, written, ns, tag=""):
     """Expressions projecting a match, with innermost writes substituted.
 
     ``written`` maps slot index -> row-index expression for slots the
@@ -395,7 +416,7 @@ def _projection_exprs(projection, written, ns):
     for j, entry in enumerate(projection):
         kind = entry[0]
         if kind == "const":
-            name = "_pc%d" % j
+            name = "_pc%s%d" % (tag, j)
             ns[name] = entry[1]
             exprs.append(name)
         elif kind == "slot":
@@ -405,10 +426,82 @@ def _projection_exprs(projection, written, ns):
             _kind, fn, reads = entry
             if not reads.isdisjoint(written):
                 return None
-            name = "_pf%d" % j
+            name = "_pf%s%d" % (tag, j)
             ns[name] = fn
             exprs.append("%s(slots)" % name)
     return exprs
+
+
+def _last_scan(steps, extra_loops=0):
+    """The index of the last scan of a body in the batched shape, -1
+    for an empty body, None outside the shape (see
+    :func:`_generate_batched`); ``extra_loops`` are the loops the
+    generated function opens around the body."""
+    last = max(
+        (i for i, step in enumerate(steps) if step[0] == "scan"),
+        default=None,
+    )
+    if last is None:
+        return None if steps else -1
+    if any(kind == OP_MATCH for _pos, kind, _data in steps[last][5]):
+        return None  # matcher ops mutate slots; cannot substitute
+    trailing = steps[last + 1:]
+    if any(step[0] not in ("filter", "assign") or step[-1] is None
+           for step in trailing):
+        return None
+    loops = sum(step[0] in ("scan", "each") for step in steps)
+    if max(loops + extra_loops, len(trailing)) > _MAX_LOOPS:
+        return None
+    return last
+
+
+def _innermost(i, spec, trailing, projection, ns, tag=""):
+    """The innermost scan ``i`` of a batched body as ``(conds,
+    statements, clauses, tuple expression)``, or None when the
+    projection needs the scan's slot writes performed.
+
+    Walks the ops in order, tracking which slots the scan would have
+    written so later checks, the ``trailing`` steps and the projection
+    read the row directly.  Each trailing step, per candidate row and
+    in body order, comes both as a loop statement and as a
+    comprehension clause: an assign binds a local (``for _a in
+    [expr]`` in a comprehension, which CPython compiles to a plain
+    store), a filter drops the row.
+    """
+    written = {}
+    conds = []
+    for pos, kind, data in spec[5]:
+        if kind == OP_WRITE:
+            written[data] = "_r%d[%d]" % (i, pos)
+        else:
+            rhs = written.get(data, "slots[%d]" % data)
+            conds.append("_r%d[%d] == %s" % (i, pos, rhs))
+
+    def read(slot):
+        return written.get(slot, "slots[%d]" % slot)
+
+    clauses = []
+    statements = []
+    for j, step in enumerate(trailing, i + 1):
+        expr = _inline_expr("_f%d" % j, step[-1], read, ns)
+        if step[0] == "assign":
+            local = "_a%d" % step[1]
+            clauses.append("for %s in [%s]" % (local, expr))
+            statements.append("%s = %s" % (local, expr))
+            written[step[1]] = local
+        else:
+            clauses.append("if %s" % expr)
+            statements.append("if not %s: continue" % expr)
+    exprs = _projection_exprs(projection, written, ns, tag)
+    if exprs is None:
+        return None
+    return conds, statements, clauses, _tuple_expr(exprs)
+
+
+def _tuple_expr(exprs):
+    return "(%s)" % (
+        ", ".join(exprs) + ("," if len(exprs) == 1 else "") if exprs else ""
+    )
 
 
 def _generate_batched(steps, projection, eager, entry=None, bound=False,
@@ -436,25 +529,10 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
     as ``_state_size``.  ``batch`` (requires ``bound``) wraps the body
     in one more loop, over the ``values`` of ``(state, batch, stats)``.
     """
-    last = max(
-        (i for i, step in enumerate(steps) if step[0] == "scan"),
-        default=None,
-    )
+    last = _last_scan(steps, batch)
     if last is None:
-        if steps:
-            return None
-        last_spec = None
-    else:
-        last_spec = steps[last]
-        if any(kind == OP_MATCH for _pos, kind, _data in last_spec[5]):
-            return None  # matcher ops mutate slots; cannot substitute
-        trailing = steps[last + 1:]
-        if any(step[0] not in ("filter", "assign") or step[-1] is None
-               for step in trailing):
-            return None
-        loops = sum(step[0] in ("scan", "each") for step in steps)
-        if max(loops + batch, len(trailing)) > _MAX_LOOPS:
-            return None
+        return None
+    last_spec = steps[last] if last >= 0 else None
 
     tag = "collector" if eager else "emitter"
     ns = _namespace()
@@ -492,10 +570,7 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
         exprs = _projection_exprs(projection, {}, ns)
         if exprs is None:
             return None
-        rows = "[(%s)]" % (
-            ", ".join(exprs) + ("," if len(exprs) == 1 else "")
-            if exprs else ""
-        )
+        rows = "[%s]" % _tuple_expr(exprs)
         if batch:
             w(pad, "_res.append(%s)" % rows)
             w(1, "return _res")
@@ -524,44 +599,11 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
 
     i = last
     scans.append(i)
-    # Walk the ops in order, tracking which slots the scan would have
-    # written so later checks, the trailing steps and the projection
-    # read the row directly.
-    written = {}
-    conds = []
-    for pos, kind, data in last_spec[5]:
-        if kind == OP_WRITE:
-            written[data] = "_r%d[%d]" % (i, pos)
-        else:
-            rhs = written.get(data, "slots[%d]" % data)
-            conds.append("_r%d[%d] == %s" % (i, pos, rhs))
-
-    def read(slot):
-        return written.get(slot, "slots[%d]" % slot)
-
-    # The trailing steps, per candidate row and in body order: an
-    # assign binds a local (``for _a in [expr]`` in a comprehension,
-    # which CPython compiles to a plain store), a filter drops the row.
-    clauses = []
-    statements = []
-    for j, step in enumerate(trailing, last + 1):
-        expr = _inline_expr("_f%d" % j, step[-1], read, ns)
-        if step[0] == "assign":
-            local = "_a%d" % step[1]
-            clauses.append("for %s in [%s]" % (local, expr))
-            statements.append("%s = %s" % (local, expr))
-            written[step[1]] = local
-        else:
-            clauses.append("if %s" % expr)
-            statements.append("if not %s: continue" % expr)
-    exprs = _projection_exprs(projection, written, ns)
-    if exprs is None:
+    inner = _innermost(i, last_spec, steps[last + 1:], projection, ns)
+    if inner is None:
         return None
+    conds, statements, clauses, tuple_expr = inner
     _scan_prologue(i, last_spec, ns, w, pad, state_alloc)
-    tuple_expr = "(%s)" % (
-        ", ".join(exprs) + ("," if len(exprs) == 1 else "")
-        if exprs else ""
-    )
     if batch:
         # Per binding, buckets are small (a node's out-arcs): a plain
         # loop beats the comprehension's per-call frame.
@@ -643,3 +685,176 @@ def generate_bound_collector(steps, projection, nslots, loader,
         steps, projection, eager=True, entry=(nslots, tuple(loader)),
         bound=True, batch=batch,
     )
+
+
+#: The answer loop's local counters and the ``stats`` fields each is
+#: flushed to: a scan bumps ``tuples_scanned`` and ``batch_rows`` by
+#: the same batch length, so one local carries both.
+_LOOP_COUNTERS = (
+    ("_it", ("iterations",)),
+    ("_rf", ("rule_firings",)),
+    ("_fd", ("facts_derived",)),
+    ("_fu", ("facts_duplicate",)),
+    ("_ts", ("tuples_scanned", "batch_rows")),
+    ("_ip", ("index_probes",)),
+)
+
+_LOOP_LOCALS = " = ".join(local for local, _ in _LOOP_COUNTERS)
+
+
+def _flush(w, pad):
+    for local, fields in _LOOP_COUNTERS:
+        for field in fields:
+            w(pad, "stats.%s += %s" % (field, local))
+    w(pad, "%s = 0" % _LOOP_LOCALS)
+
+
+def generate_answer_loop(rules):
+    """The answer loop of the counting evaluators, one function per
+    clique (see :meth:`repro.exec.counting_engine.CountingEngine.
+    _answer_loop` for the contract).
+
+    ``rules`` holds one entry per step rule, by index: ``(head key,
+    label, steps, projection, nslots, loader, nvalues)``, where the
+    rule's body (``steps``, projecting ``projection``) takes the
+    state's ``nvalues`` answer values and then the step's arguments
+    through ``loader``.  A body in the batched shape is inlined — the
+    probe of each scan, its counter bumps and the projection of each
+    match; any other is run through the caller's ``runners[index]``,
+    and the function's ``fallback`` attribute lists those indexes.
+    Either way a step's rows become new states in the order the body
+    yields them, admitted once the body has run to the end, as the
+    eager collector of a bound runner would: an error leaves the states
+    and counters the runner would.
+
+    The generated function takes ``(pending, seen, groups, goal_key,
+    source_key, take, stats, budget, parents, resolver, runners,
+    frontier)`` and returns ``(answers, frontier)``.  Its counters live
+    in locals, flushed to ``stats`` before every ``budget.check`` and
+    every ``faults.fire("unwind")`` (once per state pop, both skipped
+    as the no-ops they are without a budget and an injector) and when
+    the loop ends or raises.
+    """
+    from . import faults
+
+    ns = _namespace()
+    ns["_faults"] = faults
+    ns["_fire"] = faults.fire
+    ns["_set"] = set
+    lines = []
+
+    def w(depth, text):
+        lines.append("    " * depth + text)
+
+    w(0, "def _run(pending, seen, groups, goal_key, source_key, take, "
+         "stats, budget, parents, resolver, runners, frontier):")
+    w(1, "answers = _set()")
+    w(1, "_seen_add = seen.add")
+    w(1, "_push = pending.append")
+    w(1, "_group = groups.get")
+    w(1, "%s = 0" % _LOOP_LOCALS)
+    w(1, "try:")
+    w(2, "while pending:")
+    w(3, "if budget is not None or _faults._ACTIVE is not None:")
+    _flush(w, 4)
+    w(4, "if budget is not None:")
+    w(5, "budget.check(stats)")
+    w(4, "_fire('unwind', stats)")
+    w(3, "_it += 1")
+    w(3, "state = take()")
+    w(3, "pred, values, key = state")
+    w(3, "if key == source_key and pred == goal_key:")
+    w(4, "answers.add(values)")
+    w(3, "for _ri, _args, _target in _group((key, pred), ()):")
+    w(4, "_rf += 1")
+    scans = []
+    fallback = []
+    base = 0
+    for index, rule in enumerate(rules):
+        pad = 4
+        if len(rules) > 1:
+            w(4, "%s _ri == %d:" % ("if" if index == 0 else "elif", index))
+            pad = 5
+        ns["_h%d" % index], ns["_l%d" % index] = rule[0], rule[1]
+        if not _inline_body(rule[2:], base, index, ns, w, pad, scans):
+            fallback.append(index)
+            w(pad, "for _o in runners[%d](values + _args, stats):" % index)
+            _admit(w, pad + 1, index, "_o")
+        base += len(rule[2])
+    w(3, "_n = _len(pending)")
+    w(3, "if _n > frontier:")
+    w(4, "frontier = _n")
+    w(1, "finally:")
+    _flush(w, 2)
+    w(1, "return answers, frontier")
+    loop = _compile_fn(lines, ns, "answer-loop", scans)
+    loop.fallback = tuple(fallback)
+    return loop
+
+
+def _admit(w, depth, index, row):
+    """Emit the admission of the new state of ``row`` from step rule
+    ``index`` (``_h`` / ``_l``: its head key and label); ``continue``
+    skips a state already seen."""
+    w(depth, "_new = (_h%d, %s, _target)" % (index, row))
+    w(depth, "if _new in seen:")
+    w(depth + 1, "_fu += 1")
+    w(depth + 1, "continue")
+    w(depth, "_seen_add(_new)")
+    w(depth, "_fd += 1")
+    w(depth, "_push(_new)")
+    w(depth, "if parents is not None:")
+    w(depth + 1, "parents[_new] = (_l%d, state)" % index)
+
+
+def _inline_body(rule, base, index, ns, w, pad, scans):
+    """Emit the body of step rule ``index`` into the answer loop, with
+    the admission of each row it projects; False (emitting nothing)
+    outside the batched shape.  Scan ``j`` of the body is step ``base
+    + j`` of the loop, so no name is shared between rules."""
+    steps, projection, nslots, loader, nvalues = rule
+    tag = "r%d_" % index
+    # The loop's own blocks: try, while, the step loop and the
+    # admission loop.
+    last = _last_scan(steps, 4)
+    if last is None:
+        return False
+    if last >= 0:
+        inner = _innermost(base + last, steps[last], steps[last + 1:],
+                           projection, ns, tag)
+        if inner is None:
+            return False
+    else:
+        exprs = _projection_exprs(projection, {}, ns, tag)
+        if exprs is None:
+            return False
+    loads = {slot: j for j, slot in enumerate(loader)}
+    w(pad, "slots = [%s]" % ", ".join(
+        "_none" if slot not in loads
+        else "values[%d]" % loads[slot] if loads[slot] < nvalues
+        else "_args[%d]" % (loads[slot] - nvalues)
+        for slot in range(nslots)
+    ))
+    if last < 0:
+        # One row, projected in full before it is admitted.
+        _admit(w, pad, index, _tuple_expr(exprs))
+        return True
+    w(pad, "_out = []")
+    depth = pad
+    for j, step in enumerate(steps[:last]):
+        if step[0] == "scan":
+            scans.append(base + j)
+        depth = _step(base + j, step, ns, w, depth, "continue", local=True)
+    conds, statements, _clauses, row = inner
+    i = base + last
+    scans.append(i)
+    _scan_prologue(i, steps[last], ns, w, depth, local=True)
+    w(depth, "for _r%d in _reversed(_c%d):" % (i, i))
+    if conds:
+        w(depth + 1, "if not (%s): continue" % " and ".join(conds))
+    for statement in statements:
+        w(depth + 1, statement)
+    w(depth + 1, "_out.append(%s)" % row)
+    w(pad, "for _o in _out:")
+    _admit(w, pad + 1, index, "_o")
+    return True

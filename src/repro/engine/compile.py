@@ -742,6 +742,15 @@ class BoundQuery:
             return _slow(_resolver, values, stats)
         return run
 
+    def loop_entry(self, nvalues):
+        """``(steps, projection, nslots, loader, nvalues)``: this body
+        as one step rule of :func:`~repro.engine.codegen.
+        generate_answer_loop`, its first ``nvalues`` in names read from
+        the state's values, the rest from the step's arguments."""
+        compiled = self.compiled
+        return (compiled.steps, self._out_spec, compiled.nslots,
+                tuple(self._loader), nvalues)
+
     def bind_batch(self, resolver):
         """:meth:`bind` over a batch: ``run(batch, stats=None)`` equals
         ``[list(bind(resolver)(values, stats)) for values in batch]``,

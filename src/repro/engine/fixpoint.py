@@ -11,6 +11,7 @@ directly.
 from ..datalog.rules import Query
 from ..datalog.terms import Constant, Variable, ground_value
 from .instrumentation import EvalStats
+from .relation import Relation
 
 
 class QueryResult:
@@ -76,10 +77,11 @@ def goal_filter(goal, rows):
     values at their positions, and one value wherever it repeats a
     variable (``p(X, X)`` selects the diagonal).
 
-    A relation selects the ground positions with one probe, counting
-    nothing and never adding a persistent index to a database relation
-    (:meth:`~repro.engine.relation.Relation.select`); any other
-    iterable of rows is scanned.
+    A relation selects the ground positions counting nothing
+    (:meth:`~repro.engine.relation.Relation.select`): one probe when it
+    has an index on them, else a scan — a relation read for one goal
+    is not worth indexing (:func:`index_goal` indexes one that later
+    goals select from).  Any other iterable of rows is scanned.
     """
     positions, values, repeats = _selection(goal)
     if positions:
@@ -93,6 +95,18 @@ def goal_filter(goal, rows):
                 if all(row[i] == v for i, v in zip(positions, values))
             ]
     return agreeing(rows, repeats)
+
+
+def index_goal(goal, relation):
+    """Build and keep the index :func:`goal_filter` probes for
+    ``goal``'s ground positions on ``relation``, an engine-derived
+    relation that later goals select from; a database relation (one
+    with id columns) or any other stand-in is left as it is."""
+    positions = _selection(goal)[0]
+    if (isinstance(relation, Relation) and not relation.columnar
+            and relation.use_indexes
+            and 0 < len(positions) < relation.arity):
+        relation.ensure_index(positions)
 
 
 def free_repeats(goal):

@@ -288,27 +288,22 @@ class Relation:
         """The rows with ``positions`` equal to ``key``, counting nothing.
 
         ``key`` follows :meth:`lookup`'s convention.  One probe of the
-        index on ``positions`` when the relation has it, else — on a
-        relation without id columns, i.e. one the engine derived — of
-        one built now and kept.  A database relation never gains a
-        persistent index here: without one it is scanned.
+        index on ``positions`` when the relation has it, else a scan: a
+        selection builds no index.
         """
         if len(positions) == self.arity:
             row = key if self.arity != 1 else (key,)
             return (row,) if row in self.tuples else ()
         index = self._indexes.get(positions)
-        if index is None:
-            if self._ids is None and self.use_indexes:
-                index = self._index_for(positions)
-            elif len(positions) == 1:
-                position = positions[0]
-                return [row for row in self.tuples if row[position] == key]
-            else:
-                return [
-                    row for row in self.tuples
-                    if all(row[i] == v for i, v in zip(positions, key))
-                ]
-        return index.get(key, ())
+        if index is not None:
+            return index.get(key, ())
+        if len(positions) == 1:
+            position = positions[0]
+            return [row for row in self.tuples if row[position] == key]
+        return [
+            row for row in self.tuples
+            if all(row[i] == v for i, v in zip(positions, key))
+        ]
 
     def match(self, pattern, stats=None):
         """Yield rows matching ``pattern``.

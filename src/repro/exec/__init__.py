@@ -1,7 +1,7 @@
 """Dedicated evaluators and uniform strategy executors."""
 
 from .cache import AnswerCache, CountingTableStore
-from .counting_engine import CountingEngine, CountingRow, CountingTable
+from .counting_engine import CountingEngine, CountingTable
 from .magic_counting import MagicCountingEngine, recurring_nodes
 from .prepared import PreparedQuery
 from .qsq import QSQEngine, qsq_evaluate
@@ -38,7 +38,6 @@ __all__ = [
     "CountingEngine",
     "CountingTableStore",
     "PreparedQuery",
-    "CountingRow",
     "CountingTable",
     "DEFAULT_CHAIN",
     "ExecutionReport",

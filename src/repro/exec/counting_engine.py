@@ -14,18 +14,20 @@ Data model
 * A *node* is a pair ``(predicate key, bound-argument values)`` — the
   clique may contain several mutually recursive predicates.
 * The :class:`CountingTable` holds one row per node reachable from the
-  query constants.  Each row carries the set of *in-triples*
+  query constants, as arrays.  Each row has a set of *in-triples*
   ``(rule label, shared values, predecessor id)`` — one per left-part
   arc entering the node, ahead and back arcs alike.  The source row
-  carries the sentinel triple ``(None, (), None)``.
+  has the sentinel triple ``(None, (), None)``.
 * The answer phase derives *states* ``(predicate key, answer values,
-  key)``: the predicate instance holds at ``(row.values, answer
+  key)``: the predicate instance holds at ``(values[row], answer
   values)`` for a row with that key.  Exit rules seed states; each
   modified-rule step consumes one in-triple of such a row, applies the
   source rule's right part and moves to the predecessor's key.  A state
   with the source row's key and the goal predicate yields an answer.
 * The key is the coarsest one that is sound — a quotient of the table
-  (``key_of[row id]``, ``steps[key]``) handed to one loop.  ``"node"``,
+  (``key_of[row id]``, ``groups[(key, predicate)]``, memoized on the
+  table) handed to one loop, generated per clique by
+  :func:`~repro.engine.codegen.generate_answer_loop`.  ``"node"``,
   the row id, whenever a right part reads something phase 1 produced;
   ``"distance"`` (Algorithm 3(i), the classical index) for one
   arc-producing rule over a table giving each row one distance from
@@ -44,7 +46,7 @@ from array import array
 from collections import deque
 from itertools import chain
 
-from ..engine import faults
+from ..engine.codegen import generate_answer_loop
 from ..engine.compile import bound_query
 from ..engine.instrumentation import EvalStats
 from ..errors import EvaluationError, NotApplicableError
@@ -57,157 +59,161 @@ SOURCE_TRIPLE = (None, (), None)
 _NO_PREV = -1
 
 
-class _TripleView:
-    """One row's in-triples, viewed over the table's flat arrays.
-
-    Keeps the historical ``row.triples`` list surface — ``append``,
-    iteration, ``len``, ``in``, indexing — while the storage lives in
-    the :class:`CountingTable`'s parallel arrays.  Iteration
-    materializes ``(label, shared values, predecessor id)`` tuples on
-    the fly; hot loops inside the engine skip the tuples and read the
-    arrays through the ordinals directly.
-    """
-
-    __slots__ = ("_table", "_row_id", "ordinals")
-
-    def __init__(self, table, row_id):
-        self._table = table
-        self._row_id = row_id
-        #: Positions of this row's triples in the flat arrays, in
-        #: append order.
-        self.ordinals = []
-
-    def append(self, triple):
-        label, shared, prev = triple
-        table = self._table
-        self.ordinals.append(len(table.t_label))
-        table.t_label.append(label)
-        table.t_shared.append(shared)
-        table.t_prev.append(_NO_PREV if prev is None else prev)
-        table.t_row.append(self._row_id)
-
-    def _triple(self, ordinal):
-        table = self._table
-        prev = table.t_prev[ordinal]
-        return (
-            table.t_label[ordinal],
-            table.t_shared[ordinal],
-            None if prev == _NO_PREV else prev,
-        )
-
-    def __len__(self):
-        return len(self.ordinals)
-
-    def __iter__(self):
-        for ordinal in self.ordinals:
-            yield self._triple(ordinal)
-
-    def __getitem__(self, index):
-        picked = self.ordinals[index]
-        if isinstance(index, slice):
-            return [self._triple(o) for o in picked]
-        return self._triple(picked)
-
-    def __contains__(self, triple):
-        return any(candidate == triple for candidate in self)
-
-    def __repr__(self):
-        return "_TripleView(o%d, %r)" % (self._row_id, list(self))
-
-
-class CountingRow:
-    """One node of the counting set."""
-
-    __slots__ = ("id", "pred", "values", "triples")
-
-    def __init__(self, row_id, pred, values, table):
-        self.id = row_id
-        self.pred = pred
-        self.values = values
-        #: View of (rule label, shared values, predecessor row id)
-        #: in-triples; storage lives in the table's flat arrays.
-        self.triples = _TripleView(table, row_id)
-
-    def __repr__(self):
-        return "CountingRow(o%d, %s%r, %d triples)" % (
-            self.id, self.pred[0], self.values, len(self.triples)
-        )
+def _step_names(rule):
+    """``(in names, out names)`` of a step rule's right part: a pop
+    step reads ``Y1 + C_r + X + X1`` (answer values, then the
+    in-triple's shared values and the two rows' bound values), an
+    in-place (left-linear) step ``Y1 + X``; both yield ``Y``."""
+    if rule.is_left_linear_shape():
+        ins = rule.rec_free_vars + rule.bound_vars
+    else:
+        ins = (rule.rec_free_vars + rule.shared_vars + rule.bound_vars
+               + rule.rec_bound_vars)
+    return ins, rule.free_vars
 
 
 class CountingTable:
-    """The per-node counting set with predecessor triples.
+    """The per-node counting set with predecessor triples, as arrays.
 
-    Triples are stored as flat parallel arrays — ``t_label`` /
-    ``t_shared`` (lists) and ``t_prev`` / ``t_row`` (``array('q')``
-    machine words, ``-1`` encoding "no predecessor") — with each row
-    keeping the ordinals of its own triples.  One triple therefore
-    costs two list slots and two machine words instead of a dedicated
-    tuple object, and the answer phase unwinds by indexing the arrays
-    directly instead of destructuring tuples.
+    Row ``i`` is the node ``(pred[i], values[i])``; ``index`` maps a
+    node back to its row id.  In-triples are flat parallel arrays —
+    ``t_label`` / ``t_shared`` (lists) and ``t_prev`` / ``t_row``
+    (``array('q')`` machine words, ``-1`` encoding "no predecessor") —
+    entry ``i`` being one in-triple of row ``t_row[i]``.  No per-row or
+    per-triple object exists: one triple costs two list slots and two
+    machine words, and the answer phase reads the arrays directly.
     """
 
-    __slots__ = ("rows", "index", "source_id", "back_arc_count",
+    __slots__ = ("pred", "values", "index", "source_id", "back_arc_count",
                  "ahead_arc_count", "t_label", "t_shared", "t_prev",
-                 "t_row", "_depths")
+                 "t_row", "_depths", "_quotients")
 
     def __init__(self):
-        self.rows = []
+        self.pred = []
+        self.values = []
         self.index = {}
         self.source_id = 0
         self.back_arc_count = 0
         self.ahead_arc_count = 0
-        #: Flat parallel triple arrays; entry ``i`` is one in-triple of
-        #: row ``t_row[i]``.
         self.t_label = []
         self.t_shared = []
         self.t_prev = array("q")
         self.t_row = array("q")
         self._depths = None
-
-    def row_for(self, pred, values):
-        key = (pred, values)
-        row_id = self.index.get(key)
-        if row_id is None:
-            row_id = len(self.rows)
-            self.index[key] = row_id
-            self.rows.append(CountingRow(row_id, pred, values, self))
-        return self.rows[row_id]
+        #: ``(state key name, canonical clique) -> (key_of, groups)``;
+        #: see :meth:`quotient`.
+        self._quotients = {}
 
     @classmethod
     def from_ranks(cls, nodes, ahead, back=()):
         """The table whose row ``i`` is ``nodes[i]`` (the source at 0),
         with one in-triple per ``(source row, target row, (label,
-        shared))`` arc, ahead arcs first, written straight into the
-        flat arrays."""
+        shared))`` arc in the order given, ahead arcs first, after the
+        source's sentinel."""
         table = cls()
-        table.rows = [
-            CountingRow(i, pred, values, table)
-            for i, (pred, values) in enumerate(nodes)
-        ]
+        table.pred = [pred for pred, _values in nodes]
+        table.values = [values for _pred, values in nodes]
         table.index = dict(zip(nodes, range(len(nodes))))
         arcs = [*ahead, *back]
         table.t_label = [None] + [arc[2][0] for arc in arcs]
         table.t_shared = [()] + [arc[2][1] for arc in arcs]
         table.t_prev = array("q", [_NO_PREV] + [arc[0] for arc in arcs])
         table.t_row = array("q", [0] + [arc[1] for arc in arcs])
-        ordinals = [row.triples.ordinals for row in table.rows]
-        ordinals[0].append(0)
-        for ordinal, arc in enumerate(arcs, 1):
-            ordinals[arc[1]].append(ordinal)
         table.ahead_arc_count = len(ahead)
         table.back_arc_count = len(back)
         return table
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.pred)
 
     @property
     def triple_count(self):
         """Total in-triples: the §3.4 per-arc counting-set size."""
         return len(self.t_label)
 
+    def triples(self):
+        """Each row's in-triples ``(rule label, shared values,
+        predecessor id)`` in append order, one list per row id; the
+        source's sentinel is :data:`SOURCE_TRIPLE`."""
+        out = [[] for _ in self.pred]
+        for label, shared, prev, row_id in zip(
+                self.t_label, self.t_shared, self.t_prev, self.t_row):
+            out[row_id].append(
+                (label, shared, None if prev == _NO_PREV else prev)
+            )
+        return out
+
     def is_acyclic(self):
         return self.back_arc_count == 0
+
+    def quotient(self, name, canonical):
+        """``(key_of, groups)``: this table as the answer loop of
+        ``canonical``'s clique sees it under state key ``name``.
+
+        ``key_of[row id]`` is the third component of a state at that
+        row.  ``groups[(key, predicate)]`` lists the distinct ``(rule
+        index, arguments, target key)`` steps a state with that key and
+        predicate takes, the rule indexing ``canonical.recursive_rules``:
+        one per in-triple (the pop step; none under ``"none"``, where
+        it is the identity), then one per left-linear rule, which stays
+        at its key.  A key that merges rows keeps one step per rule —
+        its right part reads nothing that tells the rows apart
+        (``_state_key``) — and the merge is decided before a step's
+        arguments are built.
+
+        Memoized like :meth:`depths`, so a table served from a
+        :class:`~repro.exec.cache.CountingTableStore` skips it; the
+        memo holds only ids, values and keys, never a bound runner.
+        """
+        memo = self._quotients.get((name, canonical))
+        if memo is None:
+            memo = self._quotients[(name, canonical)] = self._quotient(
+                name, canonical.recursive_rules
+            )
+        return memo
+
+    def _quotient(self, name, rules):
+        size = len(self.pred)
+        if name == "node":
+            key_of = range(size)
+        elif name == "distance":
+            key_of = self.depths()
+        else:
+            key_of = [self.source_id] * size
+        values = self.values
+        merged = None if name == "node" else set()
+        groups = {}
+        if name != "none":
+            index_of = {rule.label: i for i, rule in enumerate(rules)}
+            for label, shared, prev_id, row_id in zip(
+                    self.t_label, self.t_shared, self.t_prev, self.t_row):
+                if label is None:
+                    continue
+                index = index_of[label]
+                key = key_of[row_id]
+                if merged is not None:
+                    if (key, index) in merged:
+                        continue
+                    merged.add((key, index))
+                groups.setdefault((key, rules[index].rec_key), []).append(
+                    (index, shared + values[prev_id] + values[row_id],
+                     key_of[prev_id])
+                )
+        in_place = [(index, rule) for index, rule in enumerate(rules)
+                    if rule.is_left_linear_shape()]
+        for row_id, pred in enumerate(self.pred if in_place else ()):
+            key = key_of[row_id]
+            for index, rule in in_place:
+                if rule.head_key != pred:
+                    continue
+                if merged is not None:
+                    if (key, index) in merged:
+                        continue
+                    merged.add((key, index))
+                groups.setdefault((key, rule.rec_key), []).append(
+                    (index, values[row_id], key)
+                )
+        return key_of, groups
 
     def depths(self):
         """``depth[row id]`` if every row has one distance from the
@@ -220,7 +226,7 @@ class CountingTable:
         from a :class:`~repro.exec.cache.CountingTableStore` keeps it.
         """
         if self._depths is None:
-            depth = array("q", [-1]) * len(self.rows)
+            depth = array("q", [-1]) * len(self.pred)
             depth[self.source_id] = 0
             uniform = self.back_arc_count == 0
             for row_id, prev_id in zip(self.t_row, self.t_prev):
@@ -244,19 +250,21 @@ class CountingTable:
             return "nil" if row_id is None else "o%d" % (row_id + 1)
 
         lines = []
-        for row in self.rows:
-            triples = ", ".join(
+        for row_id, (values, triples) in enumerate(
+                zip(self.values, self.triples())):
+            text = ", ".join(
                 "(%s, %s, %s)" % (
                     label if label is not None else "r0",
                     format_value(tuple(shared)),
                     fmt_id(prev),
                 )
-                for label, shared, prev in row.triples
+                for label, shared, prev in triples
             )
-            values = ", ".join(format_value(v) for v in row.values)
-            lines.append(
-                "%s : (%s, {%s})" % (fmt_id(row.id), values, triples)
-            )
+            lines.append("%s : (%s, {%s})" % (
+                fmt_id(row_id),
+                ", ".join(format_value(v) for v in values),
+                text,
+            ))
         return "\n".join(lines)
 
 
@@ -305,7 +313,9 @@ class CountingEngine:
         #: positional bindings for every node/state, replacing the
         #: per-visit dict-substitution evaluation.  A prepared query
         #: passes a shared ``query_cache`` dict so the compilation
-        #: survives across engine instances for the same clique.
+        #: survives across engine instances for the same clique; the
+        #: clique's generated answer loop, which holds no engine state
+        #: either, is kept there too.
         self._queries = query_cache if query_cache is not None else {}
         #: Per-engine bound runners (``BoundQuery.bind``): these embed
         #: this engine's resolver and its hoisted relation/view state,
@@ -347,6 +357,7 @@ class CountingEngine:
         self._unwind_entries = {}
         self._exit_entries = {}
         self._arc_entries = None
+        self._answer_fn = None
 
     # -- phase 1: counting set ---------------------------------------
 
@@ -365,13 +376,21 @@ class CountingEngine:
         key = (site, id(rule))
         runner = self._bound.get(key)
         if runner is None:
-            query = self._queries.get(key)
-            if query is None:
-                query = bound_query(body, in_names, out_names)
-                self._queries[key] = query
+            query = self._shared_query(site, rule, body, in_names,
+                                       out_names)
             bind = query.bind_batch if batch else query.bind
             runner = self._bound[key] = bind(self._resolver)
         return runner
+
+    def _shared_query(self, site, rule, body, in_names, out_names):
+        """The :class:`BoundQuery` for one (call site, rule), from the
+        shared ``query_cache``."""
+        key = (site, id(rule))
+        query = self._queries.get(key)
+        if query is None:
+            query = self._queries[key] = bound_query(body, in_names,
+                                                     out_names)
+        return query
 
     def _expand(self, wave):
         """Left-graph successors of each node of ``wave``, as
@@ -492,92 +511,66 @@ class CountingEngine:
         return entries
 
     def _exit_states(self, stats):
-        """Seed states from the exit rules at every counting node, in
-        row order and then exit-rule order; one compiled call per
-        (exit rule, predicate) covers all of the predicate's rows."""
-        rows = self.table.rows
+        """Seed ``((pred, values, row id), label)`` states from the
+        exit rules at every counting node, in row order and then
+        exit-rule order; one compiled call per (exit rule, predicate)
+        covers all of the predicate's rows."""
+        table = self.table
         by_pred = {}
-        for row in rows:
-            by_pred.setdefault(row.pred, []).append(row.values)
+        for pred, values in zip(table.pred, table.values):
+            by_pred.setdefault(pred, []).append(values)
         results = {}
         for pred, batch in by_pred.items():
             queries = self._exit_queries(pred)
             stats.rule_firings += len(batch) * len(queries)
             results[pred] = [(exit_rule.label, iter(query(batch, stats)))
                              for exit_rule, query in queries]
-        for row in rows:
-            for label, outs in results[row.pred]:
-                for values in next(outs):
-                    yield (row.pred, values, row.id), label
+        return [
+            ((pred, values, row_id), label)
+            for row_id, pred in enumerate(table.pred)
+            for label, outs in results[pred]
+            for values in next(outs)
+        ]
 
     def unwind_entry(self, label):
-        """Cached ``(rule, query)`` for one modified-rule pop step; the
-        query takes ``Y1 + C_r + X + X1`` values and yields ``Y``."""
+        """Cached ``(rule, bound runner)`` for one modified-rule pop
+        step; the runner takes ``Y1 + C_r + X + X1`` values and yields
+        ``Y``."""
         entry = self._unwind_entries.get(label)
         if entry is None:
             rule = self.rules_by_label[label]
-            entry = (
-                rule,
-                self._query(
-                    "unwind", rule, rule.right,
-                    rule.rec_free_vars + rule.shared_vars
-                    + rule.bound_vars + rule.rec_bound_vars,
-                    rule.free_vars,
-                ),
-            )
+            entry = (rule, self._query("step", rule, rule.right,
+                                       *_step_names(rule)))
             self._unwind_entries[label] = entry
         return entry
 
-    def _quotient(self, name):
-        """``(key_of, steps)``: the counting table as the loop sees it.
-
-        ``key_of[row id]`` is the third component of a state at that
-        row and ``steps[key]`` the distinct ``(rule, query, arguments,
-        target key)`` steps out of a key: one per in-triple (the pop
-        step; none under ``"none"``, where it is the identity), then
-        one per left-linear rule, which stays at its key.  A key that
-        merges rows keeps one step per rule — its right part reads
-        nothing that tells the rows apart (``_state_key``).
-        """
-        table = self.table
-        rows = table.rows
-        if name == "node":
-            key_of = range(len(rows))
-        elif name == "distance":
-            key_of = table.depths()
-        else:
-            key_of = [table.source_id] * len(rows)
-        steps = {}
-        merged = None if name == "node" else set()
-
-        def add(row_id, entry, arguments, target):
-            key = key_of[row_id]
-            if merged is not None:
-                if (key, entry[0]) in merged:
-                    return
-                merged.add((key, entry[0]))
-            steps.setdefault(key, []).append(entry + (arguments, target))
-
-        if name != "none":
-            for ordinal, label in enumerate(table.t_label):
-                if label is not None:
-                    row_id = table.t_row[ordinal]
-                    prev_id = table.t_prev[ordinal]
-                    add(row_id, self.unwind_entry(label),
-                        table.t_shared[ordinal] + rows[prev_id].values
-                        + rows[row_id].values, key_of[prev_id])
-        in_place = [
-            (rule, self._query("right", rule, rule.right,
-                               rule.rec_free_vars + rule.bound_vars,
-                               rule.free_vars))
-            for rule in self.canonical.recursive_rules
-            if rule.is_left_linear_shape()
-        ]
-        for row in rows if in_place else ():
-            for entry in in_place:
-                if entry[0].head_key == row.pred:
-                    add(row.id, entry, row.values, key_of[row.id])
-        return key_of, steps
+    def _loop(self):
+        """``(generated answer loop, runners)`` of this clique; the loop
+        comes from the shared ``query_cache``, ``runners[index]`` is
+        this engine's bound runner for a step rule the loop could not
+        inline, None for the others."""
+        if self._answer_fn is None:
+            rules = self.canonical.recursive_rules
+            key = ("loop", id(self.canonical))
+            loop = self._queries.get(key)
+            if loop is None:
+                entries = []
+                for rule in rules:
+                    query = self._shared_query("step", rule, rule.right,
+                                               *_step_names(rule))
+                    entries.append(
+                        (rule.head_key, rule.label)
+                        + query.loop_entry(len(rule.rec_free_vars))
+                    )
+                loop = self._queries[key] = generate_answer_loop(entries)
+            runners = [None] * len(rules)
+            for index in loop.fallback:
+                rule = rules[index]
+                runners[index] = self._query(
+                    "step", rule, rule.right, *_step_names(rule)
+                )
+            self._answer_fn = (loop, runners)
+        return self._answer_fn
 
     def _answer_loop(self, name, seeds, stats, budget=None, parents=None):
         """The answer phase under quotient ``name``; returns ``(answers,
@@ -587,15 +580,13 @@ class CountingEngine:
         beside the exit rules'.  Seeds are not ``facts_derived``; a
         repeated seed is one ``facts_duplicate``; every later new state
         is one ``facts_derived``.  ``parents``, when given, receives
-        ``state -> (label, parent state)``.
+        ``state -> (label, parent state)``.  Each pop runs the steps of
+        its ``(key, predicate)`` group of :meth:`CountingTable.quotient`
+        in the generated loop of :meth:`_loop`.
         """
-        key_of, steps = self._quotient(name)
-        goal_key = self.goal_key
-        source_key = key_of[self.table.source_id]
+        key_of, groups = self.table.quotient(name, self.canonical)
         seen = set()
-        answers = set()
         pending = deque()
-        take = pending.pop if self.answer_order == "dfs" else pending.popleft
         for (pred, values, row_id), label in chain(
                 self._exit_states(stats), seeds):
             state = (pred, values, key_of[row_id])
@@ -606,31 +597,13 @@ class CountingEngine:
             pending.append(state)
             if parents is not None:
                 parents[state] = (label, None)
-        frontier = len(pending)
-        while pending:
-            if budget is not None:
-                budget.check(stats)
-            faults.fire("unwind", stats)
-            stats.iterations += 1
-            state = take()
-            pred, values, key = state
-            if key == source_key and pred == goal_key:
-                answers.add(values)
-            for rule, query, arguments, target in steps.get(key, ()):
-                if rule.rec_key != pred:
-                    continue
-                stats.rule_firings += 1
-                for out in query(values + arguments, stats):
-                    new_state = (rule.head_key, out, target)
-                    if new_state in seen:
-                        stats.facts_duplicate += 1
-                        continue
-                    seen.add(new_state)
-                    stats.facts_derived += 1
-                    pending.append(new_state)
-                    if parents is not None:
-                        parents[new_state] = (rule.label, state)
-            frontier = max(frontier, len(pending))
+        loop, runners = self._loop()
+        answers, frontier = loop(
+            pending, seen, groups, self.goal_key,
+            key_of[self.table.source_id],
+            pending.pop if self.answer_order == "dfs" else pending.popleft,
+            stats, budget, parents, self._resolver, runners, len(pending),
+        )
         return frozenset(answers), len(seen), frontier
 
     def compute_answers(self, seeds=()):
@@ -682,9 +655,7 @@ class CountingEngine:
         while state is not None:
             label, parent = self._parents[state]
             pred, values, row_id = state
-            steps.append(
-                (label, self.table.rows[row_id].values, values)
-            )
+            steps.append((label, self.table.values[row_id], values))
             state = parent
         steps.reverse()
         return steps

@@ -53,13 +53,14 @@ import time
 
 from ..datalog.atoms import Atom, Comparison, Negation
 from ..datalog.rules import Program, Query, Rule
-from ..datalog.terms import Compound, Constant
+from ..datalog.terms import Compound, Constant, Variable
 from ..engine.compile import compiled_rule
 from ..engine.database import Database
 from ..engine.fixpoint import (
     agreeing,
     free_repeats,
     goal_filter,
+    index_goal,
     project_free,
 )
 from ..engine.instrumentation import EvalStats
@@ -177,6 +178,56 @@ def _base_facts(program):
     )
 
 
+def _lift_derived_facts(query):
+    """``query`` with the ground facts of each derived predicate — one
+    a proper rule also derives — turned into one exit rule over a fresh
+    base predicate holding them: ``p(c, z).`` beside rules of ``p``
+    becomes ``p(X0, X1) :- p__fact(X0, X1).`` plus ``p__fact(c, z).``
+
+    A counting rewriting or a dedicated evaluator reads a derived
+    predicate through its rules only, and so would drop the fact; as an
+    exit rule it is carried like any other, and the fresh predicate's
+    facts reach the database as :func:`_base_facts`.  The answers do
+    not change, so :func:`prepare` lifts for every method but
+    ``naive``.  ``query`` itself when there is nothing to lift, or when
+    it is already adorned.
+    """
+    if hasattr(query, "origins"):
+        return query
+    program = query.program
+    derived = {rule.head.key for rule in program.rules if not rule.is_fact()}
+    if not any(rule.is_fact() and rule.head.key in derived
+               and rule.head.is_ground() for rule in program.rules):
+        return query
+    taken = {rule.head.pred for rule in program.rules} | {
+        key[0] for key in program.body_predicates()
+    }
+    labels = {rule.label for rule in program.rules}
+    fresh = {}
+    rules = []
+    facts = []
+    for rule in program.rules:
+        head = rule.head
+        if not (rule.is_fact() and head.is_ground() and head.key in derived):
+            rules.append(rule)
+            continue
+        if head.key not in fresh:
+            name = head.pred + "__fact"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            fresh[head.key] = name
+            args = tuple(Variable("X%d" % i) for i in range(head.arity))
+            rules.append(Rule(Atom(head.pred, args), (Atom(name, args),),
+                              label=rule.label))
+        label = rule.label + "_fact"
+        while label in labels:
+            label += "_"
+        labels.add(label)
+        facts.append(Rule(Atom(fresh[head.key], head.args), label=label))
+    return Query(query.goal, Program(rules + facts))
+
+
 def _with_facts(db, facts, memo):
     """``db`` joined by ``facts``: a copy, kept in ``memo`` (see
     :func:`prepare`) while the database does not move; ``db`` itself
@@ -257,12 +308,13 @@ def _divergence_bound(db):
 
 
 def _left_graph(canonical, goal_key, source_values, get_relation):
-    """Arc classification of the left graph reachable from one source
-    node; the exploration's work is not charged to any run."""
+    """The :class:`~repro.graph.dfs.IdClassification` of the left graph
+    reachable from one source node; the exploration's work is not
+    charged to any run."""
     return CountingEngine(
         canonical, goal_key, tuple(source_values), get_relation,
         stats=EvalStats(),
-    ).classify()
+    ).left_graph()
 
 
 def classify_left_graph(query, db):
@@ -273,7 +325,7 @@ def classify_left_graph(query, db):
     return _left_graph(
         form.canonical, form.goal_key, form.source_values,
         _materialize_support(form.support_rules, db, EvalStats(), None, {}),
-    )
+    ).view()
 
 
 def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
@@ -285,29 +337,32 @@ def check_pushing_cycles(canonical, goal_key, source_values, get_relation,
     rule that is neither left- nor right-linear shaped (those rules are
     the ones extending the path argument).  ``canonical`` is prepared
     once per query form; only this data-dependent classification runs
-    per binding.
+    per binding, and not even that when no rule pushes.  The decision
+    reads the classification's integer ranks: no back arc means no
+    cycle, else a pushing arc inside one strongly connected component
+    closes one.
     """
     from ..graph.properties import strongly_connected_components
     from ..rewriting.linearity import GENERAL, rule_shape
 
-    classification = _left_graph(canonical, goal_key, source_values,
-                                 get_relation)
-    if classification.is_acyclic():
-        return
     pushing = {
         rule.label
         for rule in canonical.recursive_rules
         if rule_shape(rule) == GENERAL
     }
+    if not pushing:
+        return
+    graph = _left_graph(canonical, goal_key, source_values, get_relation)
+    if not graph.back:
+        return
     adjacency = {}
-    for arc in classification.arcs:
-        adjacency.setdefault(arc.source, set()).add(arc.target)
+    for source, target, _label in graph.arcs:
+        adjacency.setdefault(source, set()).add(target)
     sccs = strongly_connected_components(adjacency)
-    for arc in classification.arcs:
-        label = arc.label[0]
+    for source, target, (label, _shared) in graph.arcs:
         if label not in pushing:
             continue
-        if sccs.get(arc.source) == sccs.get(arc.target):
+        if sccs.get(source) == sccs.get(target):
             raise CountingDivergenceError(
                 "%s: the left graph has a cycle through pushing rule %s; "
                 "the path argument would grow without bound"
@@ -417,6 +472,7 @@ class _RewritingForm(_Form):
         return extras
 
     def evaluate(self, db, stats, budget=None, constants=(), memo=None):
+        kept = memo is not None
         memo = {} if memo is None else memo
         db = _with_facts(db, self.facts, memo)
         mapping, source = self._bind(constants)
@@ -460,8 +516,11 @@ class _RewritingForm(_Form):
             if self.rewriting is None:
                 # The original program never mentions the query
                 # constants, so one evaluation serves every binding
-                # until the database moves.
+                # until the database moves: a caller that keeps the
+                # memo selects from it again.
                 memo["fixpoint"] = fixpoint
+                if kept:
+                    index_goal(goal, fixpoint[0])
         relation, extras = fixpoint
         return project_free(goal, goal_filter(goal, relation)), dict(extras)
 
@@ -556,6 +615,11 @@ def prepare(method, query):
     program's own base facts) for the next binding.  A cold
     call evaluates one binding and so passes none.
     """
+    if method != "naive":
+        # Answer-preserving, and needed by every method that reads a
+        # derived predicate through its rules alone; ``naive`` runs the
+        # program as written.
+        query = _lift_derived_facts(query)
     if method in _REWRITINGS:
         return _RewritingForm(method, query)
     if method in ("pointer_counting", "cyclic_counting", "magic_counting"):

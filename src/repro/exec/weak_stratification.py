@@ -25,7 +25,7 @@ content of Theorem 2(1) in this reproduction.
 """
 
 from ..graph.dfs import classify_arcs
-from .counting_engine import SOURCE_TRIPLE, CountingTable
+from .counting_engine import CountingTable
 
 
 def wavefront_counting_table(classification):
@@ -42,7 +42,6 @@ def wavefront_counting_table(classification):
     """
     ahead_preds = classification.ahead_predecessors()
     back_preds = classification.back_predecessors()
-    table = CountingTable()
     source = classification.source
 
     # Admission: Kahn topological order over ahead arcs.
@@ -72,29 +71,20 @@ def wavefront_counting_table(classification):
             "wavefront did not admit every reachable node"
         )
 
-    source_row = table.row_for(*source)
-    table.source_id = source_row.id
-    source_row.triples.append(SOURCE_TRIPLE)
-    for node in admitted:
-        table.row_for(*node)
-    for node in admitted:
-        row = table.row_for(*node)
-        for arc in ahead_preds.get(node, ()):
-            label, shared = arc.label
-            row.triples.append(
-                (label, shared, table.row_for(*arc.source).id)
-            )
-            table.ahead_arc_count += 1
-    # Cycle rules: back arcs join after the counting set is complete.
-    for node, arcs in back_preds.items():
-        row = table.row_for(*node)
-        for arc in arcs:
-            label, shared = arc.label
-            row.triples.append(
-                (label, shared, table.row_for(*arc.source).id)
-            )
-            table.back_arc_count += 1
-    return table
+    # Row ids are admission ranks (the source is admitted first); the
+    # in-triples follow the source's sentinel: each admitted node's
+    # ahead arcs, then the cycle rules — back arcs join after the
+    # counting set is complete.
+    rank = {node: i for i, node in enumerate(admitted)}
+    ahead = [
+        (rank[arc.source], rank[node], arc.label)
+        for node in admitted for arc in ahead_preds.get(node, ())
+    ]
+    back = [
+        (rank[arc.source], rank[node], arc.label)
+        for node, arcs in back_preds.items() for arc in arcs
+    ]
+    return CountingTable.from_ranks(admitted, ahead, back)
 
 
 def tables_equivalent(left, right):
@@ -106,18 +96,14 @@ def tables_equivalent(left, right):
     *node*) in-triples.
     """
     def normalize(table):
-        node_of = {
-            row.id: (row.pred, row.values) for row in table.rows
-        }
-        normalized = {}
-        for row in table.rows:
-            triples = sorted(
-                (label, shared,
-                 None if prev is None else node_of[prev])
-                for label, shared, prev in row.triples
+        nodes = list(zip(table.pred, table.values))
+        return {
+            node: sorted(
+                (label, shared, None if prev is None else nodes[prev])
+                for label, shared, prev in triples
             )
-            normalized[(row.pred, row.values)] = triples
-        return normalized
+            for node, triples in zip(nodes, table.triples())
+        }
 
     return normalize(left) == normalize(right)
 

@@ -153,6 +153,32 @@ class TestRun:
         for method in ("auto", "magic", "cyclic_counting"):
             assert answers(method) == naive, method
 
+    def test_fact_of_a_derived_predicate(self, tmp_path):
+        # ``p(c, z).`` beside the rules of ``p``: the default method
+        # (reduced_counting) must print naive's five answers, not drop
+        # the fact.
+        program = tmp_path / "a.dl"
+        program.write_text("""
+            e(a, b). e(b, c). e(c, d). e(a, e).
+            p(c, z).
+            p(X, Y) :- e(X, Y).
+            p(X, Y) :- e(X, Z), p(Z, Y).
+            ?- p(a, Y).
+        """)
+
+        def answers(method):
+            code, text = run_cli("run", str(program), "--method", method)
+            assert code == 0, text
+            return [line for line in text.splitlines()
+                    if line.startswith("answer :")]
+
+        naive = answers("naive")
+        assert len(naive) == 5
+        assert "answer : ('z',)" in naive
+        for method in ("auto", "magic", "pointer_counting",
+                       "reduced_counting"):
+            assert answers(method) == naive, method
+
 
 class TestRewrite:
     @pytest.mark.parametrize(

@@ -12,12 +12,13 @@ most tests here are differential.
 import pytest
 
 from repro import Database, parse_program
-from repro.datalog.atoms import Comparison
+from repro.datalog.atoms import Atom, Comparison
 from repro.datalog.rules import Program, Rule
 from repro.datalog.safety import check_rule_safety
-from repro.datalog.terms import Compound, Constant
+from repro.datalog.terms import Compound, Constant, Variable
 from repro.engine import DerivationTrace, EvalStats, SemiNaiveEngine
 from repro.engine.compile import BoundQuery, CompiledRule, compile_body
+from repro.engine.fixpoint import index_goal
 from repro.engine.interning import InternPool
 from repro.engine.join import evaluate_body, evaluate_rule, ground_head
 from repro.engine.planner import delta_first, delta_position
@@ -386,6 +387,26 @@ class TestRelationLookup:
     def test_empty_relation_lookup(self):
         empty = EmptyRelation("p", 2)
         assert list(empty.lookup((0,), "a")) == []
+
+    def test_select_scans_without_an_index(self):
+        # A goal selection on a relation read once builds nothing.
+        rel = self.make()
+        assert sorted(rel.select((0,), "a")) == [("a", "b"), ("a", "c")]
+        assert rel._indexes == {}
+
+    def test_index_goal_keeps_the_goals_index(self):
+        rel = self.make()
+        index_goal(Atom("p", (Constant("a"), Variable("Y"))), rel)
+        assert (0,) in rel._indexes
+        assert sorted(rel.select((0,), "a")) == [("a", "b"), ("a", "c")]
+        assert list(rel.select((0,), "x")) == [("x", "y")]
+
+    def test_index_goal_never_indexes_a_database_relation(self):
+        db = Database.from_text("p(a, b). p(a, c). p(x, y).")
+        rel = db.get(("p", 2))
+        index_goal(Atom("p", (Constant("a"), Variable("Y"))), rel)
+        assert sorted(rel.select((0,), "a")) == [("a", "b"), ("a", "c")]
+        assert rel._indexes == {}
 
 
 class TestRelationCopy:

@@ -41,17 +41,17 @@ class TestExample5CountingSet:
     def test_five_rows(self, sg_query, example5_db):
         table = self.table(sg_query, example5_db)
         assert len(table) == 5
-        nodes = [row.values[0] for row in table.rows]
+        nodes = [values[0] for values in table.values]
         assert nodes == ["a", "b", "c", "d", "e"]
 
     def test_predecessor_sets(self, sg_query, example5_db):
         table = self.table(sg_query, example5_db)
-        ids = {row.values[0]: row.id for row in table.rows}
+        ids = {
+            values[0]: row_id for row_id, values in enumerate(table.values)
+        }
         preds = {
-            row.values[0]: {
-                triple[2] for triple in row.triples
-            }
-            for row in table.rows
+            values[0]: {triple[2] for triple in triples}
+            for values, triples in zip(table.values, table.triples())
         }
         assert preds["a"] == {None}           # {nil}
         assert preds["b"] == {ids["a"]}       # {o1}
@@ -71,7 +71,7 @@ class TestExample5CountingSet:
 
     def test_source_sentinel(self, sg_query, example5_db):
         table = self.table(sg_query, example5_db)
-        assert SOURCE_TRIPLE in table.rows[table.source_id].triples
+        assert SOURCE_TRIPLE in table.triples()[table.source_id]
 
     def test_classify_is_phase_one_without_the_table(self, sg_query,
                                                      example5_db):
@@ -123,14 +123,14 @@ class TestPointerTableShape:
         engine = make_engine(sg_query, db)
         table = engine.build_counting_set()
         assert len(table) == 4
-        d_row = [r for r in table.rows if r.values == ("d",)][0]
-        assert len(d_row.triples) == 2  # one per in-arc
+        d_row = table.index[(table.pred[0], ("d",))]
+        assert list(table.t_row).count(d_row) == 2  # one per in-arc
 
     def test_shared_values_stored(self, example4_query, example4_db_a):
         engine = make_engine(example4_query, example4_db_a)
         table = engine.build_counting_set()
-        b_row = [r for r in table.rows if r.values == ("b",)][0]
-        (label, shared, _prev) = b_row.triples[0]
+        b_row = table.values.index(("b",))
+        (label, shared, _prev) = table.triples()[b_row][0]
         assert shared == (1,)
 
     def test_bound_head_var_recovered(self, example4_query, example4_db_b):

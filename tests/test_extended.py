@@ -191,3 +191,69 @@ class TestPathValues:
         paths = {row[1] for row in counting if row[0] == "c"}
         # c reached via r1 then r2: path is [(r2,[]), (r1,[])] (stack).
         assert paths == {(("r2", ()), ("r1", ()))}
+
+
+class TestPushingCycleCheck:
+    """``check_pushing_cycles`` runs per binding of the list-based
+    methods: it walks the left graph only when some rule pushes."""
+
+    SG = """
+        sg(X, Y) :- flat(X, Y).
+        sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).
+        ?- sg(a, Y).
+    """
+    RIGHT_TC = """
+        p(X, Y) :- e(X, Y).
+        p(X, Y) :- e(X, Z), p(Z, Y).
+        ?- p(a, Y).
+    """
+
+    def test_no_pushing_rule_walks_nothing(self, monkeypatch):
+        from repro.exec.counting_engine import CountingEngine
+        from repro.exec.strategies import run_strategy
+
+        def walked(self):
+            raise AssertionError("left graph walked")
+
+        query = parse_query(self.RIGHT_TC)
+        db = Database.from_text("e(a, b). e(b, c). e(c, a). e(c, d).")
+        expected = run_strategy("naive", query, db).answers
+        monkeypatch.setattr(CountingEngine, "left_graph", walked)
+        result = run_strategy("extended_counting", query, db)
+        assert result.answers == expected
+
+    def test_cycle_through_a_pushing_rule_is_refused(self):
+        from repro.errors import CountingDivergenceError
+        from repro.exec.strategies import run_strategy
+
+        db = Database.from_text("""
+            up(a, b). up(b, c). up(c, b). flat(c, x). down(x, y).
+        """)
+        with pytest.raises(CountingDivergenceError) as info:
+            run_strategy("extended_counting", parse_query(self.SG), db)
+        assert str(info.value).startswith(
+            "extended counting: the left graph has a cycle through "
+            "pushing rule "
+        )
+        assert str(info.value).endswith(
+            "; the path argument would grow without bound"
+        )
+
+    def test_a_cycle_off_the_pushing_arcs_passes(self):
+        # The cycle runs through the right-linear rule only: the path
+        # argument does not grow along it.
+        from repro.exec.strategies import run_strategy
+
+        query = parse_query("""
+            p(X, Y) :- f(X, Y).
+            p(X, Y) :- e(X, Z), p(Z, Y).
+            p(X, Y) :- u(X, X1), p(X1, Y1), d(Y1, Y).
+            ?- p(a, Y).
+        """)
+        db = Database.from_text("""
+            e(a, b). e(b, a). u(a, c). f(c, x). d(x, y). f(b, z).
+        """)
+        expected = run_strategy("naive", query, db).answers
+        assert expected
+        assert run_strategy("extended_counting", query, db).answers \
+            == expected

@@ -5,8 +5,8 @@ at a time (one ``BoundQuery.bind_batch`` call per arc rule and wave)
 and replays Algorithm 2's DFS over integer ids.  These tests hold it to
 the per-node phase 1 it replaced, kept here as the reference: one
 ``bound_query(...).run`` per (node, arc rule), a node-keyed DFS calling
-the successor function lazily, and a table built with ``row_for`` per
-arc.  Arc classes, discovery order, labels, the counting table and
+the successor function lazily, and a table whose arrays are appended
+to per arc.  Arc classes, discovery order, labels, the counting table and
 every ``EvalStats`` field must match.
 """
 
@@ -119,14 +119,28 @@ def reference_phase1(engine, stats):
     source = (engine.goal_key, engine.source_values)
     classification = lazy_dfs(source, reference_successors(engine, stats))
     table = CountingTable()
-    table.row_for(*source).triples.append(SOURCE_TRIPLE)
+
+    def row_for(node):
+        row_id = table.index.get(node)
+        if row_id is None:
+            row_id = table.index[node] = len(table)
+            table.pred.append(node[0])
+            table.values.append(node[1])
+        return row_id
+
+    def append(row_id, triple):
+        label, shared, prev = triple
+        table.t_label.append(label)
+        table.t_shared.append(shared)
+        table.t_prev.append(-1 if prev is None else prev)
+        table.t_row.append(row_id)
+
+    append(row_for(source), SOURCE_TRIPLE)
     for node in classification.order:
-        table.row_for(*node)
+        row_for(node)
     for arc in classification.ahead + classification.back:
         label, shared = arc.label
-        table.row_for(*arc.target).triples.append(
-            (label, shared, table.row_for(*arc.source).id)
-        )
+        append(row_for(arc.target), (label, shared, row_for(arc.source)))
         stats.facts_derived += 1
     table.ahead_arc_count = len(classification.ahead)
     table.back_arc_count = len(classification.back)
@@ -142,14 +156,16 @@ class ReferenceEngine(CountingEngine):
 
     def _exit_states(self, stats):
         resolver = resolver_of(self)
-        for row in self.table.rows:
-            exit_rules, _ = self.canonical.rules_by_head(row.pred)
+        table = self.table
+        for row_id, (pred, row_values) in enumerate(
+                zip(table.pred, table.values)):
+            exit_rules, _ = self.canonical.rules_by_head(pred)
             for rule in exit_rules:
                 query = bound_query(rule.body, rule.bound_vars,
                                     rule.free_vars)
                 stats.rule_firings += 1
-                for values in query.run(resolver, row.values, stats):
-                    yield (row.pred, values, row.id), rule.label
+                for values in query.run(resolver, row_values, stats):
+                    yield (pred, values, row_id), rule.label
 
 
 # -- the parity assertions ------------------------------------------------
@@ -221,7 +237,8 @@ def assert_magic_parity(query, db):
     if engine.table is not None:
         keep = [node for node in classification.order
                 if node not in engine.recurring]
-        assert [(row.pred, row.values) for row in engine.table.rows] == keep
+        table = engine.table
+        assert list(zip(table.pred, table.values)) == keep
 
 
 def workload_cases():

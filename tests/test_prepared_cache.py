@@ -89,6 +89,19 @@ class TestSatelliteFixes:
         rel.ensure_index([0], stats=stats)  # cached: no rebuild
         assert stats.index_builds == 1
 
+    def test_naive_fixpoint_kept_for_later_bindings_is_indexed(self):
+        # The goal relation a prepared naive form keeps serves every
+        # later binding: it gets the goal's index once; the relation a
+        # cold run selects from once gets none.
+        db = make_chain(depth=6)
+        query = WORKLOADS["sg_chain"].query
+        prepared = PreparedQuery(query, db, method="naive")
+        first = prepared.run(("a",), db=db)
+        relation, _extras = prepared._generation[2]["fixpoint"]
+        assert (0,) in relation._indexes
+        assert prepared.run(("a",), db=db).answers == first.answers
+        assert first.answers == run_strategy("naive", query, db).answers
+
     def test_empty_relation_lookup_validates_positions(self):
         empty = EmptyRelation("up", 2)
         assert empty.lookup((0,), ("a",)) == ()

@@ -233,7 +233,8 @@ def check_keys(program, shape, up, down, flat):
     assert by_node == expected
     # Theorem 2(3) per key: states <= distinct values x keys.
     values = {state[:2] for state in parents}
-    key_of, _steps = engine._quotient(engine.state_key)
+    key_of, _groups = engine.table.quotient(engine.state_key,
+                                            engine.canonical)
     assert engine.state_count <= len(values) * len(set(key_of))
     assert engine.state_count <= node_states
     return engine.state_key
@@ -242,7 +243,7 @@ def check_keys(program, shape, up, down, flat):
 def depths_without_the_check(self):
     """The mutant: a row's depth is its tree arc's, and no other
     in-triple is looked at."""
-    depth = array("q", [-1]) * len(self.rows)
+    depth = array("q", [-1]) * len(self)
     depth[self.source_id] = 0
     for row_id, prev_id in zip(self.t_row, self.t_prev):
         if prev_id >= 0 and depth[row_id] < 0:

@@ -142,3 +142,66 @@ def test_inline_base_facts_reach_every_strategy(method):
     expected = _answers("naive", text, None)
     assert expected == {("b",), ("c",), ("e",), ("f",)}
     assert _answers(method, text, None) == expected
+
+
+# -- a fact of a derived predicate --------------------------------------
+
+#: Programs giving a derived predicate a fact beside its rules, each
+#: with an answer only that fact yields.
+DERIVED_FACTS = {
+    "right_tc": (TC + " p(c, z). ?- p(a, Y).", ("z",)),
+    "left_tc": ("p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), e(Z, Y). "
+                "p(a, z). ?- p(a, Y).", ("q",)),
+    "same_generation": ("sg(X, Y) :- flat(X, Y). "
+                        "sg(X, Y) :- e(X, X1), sg(X1, Y1), down(Y1, Y). "
+                        "sg(c, z). ?- sg(a, Y).", ("z2",)),
+    "second_predicate": ("r(X, Y) :- p(X, Y). p(X, Y) :- e(X, Y). "
+                         "p(X, Y) :- e(X, Z), r(Z, Y). p(c, z). "
+                         "?- r(a, Y).", ("z",)),
+}
+
+DERIVED_FACT_DBS = {
+    "acyclic": "e(a, b). e(b, c). e(c, d). e(a, e). "
+               "flat(d, y). down(y, y1). down(y1, y2). down(z, z1). "
+               "down(z1, z2). e(z, q).",
+    "cyclic": "e(a, b). e(b, c). e(c, a). e(c, d). e(a, e). "
+              "flat(d, y). down(y, y1). down(y1, y2). down(z, z1). "
+              "down(z1, z2). down(y2, y3). e(z, q).",
+}
+
+
+def _derived_fact_cases():
+    for program in sorted(DERIVED_FACTS):
+        for db in sorted(DERIVED_FACT_DBS):
+            yield pytest.param(program, db, id="%s-%s" % (program, db))
+
+
+@pytest.mark.parametrize("program,db", list(_derived_fact_cases()))
+@pytest.mark.parametrize("method", sorted(STRATEGIES))
+def test_fact_of_a_derived_predicate_is_kept(method, program, db):
+    # Every strategy that runs answers like naive: the fact is not
+    # dropped.  A method may still refuse the program or the data.
+    from repro.errors import CountingDivergenceError, NotApplicableError
+
+    (text, marker), facts = DERIVED_FACTS[program], DERIVED_FACT_DBS[db]
+    expected = _answers("naive", text, facts)
+    assert marker in expected
+    try:
+        got = _answers(method, text, facts)
+    except (NotApplicableError, CountingDivergenceError):
+        assert method not in ("naive", "magic", "sup_magic", "qsq",
+                              "cyclic_counting", "magic_counting")
+        return
+    assert got == expected
+
+
+@pytest.mark.parametrize("program,db", list(_derived_fact_cases()))
+def test_fact_of_a_derived_predicate_under_auto(program, db):
+    from repro import Database, parse_query
+    from repro.rewriting.pipeline import optimize
+
+    (text, _marker), facts = DERIVED_FACTS[program], DERIVED_FACT_DBS[db]
+    query, base = parse_query(text), Database.from_text(facts)
+    plan = optimize(query, base)
+    assert plan.method != "naive"
+    assert plan.execute(base).answers == _answers("naive", text, facts)

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.exec.counting_engine import SOURCE_TRIPLE
+from repro.exec.counting_engine import SOURCE_TRIPLE, CountingTable
 from repro.exec.weak_stratification import (
     tables_equivalent,
     wavefront_counting_table,
@@ -21,6 +21,21 @@ from repro.graph import Arc, adjacency_successors, classify_arcs
 def successors_of(pairs):
     return adjacency_successors(
         [Arc(("p", a), ("p", b), ("r1", ())) for a, b in pairs]
+    )
+
+
+def dfs_table(classification):
+    """The table in DFS discovery order: the arrays written from the
+    ranks of the classification's nodes, ahead arcs then back arcs."""
+    rank = {node: i for i, node in enumerate(classification.order)}
+
+    def ranked(arcs):
+        return [(rank[arc.source], rank[arc.target], arc.label)
+                for arc in arcs]
+
+    return CountingTable.from_ranks(
+        classification.order, ranked(classification.ahead),
+        ranked(classification.back),
     )
 
 
@@ -40,7 +55,7 @@ class TestExample5:
         table = self.table()
         # e has ahead predecessors b and d; with the wavefront
         # discipline d must be admitted before e fires.
-        order = [row.values for row in table.rows]
+        order = list(table.values)
         assert order.index("d") < order.index("e")
         assert order.index("c") < order.index("d")
 
@@ -49,21 +64,7 @@ class TestExample5:
         classification = classify_arcs(
             ("p", "a"), successors_of(EXAMPLE5_UP)
         )
-        from repro.exec.counting_engine import CountingTable
-
-        dfs = CountingTable()
-        source_row = dfs.row_for(*classification.order[0])
-        dfs.source_id = source_row.id
-        source_row.triples.append(SOURCE_TRIPLE)
-        for node in classification.order:
-            dfs.row_for(*node)
-        for arc in classification.ahead + classification.back:
-            target = dfs.row_for(*arc.target)
-            label, shared = arc.label
-            target.triples.append(
-                (label, shared, dfs.row_for(*arc.source).id)
-            )
-        assert tables_equivalent(wavefront, dfs)
+        assert tables_equivalent(wavefront, dfs_table(classification))
 
     def test_back_arc_counted(self):
         table = self.table()
@@ -72,7 +73,7 @@ class TestExample5:
 
     def test_source_sentinel_present(self):
         table = self.table()
-        assert SOURCE_TRIPLE in table.rows[table.source_id].triples
+        assert SOURCE_TRIPLE in table.triples()[table.source_id]
 
 
 class TestAgainstCountingEngine:
@@ -123,20 +124,7 @@ class TestRandomGraphs:
         classification = classify_arcs(("p", "a"), succ)
         wavefront = wavefront_counting_table(classification)
 
-        from repro.exec.counting_engine import CountingTable
-
-        dfs = CountingTable()
-        source_row = dfs.row_for(("p", "a")[0], ("p", "a")[1])
-        dfs.source_id = source_row.id
-        source_row.triples.append(SOURCE_TRIPLE)
-        for node in classification.order:
-            dfs.row_for(*node)
-        for arc in classification.ahead + classification.back:
-            label, shared = arc.label
-            dfs.row_for(*arc.target).triples.append(
-                (label, shared, dfs.row_for(*arc.source).id)
-            )
-        assert tables_equivalent(wavefront, dfs)
+        assert tables_equivalent(wavefront, dfs_table(classification))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_all_reachable_nodes_admitted(self, seed):
