@@ -31,7 +31,7 @@ QUERY = parse_query("""
     ?- sg(a, Y).
 """)
 
-METHODS = ["naive", "magic", "sup_magic", "qsq", "classical_counting",
+METHODS = ["naive", "magic", "sup_magic", "classical_counting",
            "pointer_counting"]
 DEPTHS = [4, 6, 8]
 DISTRACTORS = 3
@@ -91,14 +91,13 @@ def test_e1_counting_beats_magic_beats_naive(rows, benchmark):
 
 def test_e1_counting_beats_whole_memoing_family(rows, benchmark):
     """The counting advantage holds against every memoing-family
-    baseline: basic magic, supplementary magic [6] and top-down QSQ."""
+    baseline: basic magic and supplementary magic [6]."""
 
     def check():
         for depth in DEPTHS:
             label = "depth=%d" % depth
             pointer = work_of(rows, label, "pointer_counting")
             assert pointer < work_of(rows, label, "sup_magic")
-            assert pointer < work_of(rows, label, "qsq")
 
     assert_claims(benchmark, check)
 

@@ -100,8 +100,7 @@ def main():
     print()
     rows = run_matrix(
         QUERY, db,
-        ["naive", "magic", "qsq", "classical_counting",
-         "pointer_counting"],
+        ["naive", "magic", "classical_counting", "pointer_counting"],
         label="%d subsidiaries" % subsidiaries,
     )
     print(matrix_table(rows, title="strategy matrix"))

@@ -87,7 +87,7 @@ odd(X, Y) :- up(X, X1), even(X1, Y1), down(Y1, Y).
 _ALL_ACYCLIC = (
     "naive", "magic", "extended_counting", "reduced_counting",
     "pointer_counting", "cyclic_counting", "magic_counting",
-    "sup_magic", "qsq", "parallel",
+    "sup_magic", "parallel",
 )
 
 
@@ -353,7 +353,7 @@ WORKLOADS = {
     "sg_cyclic": Workload(
         "sg_cyclic", SG_TEXT, sg_cyclic,
         "Example 5 shape: cyclic up relation",
-        ("naive", "magic", "sup_magic", "qsq", "cyclic_counting",
+        ("naive", "magic", "sup_magic", "cyclic_counting",
          "magic_counting", "parallel"),
     ),
     "multi_rule": Workload(
@@ -393,12 +393,12 @@ WORKLOADS = {
     "nonlinear": Workload(
         "nonlinear", NONLINEAR_TEXT, nonlinear_graph,
         "Non-linear transitive closure: magic-set fallback only",
-        ("naive", "magic", "sup_magic", "qsq"),
+        ("naive", "magic", "sup_magic"),
     ),
     "mutual": Workload(
         "mutual", MUTUAL_TEXT, mutual_chain,
         "Two mutually recursive predicates (even/odd generation)",
-        ("naive", "magic", "sup_magic", "qsq", "extended_counting",
+        ("naive", "magic", "sup_magic", "extended_counting",
          "reduced_counting", "pointer_counting", "cyclic_counting",
          "magic_counting", "parallel"),
     ),

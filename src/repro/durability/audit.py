@@ -41,7 +41,7 @@ def result_fingerprint(answers):
 
     Hashes the sorted ``repr`` of each answer tuple — the same
     canonical text two byte-identical answer sets render to, however
-    they were computed (any strategy, either storage backend).
+    they were computed (any strategy).
     """
     digest = hashlib.sha256()
     for line in sorted(repr(answer) for answer in answers):

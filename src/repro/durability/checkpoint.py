@@ -31,7 +31,7 @@ import pickle
 import struct
 import zlib
 
-from ..engine.columnar import ColumnStore
+from ..engine.columnar import ColumnStore, encode_rows
 from ..engine.interning import InternPool
 from ..errors import CheckpointError
 
@@ -45,23 +45,14 @@ _FRAME = struct.Struct("<Q")
 def _column_blob(rel, pool):
     """Id-encode one relation's insertion log as a ColumnStore blob.
 
-    Database relations already hold the id mirror; a relation without
-    one, or whose mirror does not cover its whole log, encodes on the
-    fly, assigning pool ids on first use — that's why the value table
+    Encoding assigns pool ids on first use — that's why the value table
     is pickled *after* the blobs.
     """
     # Epoch-pinned snapshot relations wrap the real relation; unwrap.
     frozen = getattr(rel, "_rel", None)
     if frozen is not None:
         rel = frozen()
-    ids = rel._ids
-    if ids is not None and len(ids) == len(rel._log):
-        return rel._ids.to_bytes()
-    store = ColumnStore(rel.arity)
-    ident_row = pool.ident_row
-    for row in rel._log:
-        store.append(ident_row(row))
-    return store.to_bytes()
+    return encode_rows(rel._log, rel.arity, pool)
 
 
 def write_checkpoint(path, db, wal_seq, lineage=None):
@@ -83,10 +74,10 @@ def write_checkpoint(path, db, wal_seq, lineage=None):
         "relations": keys,
         "epochs": {key: db.epoch_of(key) for key in keys},
     }
-    # Pickled after the blobs: rows-backend encoding above may have
-    # assigned fresh ids, and every id referenced by a blob must
-    # resolve.  (The pool is append-only, so a concurrent ingester can
-    # only add values the blobs never reference — harmless.)
+    # Pickled after the blobs: encoding them may have assigned fresh
+    # ids, and every id referenced by a blob must resolve.  (The pool
+    # is append-only, so a concurrent ingester can only add values the
+    # blobs never reference — harmless.)
     values = list(pool._values)
     frames = [
         pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),

@@ -47,6 +47,7 @@ to that prefix before appending — a torn tail costs the torn records,
 never the log.
 """
 
+import io
 import os
 import pickle
 import struct
@@ -86,9 +87,15 @@ class WalRecord:
 
 
 def _encode_record(seq, stamps, facts):
-    payload = _SEQ.pack(seq) + pickle.dumps(
-        (stamps, facts), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    # Pickled without a memo ("fast" mode): a batch of constant rows
+    # has no cycles, and its repeats are short, so back-references
+    # save few bytes while memo upkeep is most of the encoding time.
+    buffer = io.BytesIO()
+    buffer.write(_SEQ.pack(seq))
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump((stamps, facts))
+    payload = buffer.getvalue()
     return _HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
 

@@ -1,20 +1,12 @@
-"""Column-major integer-id storage for relations.
+"""Column-major integer-id encoding of relation rows.
 
-The paper's counting methods assume tuple access is "a direct access to
-the memory"; the biggest remaining gap between that model and this
-engine was row storage — Python tuples of interned objects, hashed
-object-at-a-time.  This module provides the dense half of the storage
-layer: every relation built over an intern pool mirrors its rows as
-parallel ``array('q')`` columns of **intern-pool ids** (see
-:meth:`~repro.engine.interning.InternPool.ident`).  Planning and the
-value-level join semantics read the value rows; the id columns are a
-parallel, losslessly decodable view used for
-
-* O(rows) machine-word serialization (:meth:`ColumnStore.to_bytes`) —
-  the substrate of shard exchange (:mod:`repro.parallel.executor`) and
-  of checkpoints (:mod:`repro.durability.checkpoint`);
-* columnar prefix pinning: an epoch snapshot of a relation slices its
-  column arrays instead of re-encoding rows.
+Relations store value rows only (:mod:`repro.engine.relation`).  When
+rows leave the process — a checkpoint (:mod:`repro.durability.
+checkpoint`) or a shard exchange (:mod:`repro.parallel.executor`) —
+they are encoded as parallel ``array('q')`` columns of **intern-pool
+ids** (see :meth:`~repro.engine.interning.InternPool.ident`) and
+serialized as raw machine words (:meth:`ColumnStore.to_bytes`), a
+lossless encoding that costs O(rows) words and no per-row framing.
 """
 
 from array import array
@@ -54,35 +46,9 @@ class ColumnStore:
         for column, ident in zip(self._columns, ids):
             column.append(ident)
 
-    def column(self, position):
-        """The id array for ``position`` — the live array, do not mutate."""
-        return self._columns[position]
-
     def row(self, ordinal):
         """The id tuple stored at ``ordinal``."""
         return tuple(column[ordinal] for column in self._columns)
-
-    def prefix(self, count):
-        """A new store holding the first ``count`` rows.
-
-        Column slicing is a C-level copy of machine words — this is
-        what makes epoch pinning of a columnar relation O(rows) memcpy
-        instead of a per-row re-encode.
-        """
-        if count < 0 or count > len(self):
-            raise ValueError(
-                "cannot take a %d-row prefix of %d rows"
-                % (count, len(self))
-            )
-        return ColumnStore(
-            self.arity,
-            tuple(column[:count] for column in self._columns),
-        )
-
-    def copy(self):
-        return ColumnStore(
-            self.arity, tuple(array("q", c) for c in self._columns)
-        )
 
     def nbytes(self):
         """Total machine bytes held by the columns."""
@@ -146,3 +112,13 @@ class ColumnStore:
         return "ColumnStore(arity=%d, rows=%d, %d bytes)" % (
             self.arity, len(self), self.nbytes()
         )
+
+
+def encode_rows(rows, arity, pool):
+    """Id-encode value ``rows`` through ``pool``, assigning ids on first
+    use, and serialize them with :meth:`ColumnStore.to_bytes`."""
+    store = ColumnStore(arity)
+    ident_row = pool.ident_row
+    for row in rows:
+        store.append(ident_row(row))
+    return store.to_bytes()

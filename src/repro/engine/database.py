@@ -123,9 +123,8 @@ class Database:
             with self._lock:
                 rel = self._relations.get(key)
                 if rel is None:
-                    # Base relations carry the intern pool, so they
-                    # mirror their rows into id columns; see
-                    # repro.engine.columnar.
+                    # Base relations carry the intern pool, which
+                    # Relation.column_bytes encodes their rows through.
                     rel = Relation(name, arity, pool=self.intern_pool)
                     self._relations[key] = rel
         return rel

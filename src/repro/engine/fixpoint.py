@@ -101,9 +101,10 @@ def index_goal(goal, relation):
     """Build and keep the index :func:`goal_filter` probes for
     ``goal``'s ground positions on ``relation``, an engine-derived
     relation that later goals select from; a database relation (one
-    with id columns) or any other stand-in is left as it is."""
+    built over the intern pool) or any other stand-in is left as it
+    is."""
     positions = _selection(goal)[0]
-    if (isinstance(relation, Relation) and not relation.columnar
+    if (isinstance(relation, Relation) and relation._pool is None
             and relation.use_indexes
             and 0 < len(positions) < relation.arity):
         relation.ensure_index(positions)

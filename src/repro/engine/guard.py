@@ -14,11 +14,11 @@ bounds one evaluation along four axes:
 
 Engines call :meth:`ResourceBudget.check` at *round boundaries* — before
 each semi-naive round, per node expansion in the counting DFS, per
-state pop in the answer phase, per QSQ sweep — so a budget fires within
-one round of being exceeded, never mid-tuple.  The raised errors are
-the typed :class:`~repro.errors.BudgetExceededError` subclasses and
-carry the partial :class:`~repro.engine.instrumentation.EvalStats`, so
-callers see exactly how far evaluation got before the abort.
+state pop in the answer phase — so a budget fires within one round of
+being exceeded, never mid-tuple.  The raised errors are the typed
+:class:`~repro.errors.BudgetExceededError` subclasses and carry the
+partial :class:`~repro.engine.instrumentation.EvalStats`, so callers
+see exactly how far evaluation got before the abort.
 
 Budgets are *single-use*: the deadline clock starts at the first check
 (or an explicit :meth:`start`).  The resilient runner

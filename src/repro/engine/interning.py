@@ -13,9 +13,10 @@ at :class:`~repro.engine.database.Database` load time:
 * tuples (the paper's encoded lists) and frozensets are canonicalized
   recursively and deduplicated, so structurally equal compounds compare
   via a single pointer check prefix;
-* every canonical value receives a stable, append-only **integer id**
-  (:meth:`InternPool.ident`) in first-seen order, available to encoded
-  strategies that want machine-word join keys.
+* a canonical value receives a stable, append-only **integer id**
+  (:meth:`InternPool.ident`) the first time rows holding it are
+  encoded as id columns (a checkpoint or a shard exchange, see
+  :mod:`repro.engine.columnar`).
 
 Invariant: interning must never change observable output.  Canonical
 instances are ``==`` to the originals, so ``render()`` / CLI output,
@@ -97,18 +98,6 @@ class InternPool:
         """
         value = self.intern(value)
         return self._ids.get((value.__class__, value))
-
-    def value_of(self, ident):
-        """The canonical value behind ``ident``; the decode direction.
-
-        Ids are handed out densely from 0, so this is a direct list
-        index — the "direct access to the memory" the columnar storage
-        layer decodes through at output time.  Raises ``IndexError``
-        for ids this pool never assigned.
-        """
-        if ident < 0:
-            raise IndexError("intern ids are non-negative, got %d" % ident)
-        return self._values[ident]
 
     def ident_row(self, row):
         """Id-encode a value row (assigning ids on first use)."""

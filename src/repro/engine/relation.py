@@ -24,23 +24,21 @@ nested-loop joins, which is the performance model assumed by the paper
 (the pointer-based counting implementation is "a direct access to the
 memory").
 
-Id columns
-----------
+Rows
+----
 
-A relation constructed with an intern ``pool`` (every database
-relation) additionally mirrors each row into parallel ``array('q')``
-columns of intern-pool ids, in insertion-log order (see
-:mod:`repro.engine.columnar`).  The id columns never replace the value
-rows — joins, rendering, and arithmetic read the canonical values — but
-they give the relation an O(rows) machine-word serialization and
-columnar prefix pinning for epoch snapshots.  Relations built without
-a pool (the engine's derived and delta relations) hold value rows only.
+A relation holds its rows once: as value tuples, in the tuple set and
+in the insertion log.  A relation constructed with an intern ``pool``
+(every database relation) can also serialize that log as intern-id
+columns on demand (:meth:`Relation.column_bytes`, the checkpoint
+encoding of :mod:`repro.engine.columnar`); nothing is kept for it
+between calls.
 """
 
 import weakref
 from operator import itemgetter
 
-from .columnar import ColumnStore
+from .columnar import encode_rows
 
 
 class _Wildcard:
@@ -64,7 +62,7 @@ class Relation:
     """
 
     __slots__ = ("name", "arity", "tuples", "_indexes", "use_indexes",
-                 "epoch", "_log", "_pool", "_ids", "_view")
+                 "epoch", "_log", "_pool", "_view")
 
     def __init__(self, name, arity, use_indexes=True, pool=None):
         self.name = name
@@ -78,13 +76,9 @@ class Relation:
         #: copy alive by itself: views live exactly as long as the
         #: snapshots holding them.
         self._view = None
-        #: Intern pool used for the columnar id mirror (None for plain
-        #: row storage — e.g. engine-internal derived relations).
+        #: Intern pool :meth:`column_bytes` encodes through (None for
+        #: engine-internal derived relations).
         self._pool = pool
-        #: Parallel id columns, maintained by :meth:`add`.  ``_ids``
-        #: row ordinals coincide with ``_log`` positions, so both views
-        #: describe the same insertion order.
-        self._ids = ColumnStore(arity) if pool is not None else None
         #: Monotone mutation counter: bumped once per *new* row, so two
         #: relations with equal epochs seen by the same observer hold
         #: the same tuples.  Cross-query caches key their entries on the
@@ -128,8 +122,6 @@ class Relation:
         # new epoch value is then guaranteed to find the row in the log
         # prefix it slices (list appends are atomic under the GIL).
         self._log.append(row)
-        if self._ids is not None:
-            self._ids.append(self._pool.ident_row(row))
         self.epoch += 1
         for positions, index in self._indexes.items():
             if len(positions) == 1:
@@ -142,7 +134,7 @@ class Relation:
     def add_all(self, rows):
         """Insert a batch; returns the new rows, first occurrence first.
 
-        Leaves log, ids, epoch and index buckets as :meth:`add` row by
+        Leaves log, epoch and index buckets as :meth:`add` row by
         row would; a wrong-arity row anywhere raises, nothing inserted.
         """
         rows = tuple(rows)
@@ -181,12 +173,9 @@ class Relation:
         self._logged(rows)
 
     def _logged(self, new):
-        """Log, id-encode and index rows just added to the tuple set."""
-        # Log (and ids) before the epoch bump, as in :meth:`add`.
+        """Log and index rows just added to the tuple set."""
+        # Log before the epoch bump, as in :meth:`add`.
         self._log.extend(new)
-        if self._ids is not None:
-            for row in new:
-                self._ids.append(self._pool.ident_row(row))
         self.epoch += len(new)
         for positions, index in self._indexes.items():
             key_of = itemgetter(*positions)
@@ -356,7 +345,6 @@ class Relation:
         clone.tuples = set(self.tuples)
         clone.epoch = self.epoch
         clone._log = list(self._log)
-        clone._ids = None if self._ids is None else self._ids.copy()
         clone._indexes = {
             positions: {key: list(rows) for key, rows in index.items()}
             for positions, index in self._indexes.items()
@@ -433,14 +421,6 @@ class Relation:
                 key = key_of(row)
                 index[key] = [*index.get(key, ()), row]
         view._log = self._log[:epoch]
-        # Columnar prefix: the view slices the id columns as raw
-        # machine words — no per-row re-encode.  Safe against
-        # concurrent appends for the same reason the log slice is: ids
-        # are appended before the epoch bump, so the first ``epoch``
-        # ordinals are complete by the time a reader holds ``epoch``.
-        view._ids = (
-            None if self._ids is None else self._ids.prefix(epoch)
-        )
         view.epoch = epoch
         # Publish as the next starting point — unless a racing reader
         # got there first (share its view) or a newer generation has
@@ -451,52 +431,16 @@ class Relation:
         self._view = weakref.ref(view)
         return view
 
-    # -- columnar view ------------------------------------------------
-
-    @property
-    def columnar(self):
-        """True when this relation maintains the id-column mirror."""
-        return self._ids is not None
-
-    def id_column(self, position):
-        """The ``array('q')`` of intern ids for one argument position.
-
-        Raises :class:`TypeError` on a row-storage relation — callers
-        that can exploit columns must check :attr:`columnar` first.
-        """
-        if self._ids is None:
-            raise TypeError(
-                "%s/%d uses row storage; no id columns"
-                % (self.name, self.arity)
-            )
-        return self._ids.column(position)
-
-    def id_row(self, ordinal):
-        """The id-encoded row at insertion ordinal ``ordinal``."""
-        if self._ids is None:
-            raise TypeError(
-                "%s/%d uses row storage; no id columns"
-                % (self.name, self.arity)
-            )
-        return self._ids.row(ordinal)
-
-    def decode_ordinal(self, ordinal):
-        """Decode the row at ``ordinal`` through the intern pool.
-
-        The decode contract of the storage layer: for every ordinal,
-        ``decode_ordinal(i) == _log[i]`` — id encoding is lossless, so
-        rendered output is byte-identical whichever view produced it.
-        """
-        return self._pool.decode_row(self.id_row(ordinal))
-
     def column_bytes(self):
-        """Serialized id columns (see :meth:`ColumnStore.to_bytes`)."""
-        if self._ids is None:
+        """The insertion log as intern-id columns, encoded now through
+        the relation's pool (see :func:`~repro.engine.columnar.
+        encode_rows`): 16 + 8 x arity x rows bytes."""
+        if self._pool is None:
             raise TypeError(
-                "%s/%d uses row storage; nothing to serialize columnar"
+                "%s/%d has no intern pool to encode through"
                 % (self.name, self.arity)
             )
-        return self._ids.to_bytes()
+        return encode_rows(self._log, self.arity, self._pool)
 
     def __repr__(self):
         return "Relation(%s/%d, %d tuples)" % (

@@ -4,7 +4,6 @@ from .cache import AnswerCache, CountingTableStore
 from .counting_engine import CountingEngine, CountingTable
 from .magic_counting import MagicCountingEngine, recurring_nodes
 from .prepared import PreparedQuery
-from .qsq import QSQEngine, qsq_evaluate
 from .resilient import (
     DEFAULT_CHAIN,
     AttemptRecord,
@@ -27,7 +26,6 @@ from .strategies import (
     run_magic_counting,
     run_naive,
     run_pointer_counting,
-    run_qsq,
     run_reduced_counting,
     run_strategy,
 )
@@ -44,10 +42,7 @@ __all__ = [
     "ExecutionResult",
     "FallbackPolicy",
     "MagicCountingEngine",
-    "QSQEngine",
     "STRATEGIES",
-    "qsq_evaluate",
-    "run_qsq",
     "run_resilient",
     "recurring_nodes",
     "run_classical_counting",

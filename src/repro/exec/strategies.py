@@ -40,10 +40,8 @@ Dedicated evaluators over the canonical goal clique:
 ``magic_counting``     the [16] hybrid: counting on the non-recurring
                        part, magic on the recurring part.
 
-Direct — the bound query is their only input, nothing is prepared:
+Direct — the bound query is its only input, nothing is prepared:
 
-``qsq``                top-down query-subquery evaluation (the memoing
-                       family's direct formulation).
 ``parallel``           data-parallel sharded semi-naive fixpoint over a
                        multiprocess worker pool (:mod:`repro.parallel`);
                        linear positive programs only.
@@ -604,8 +602,8 @@ def prepare(method, query):
     :class:`~repro.errors.NotApplicableError` exactly where a cold run
     of the method would.
 
-    Returns ``None`` for the direct strategies, which prepare nothing,
-    and otherwise a form whose ``evaluate(db, stats, budget=None,
+    Returns ``None`` for the direct strategy ``parallel``, which prepares
+    nothing, and otherwise a form whose ``evaluate(db, stats, budget=None,
     constants=(), memo=None)`` gives ``(answers, extras)`` for one
     binding: ``constants`` holds one value per :class:`FormParameter`
     of the goal, in position order; ``memo`` is a dict the caller keeps
@@ -660,7 +658,7 @@ run_cyclic_counting = _one_binding("cyclic_counting")
 run_magic_counting = _one_binding("magic_counting")
 
 
-# -- direct strategies -------------------------------------------------
+# -- the direct strategy ----------------------------------------------
 
 def run_parallel(query, db, budget=None, workers=2, inline=False,
                  plan=None, recovery=None):
@@ -697,25 +695,6 @@ def run_parallel(query, db, budget=None, workers=2, inline=False,
                            engine.extras(), elapsed=elapsed)
 
 
-def run_qsq(query, db, budget=None):
-    """Top-down query-subquery evaluation (the memoing family's
-    direct formulation; work profile tracks magic sets)."""
-    from .qsq import qsq_evaluate
-
-    stats = EvalStats()
-    started = time.perf_counter()
-    db = _with_facts(db, _base_facts(query.program), {})
-    answers, engine = qsq_evaluate(query, db, stats=stats,
-                                   budget=budget)
-    elapsed = time.perf_counter() - started
-    extras = {
-        "subqueries": engine.subquery_count(),
-        "memo_facts": sum(len(rel) for rel in engine.answers.values()),
-    }
-    return ExecutionResult("qsq", answers, stats, extras,
-                           elapsed=elapsed)
-
-
 #: Registry used by the benchmark harness and the optimizer pipeline.
 STRATEGIES = {
     "naive": run_naive,
@@ -728,7 +707,6 @@ STRATEGIES = {
     "magic_counting": run_magic_counting,
     "sup_magic": run_sup_magic,
     "encoded_counting": run_encoded_counting,
-    "qsq": run_qsq,
     "parallel": run_parallel,
 }
 

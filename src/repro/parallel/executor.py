@@ -116,8 +116,8 @@ def _encode_rows(pool, rows, arity, intern=False):
     """Value rows -> columnar int64 bytes via the shared intern pool.
 
     ``intern=True`` is the coordinator's pre-synchronization mode: it
-    may still allocate fresh ids (the legacy row backend never interns
-    on insert, so the pool can be cold).  After the pool ships, every
+    may still allocate fresh ids (relations assign no ids on insert, so
+    the pool can be cold).  After the pool ships, every
     encode must find its values already known — a miss there is a plan
     violation, not a cue to allocate an id the workers don't have.
 
@@ -157,7 +157,7 @@ def _decode_rows(pool, data):
 
 
 def _relation_rows(relation):
-    """All rows of a relation in insertion order (both backends).
+    """All rows of a relation in insertion order.
 
     Epoch-pinned snapshot views (the serving layer's generations) carry
     no ``_log`` of their own; materializing the frozen relation first
@@ -587,9 +587,9 @@ class ParallelEngine:
     def _spawn_pool(self):
         pool_size = self.workers
         pool = self.db.intern_pool
-        # Encode before snapshotting the value table: under the legacy
-        # row backend inserts never intern, so shard encoding is what
-        # assigns the dense ids the workers will replay.
+        # Encode before snapshotting the value table: inserts assign no
+        # ids, so shard encoding assigns the dense ids the workers will
+        # replay.
         shard_blobs = [dict() for _ in range(pool_size)]
         for key, column in sorted(self.plan.sharded.items()):
             rows = _relation_rows(self.db.get(key))

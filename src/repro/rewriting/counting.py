@@ -16,7 +16,8 @@ the counting rule and ``I is J - 1, I >= 0`` in the modified rule).
 Applicability — the classical limitations the paper removes (§1):
 
 1. one recursive rule per clique, with the same predicate and the same
-   adornment in head and body;
+   adornment in head and body, and a non-empty left part (see
+   :func:`refuse_left_linear`);
 2. no variables shared between the left and the right part
    (``C_r = ∅``) and no bound head variable in the right part
    (``D_r = ∅``);
@@ -67,6 +68,21 @@ class ClassicalCountingRewriting:
         return self.query.program
 
 
+def refuse_left_linear(rule, method):
+    """Raise :class:`NotApplicableError` when ``rule`` is left-linear.
+
+    The counting rule of a left-linear rule is a self-loop (same node,
+    longer index): the counting set grows without bound whatever the
+    data.  The index-based methods presume rules that move the binding,
+    so they refuse such a rule statically.
+    """
+    if rule.is_left_linear_shape():
+        raise NotApplicableError(
+            "%s counting diverges on left-linear rule %s "
+            "(empty left part)" % (method, rule.label)
+        )
+
+
 def check_classical_applicability(canonical):
     """Raise :class:`NotApplicableError` unless the classical method
     applies to this canonical clique (conditions 1-2 above)."""
@@ -82,6 +98,7 @@ def check_classical_applicability(canonical):
             "head predicate with the same adornment (%s vs %s)"
             % (rule.head_key[0], rule.rec_key[0])
         )
+    refuse_left_linear(rule, "classical")
     if rule.shared_vars:
         raise NotApplicableError(
             "classical counting forbids variables shared between left "

@@ -37,6 +37,7 @@ from ..datalog.terms import Compound, Constant, Variable
 from ..errors import NotApplicableError
 from .adornment import adorn_query
 from .canonical import canonicalize_clique, query_constants
+from .counting import refuse_left_linear
 from .support import goal_clique_of
 
 ENC_PREFIX = "ce_"
@@ -78,15 +79,7 @@ def check_encoded_applicability(canonical):
             "found %s" % sorted(k[0] for k in keys)
         )
     for rule in canonical.recursive_rules:
-        if rule.is_left_linear_shape():
-            # The encoded counting rule for a left-linear rule is a
-            # self-loop (same node, longer log): the counting set
-            # explodes no matter the data.  [15] presumes rules that
-            # move the binding; reject statically.
-            raise NotApplicableError(
-                "encoded counting diverges on left-linear rule %s "
-                "(empty left part)" % rule.label
-            )
+        refuse_left_linear(rule, "encoded")
         if rule.shared_vars:
             raise NotApplicableError(
                 "encoded counting forbids shared variables "

@@ -1,18 +1,17 @@
-"""Differential suite for the columnar storage layer.
+"""Differential suite for the checkpoint codec.
 
-Every database relation holds its rows twice (see
-:mod:`repro.engine.columnar`): as value tuples, which the joins read,
-and as parallel id columns, which checkpoints, shard exchange and
-snapshots serialize.  The contract is that the id columns are a
-lossless view of the rows: a database rebuilt from nothing but the
-column bytes must produce byte-identical rendered answers and
+A relation holds its rows once, as value tuples (see
+:mod:`repro.engine.relation`); a checkpoint encodes each insertion log
+as intern-id columns (:mod:`repro.engine.columnar`) beside the pool's
+value table.  The contract is that the encoding is lossless: a
+database restored from nothing but the checkpoint file must hold the
+same logs and epochs, and produce byte-identical rendered answers and
 identical semantic work counters on every workload and strategy.  This
 suite enforces that over the full paper matrix — the e1–e10 experiment
 shapes plus the S1 (``sg_cylinder``) and S3 (``sg_forest``) workloads —
-and covers the storage primitives the equivalence rests on: the
-:class:`ColumnStore` id mirror, the lossless decode contract, and
-``pinned()`` prefix snapshots under concurrent writers, with and
-without id columns.
+and covers the primitives the round trip rests on: the
+:class:`ColumnStore` byte layout, :meth:`Relation.column_bytes`, and
+``pinned()`` prefix snapshots under concurrent writers.
 """
 
 import threading
@@ -21,6 +20,7 @@ import pytest
 
 from repro.data.workloads import WORKLOADS
 from repro.datalog.pretty import format_value
+from repro.durability.checkpoint import read_checkpoint, write_checkpoint
 from repro.engine.columnar import ColumnStore
 from repro.engine.database import Database
 from repro.engine.relation import Relation
@@ -41,7 +41,7 @@ def _render(answers):
     """Render an answer set exactly as the CLI would print it.
 
     Sorted, formatted through :func:`format_value`, encoded — the
-    "byte-identical rendered answers" half of the storage contract.
+    "byte-identical rendered answers" half of the codec contract.
     """
     lines = sorted(
         "(%s)" % ", ".join(format_value(v) for v in row)
@@ -50,48 +50,34 @@ def _render(answers):
     return "\n".join(lines).encode("utf-8")
 
 
-def _from_columns(db):
-    """A database rebuilt from ``db``'s serialized id columns alone —
-    what a checkpoint load or a shard worker holds."""
-    decode_row = db.intern_pool.decode_row
-    clone = Database()
-    for name, arity in sorted(db.keys()):
-        store = ColumnStore.from_bytes(db.get((name, arity)).column_bytes())
-        clone.add_facts(
-            (name, decode_row(store.row(ordinal)))
-            for ordinal in range(len(store))
-        )
-    return clone
-
-
-def _edge_relation(pooled):
-    """``edge/2`` with id columns (a database relation) or without."""
-    return (Database().relation("edge", 2) if pooled
-            else Relation("edge", 2))
-
-
-def _run(from_columns, wname, sname):
-    workload = WORKLOADS[wname]
-    db, _source = workload.make_db()
-    if from_columns:
-        db = _from_columns(db)
+def _run(db, workload, sname):
     result = run_strategy(sname, workload.query, db)
     return _render(result.answers), dict(result.stats.as_dict())
 
 
 class TestDifferentialBackends:
+    """The live database against its checkpoint-restored twin."""
+
     @pytest.mark.parametrize("wname,sname", MATRIX)
-    def test_backends_agree(self, wname, sname):
-        rows_rendered, rows_stats = _run(False, wname, sname)
-        col_rendered, col_stats = _run(True, wname, sname)
-        assert rows_rendered == col_rendered
+    def test_backends_agree(self, tmp_path, wname, sname):
+        workload = WORKLOADS[wname]
+        live, _source = workload.make_db()
+        path = write_checkpoint(str(tmp_path / "ckpt.bin"), live, 0)
+        restored = read_checkpoint(path).restore(Database())
+        for key in live.keys():
+            assert restored.get(key)._log == live.get(key)._log
+        assert restored.epochs(sorted(live.keys())) == live.epochs(
+            sorted(live.keys()))
+        live_rendered, live_stats = _run(live, workload, sname)
+        restored_rendered, restored_stats = _run(restored, workload, sname)
+        assert live_rendered == restored_rendered
         # The headline counters first, for a readable failure…
-        assert rows_stats["facts_derived"] == col_stats["facts_derived"]
-        assert rows_stats["iterations"] == col_stats["iterations"]
+        assert live_stats["facts_derived"] == restored_stats["facts_derived"]
+        assert live_stats["iterations"] == restored_stats["iterations"]
         # …then the whole dict: *every* semantic work counter must
         # match, including index_probes (the A3 ablation reads it) and
         # tuples_scanned.
-        assert rows_stats == col_stats
+        assert live_stats == restored_stats
 
 
 class TestColumnStore:
@@ -102,25 +88,12 @@ class TestColumnStore:
         assert len(store) == 2
         assert store.row(0) == (1, 2, 3)
         assert store.row(1) == (4, 5, 6)
-        assert list(store.column(1)) == [2, 5]
 
     def test_zero_arity(self):
         store = ColumnStore(0)
         assert len(store) == 0
         with pytest.raises(ValueError):
             ColumnStore(-1)
-
-    def test_prefix_is_a_copy(self):
-        store = ColumnStore(2)
-        store.append((1, 2))
-        store.append((3, 4))
-        prefix = store.prefix(1)
-        assert len(prefix) == 1
-        assert prefix.row(0) == (1, 2)
-        store.append((5, 6))
-        assert len(prefix) == 1
-        with pytest.raises(ValueError):
-            store.prefix(7)
 
     def test_bytes_roundtrip(self):
         store = ColumnStore(2)
@@ -141,26 +114,25 @@ class TestColumnStore:
             ColumnStore.from_bytes(b"\xff" * 16)
 
 
-class TestDecodeContract:
-    def test_decode_ordinal_matches_insertion_log(self):
-        rel = Database().relation("edge", 2)
+class TestColumnBytes:
+    def test_column_bytes_decode_to_the_insertion_log(self):
+        db = Database()
+        rel = db.relation("edge", 2)
         rows = [("n%d" % i, "n%d" % (i + 1)) for i in range(50)]
         rel.add_all(rows)
-        for ordinal, row in enumerate(rows):
-            assert rel.decode_ordinal(ordinal) == row
-        assert rel.column_bytes() == rel._ids.to_bytes()
+        data = rel.column_bytes()
+        assert len(data) == 16 + 8 * 2 * len(rows)
+        store = ColumnStore.from_bytes(data)
+        decode_row = db.intern_pool.decode_row
+        assert [decode_row(store.row(i)) for i in range(len(store))] == rows
+        # Encoding keeps nothing: the same log encodes to the same bytes.
+        assert rel.column_bytes() == data
 
-    def test_row_backend_has_no_columns(self):
-        # A relation built without an intern pool holds value rows only.
+    def test_relation_without_pool_has_no_column_bytes(self):
         rel = Relation("edge", 2)
         rel.add(("a", "b"))
-        for probe in (
-            lambda: rel.id_column(0),
-            lambda: rel.id_row(0),
-            lambda: rel.column_bytes(),
-        ):
-            with pytest.raises(TypeError):
-                probe()
+        with pytest.raises(TypeError):
+            rel.column_bytes()
 
 
 class TestPinnedUnderConcurrentWriters:
@@ -168,8 +140,8 @@ class TestPinnedUnderConcurrentWriters:
 
     ROWS = 400
 
-    def _hammer(self, pooled):
-        rel = _edge_relation(pooled)
+    def test_pinned_is_consistent_prefix(self):
+        rel = Database().relation("edge", 2)
         stop = threading.Event()
         failures = []
 
@@ -189,13 +161,7 @@ class TestPinnedUnderConcurrentWriters:
                     assert len(pinned) == epoch
                     assert pinned.epoch == epoch
                     assert set(pinned._log) == pinned.tuples
-                    if pinned.columnar:
-                        for ordinal in (0, epoch // 2, epoch - 1):
-                            if 0 <= ordinal < epoch:
-                                assert (
-                                    pinned.decode_ordinal(ordinal)
-                                    == pinned._log[ordinal]
-                                )
+                    assert pinned._log == rel._log[:epoch]
                 except AssertionError as exc:  # pragma: no cover
                     failures.append(exc)
                     stop.set()
@@ -211,34 +177,3 @@ class TestPinnedUnderConcurrentWriters:
             thread.join(timeout=30.0)
         stop.set()
         assert not failures
-        return rel
-
-    def test_columnar_pinned_is_consistent_prefix(self):
-        rel = self._hammer(True)
-        assert rel.columnar
-
-    def test_row_pinned_is_consistent_prefix(self):
-        rel = self._hammer(False)
-        assert not rel.columnar
-
-    def test_pinned_views_agree_across_backends(self):
-        rows = [("p%d" % i, "p%d" % (i + 1)) for i in range(64)]
-        views = {}
-        for pooled in (False, True):
-            rel = _edge_relation(pooled)
-            rel.add_all(rows)
-            views[pooled] = rel.pinned(32)
-        assert views[False].tuples == views[True].tuples
-        assert views[False]._log == views[True]._log
-        assert views[True]._ids is not None
-        assert len(views[True]._ids) == 32
-        assert views[False]._ids is None
-
-
-class TestStorageInfo:
-    def test_relation_without_pool_stays_rows(self):
-        # Bare relations (no intern pool) cannot encode ids.
-        rel = Relation("scratch", 2)
-        rel.add(("a", "b"))
-        assert not rel.columnar
-        assert Database().relation("edge", 2).columnar

@@ -212,7 +212,7 @@ class TestEngineBudgets:
 
     @pytest.mark.parametrize(
         "method",
-        ["naive", "magic", "qsq", "pointer_counting", "cyclic_counting",
+        ["naive", "magic", "pointer_counting", "cyclic_counting",
          "magic_counting"],
     )
     def test_cancellation_stops_every_engine_family(self, method,

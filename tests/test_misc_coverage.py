@@ -93,8 +93,7 @@ class TestStrategySupportMaterialization:
 
 class TestOptimizePlanWithExtensions:
     @pytest.mark.parametrize(
-        "method", ["magic_counting", "sup_magic", "qsq",
-                   "encoded_counting"]
+        "method", ["magic_counting", "sup_magic", "encoded_counting"]
     )
     def test_forced_extension_methods(self, sg_query, sg_db, method):
         from repro import optimize

@@ -41,9 +41,8 @@ SURFACE = {
     ],
     "repro.exec": [
         "run_strategy", "STRATEGIES", "CountingEngine",
-        "MagicCountingEngine", "recurring_nodes", "QSQEngine",
-        "qsq_evaluate", "wavefront_counting_table",
-        "tables_equivalent",
+        "MagicCountingEngine", "recurring_nodes",
+        "wavefront_counting_table", "tables_equivalent",
     ],
     "repro.graph": [
         "classify_arcs", "node_classes", "is_tree", "is_acyclic",
@@ -63,7 +62,7 @@ SURFACE = {
 }
 
 EXPECTED_STRATEGIES = {
-    "naive", "magic", "sup_magic", "qsq", "classical_counting",
+    "naive", "magic", "sup_magic", "classical_counting",
     "encoded_counting", "extended_counting", "reduced_counting",
     "pointer_counting", "cyclic_counting", "magic_counting",
     "parallel",

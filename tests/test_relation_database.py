@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.interning import InternPool
 from repro.engine.relation import WILDCARD, EmptyRelation, Relation
 from repro.engine.database import Database
 
@@ -102,9 +101,9 @@ rows3 = st.tuples(values, values, values)
 INDEXED = ((0,), (2,), (0, 2), (0, 1, 2))
 
 
-def twin(pooled, present):
+def twin(present):
     """A relation holding ``present`` with every ``INDEXED`` index."""
-    rel = Relation("p", 3, pool=InternPool() if pooled else None)
+    rel = Relation("p", 3)
     for row in present:
         rel.add(row)
     for positions in INDEXED:
@@ -113,37 +112,32 @@ def twin(pooled, present):
 
 
 def state(rel):
-    ids = None if rel._ids is None else [
-        list(rel.id_column(i)) for i in range(rel.arity)
-    ]
-    return (rel.tuples, rel._log, rel.epoch, ids, rel._indexes)
+    return (rel.tuples, rel._log, rel.epoch, rel._indexes)
 
 
 class TestAddAllContract:
     """``add_all`` is a loop of ``add`` with the bookkeeping batched:
-    nothing observable — log, epoch, id columns, the order inside every
-    index bucket — may tell the two apart."""
+    nothing observable — log, epoch, the order inside every index
+    bucket — may tell the two apart."""
 
-    @pytest.mark.parametrize("pooled", [False, True])
     @settings(max_examples=120, deadline=None)
     @given(present=st.lists(rows3, max_size=8),
            batch=st.lists(rows3, max_size=12))
-    def test_equals_a_loop_of_add(self, pooled, present, batch):
-        looped, batched = twin(pooled, present), twin(pooled, present)
+    def test_equals_a_loop_of_add(self, present, batch):
+        looped, batched = twin(present), twin(present)
         expected = [row for row in batch if looped.add(row)]
         assert batched.add_all(batch) == expected
         assert state(batched) == state(looped)
         assert len(set(expected)) == len(expected)
 
-    @pytest.mark.parametrize("pooled", [False, True])
     @settings(max_examples=60, deadline=None)
     @given(present=st.lists(rows3, max_size=5),
            batch=st.lists(rows3, max_size=6),
            bad=st.sampled_from([("a",), ("a", "b"), ("a", 0, 1, 2)]),
            where=st.integers(0, 6))
-    def test_wrong_arity_anywhere_inserts_nothing(self, pooled, present,
-                                                  batch, bad, where):
-        rel, untouched = twin(pooled, present), twin(pooled, present)
+    def test_wrong_arity_anywhere_inserts_nothing(self, present, batch,
+                                                  bad, where):
+        rel, untouched = twin(present), twin(present)
         batch.insert(min(where, len(batch)), bad)
         with pytest.raises(ValueError):
             rel.add_all(batch)
