@@ -5,12 +5,18 @@ On-disk layout::
 
     header:  MAGIC (8 bytes)  lineage (24 ascii hex bytes)  '\\n'
     record:  <u32 payload_len> <u32 crc32(payload)> <payload>
-    payload: <u64 seq> <pickle of (stamps, facts)>
+    payload: <u64 seq> <pickle of (stamps, names, runs)>
 
-``facts`` is the batch exactly as the ``add_facts`` caller gave it —
-order and duplicates preserved, no per-fact re-encoding.  Replay feeds
-it straight back through the engine, which reproduces deduplication
-deterministically.
+``names`` / ``runs`` are the batch exactly as the ``add_facts`` caller
+gave it — order and duplicates preserved, no per-fact re-encoding —
+cut into runs of consecutive facts of one relation name:
+``names[i]`` is the name of run ``i`` and ``runs[i]`` the list of its
+facts' values, so a name is pickled once per run, not once per fact.
+Decoding gives back the ``(name, values)`` list, and replay feeds it
+straight back through the engine, which reproduces deduplication
+deterministically.  A record of the earlier layout, ``(stamps,
+facts)`` with ``facts`` the ``(name, values)`` list itself, decodes
+to the same list.
 
 ``stamps`` is the *whole* pre-batch epoch table —
 ``{(name, arity): epoch_before_the_batch}`` for every relation that
@@ -86,7 +92,32 @@ class WalRecord:
         )
 
 
+def _runs(facts):
+    """``(names, runs)``: ``facts`` cut into runs of consecutive facts
+    of one name (see the module docstring)."""
+    if isinstance(facts, list) and facts:
+        # A bulk load is one run: one comprehension, no per-fact branch.
+        name = facts[0][0]
+        if facts[-1][0] == name:
+            rows = [values for other, values in facts if other == name]
+            if len(rows) == len(facts):
+                return [name], [rows]
+    names = []
+    runs = []
+    last = add = None
+    for name, values in facts:
+        if add is None or name != last:
+            last = name
+            rows = []
+            add = rows.append
+            names.append(name)
+            runs.append(rows)
+        add(values)
+    return names, runs
+
+
 def _encode_record(seq, stamps, facts):
+    names, runs = _runs(facts)
     # Pickled without a memo ("fast" mode): a batch of constant rows
     # has no cycles, and its repeats are short, so back-references
     # save few bytes while memo upkeep is most of the encoding time.
@@ -94,14 +125,23 @@ def _encode_record(seq, stamps, facts):
     buffer.write(_SEQ.pack(seq))
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
     pickler.fast = True
-    pickler.dump((stamps, facts))
+    pickler.dump((stamps, names, runs))
     payload = buffer.getvalue()
     return _HEAD.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def _decode_payload(seq_expected, payload):
     (seq,) = _SEQ.unpack_from(payload)
-    stamps, facts = pickle.loads(payload[_SEQ.size:])
+    decoded = pickle.loads(payload[_SEQ.size:])
+    if len(decoded) == 2:
+        # The earlier layout: the (name, values) list as it was given.
+        stamps, facts = decoded
+    else:
+        stamps, names, runs = decoded
+        facts = [
+            (name, values)
+            for name, rows in zip(names, runs) for values in rows
+        ]
     return WalRecord(seq, stamps, facts), seq == seq_expected
 
 

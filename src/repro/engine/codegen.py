@@ -34,23 +34,25 @@ operator, with ``fallback`` over the leaf values (the closure itself,
 so the same value and the same error at the same match) for any other
 operand type.
 
-Three forms are generated:
+Four forms are generated:
 
 * a **runner** — yields the shared slot array once per body match, in
   the enumeration order of :func:`repro.engine.join.evaluate_body`;
-* the **batched** forms (emitter and the collectors) used by the
-  set-at-a-time rule pass and by
+* the **batched** forms (the collectors) used by
   :class:`~repro.engine.compile.BoundQuery`: when the last scan's ops
   are writes and checks only and every step after it is a ``filter``
   or ``assign`` with an inline expression, the innermost loop
-  collapses into a list comprehension that projects whole result
-  batches — one list per innermost index bucket — with the
-  projection's slot reads substituted by direct row indexing, each
-  trailing assign bound as a comprehension-local name
-  (``for _a in [expr]``, which CPython compiles to a plain store) and
-  each trailing filter as an ``if`` clause.  The comprehension's loop
-  bookkeeping runs in C, which is where the "emit whole column slices
-  instead of per-row slot writes" speedup comes from;
+  collapses into one that projects whole result batches — one list
+  per innermost index bucket — with the projection's slot reads
+  substituted by direct row indexing, each trailing assign bound as a
+  local and each trailing filter as a test;
+* the **clique loop** of the semi-naive engine
+  (:func:`generate_clique_loop`), one function per pass plan: every
+  round of one clique, each pass's body inlined — in the batched shape
+  where it has one, slot by slot otherwise — with the relations and
+  probe views it reads resolved once for the whole clique, the deltas
+  rebound once per round and the counters and per-rule profile in
+  locals, flushed once per round;
 * the **answer loop** of the counting evaluators
   (:func:`generate_answer_loop`), one function per clique: the
   ``while`` loop over pending answer states with each step rule's right
@@ -67,7 +69,9 @@ evaluator in :mod:`repro.engine.join`: same enumeration order
 (``reversed`` over each candidate batch reproduces its stack
 discipline), same ``tuples_scanned``/``index_*`` counter updates at
 the same points, same visibility of in-pass relation mutations.  The
-batch granularity of the emitter is safe on that last point because
+batch granularity of the clique loop — a pass that reads its head's
+relation inserts each innermost bucket's rows before the next probe —
+is safe on that last point because
 ``reversed(bucket)`` already snapshots its start index: rows appended
 to a live bucket during its own enumeration are invisible to a
 row-at-a-time enumeration too, so draining one bucket's derivations
@@ -80,6 +84,10 @@ generate is a bug and raises.  Trailing filters and assigns touch no
 relation and no counter, so a batch drained before the next probe
 still gives every probe row-at-a-time visibility.
 """
+
+from time import perf_counter
+
+from .relation import EmptyRelation, Relation
 
 #: Per-position op kinds inside a scan step.
 OP_WRITE = 0
@@ -100,8 +108,8 @@ _MAX_LOOPS = 16
 
 def _namespace():
     return {"_reversed": reversed, "_len": len, "_getattr": getattr,
-            "_none": None, "_type": type, "_int": int,
-            "__builtins__": {}}
+            "_none": None, "_type": type, "_int": int, "_list": list,
+            "_set": set, "__builtins__": {}}
 
 
 def _slot(index):
@@ -192,7 +200,8 @@ def _key_expr(i, positions, key_parts, ns):
     return "(%s,)" % ", ".join(parts)
 
 
-def _scan_prologue(i, spec, ns, w, pad, state_alloc=None, local=False):
+def _scan_prologue(i, spec, ns, w, pad, state_alloc=None, local=False,
+                   delta=None):
     """Emit the probe + batch-counter lines shared by every scan.
 
     The relation is resolved lazily on the scan's first invocation and
@@ -214,12 +223,38 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None, local=False):
     mapping for as long as it uses the binding, and both view kinds
     are maintained in place by ``Relation.add``.
 
-    With ``local`` (the answer loop, see :func:`generate_answer_loop`)
-    the ``index_probes`` bump goes to the function's local ``_ip`` and
-    the batch length, ``tuples_scanned`` and ``batch_rows`` alike, to
-    ``_ts``; the caller flushes both to ``stats``.
+    With ``local`` (the generated loops, see :func:`generate_answer_loop`
+    and :func:`generate_clique_loop`) the ``index_probes`` bump goes to
+    the function's local ``_ip`` and the batch length,
+    ``tuples_scanned`` and ``batch_rows`` alike, to ``_ts``; the caller
+    flushes both to ``stats``.
+
+    With ``delta`` — ``(rows, wrapper)``, the names of the round's
+    delta set and of its per-round :func:`_delta_relation` — the scan
+    reads the delta of the clique loop: a full scan lists the set (an
+    absent delta reads as empty, like ``EmptyRelation``), a probe goes
+    through the wrapper, which the round builds on first use so every
+    probe of that delta shares its indexes, as they share one delta
+    relation pass by pass.
     """
     _kind, lit_index, atom, positions, key_parts, _ops = spec
+    if delta is not None:
+        rows, wrapper = delta
+        if not positions:
+            w(pad, "_c%d = _list(%s) if %s is not None else ()"
+              % (i, rows, rows))
+            w(pad, "_ts += _len(_c%d)" % i)
+            return
+        ns["_E%d" % i] = EmptyRelation(*atom.key)
+        ns["_dk%d" % i] = atom.key
+        resolve = (
+            "if %s is None and %s is not None:" % (wrapper, rows),
+            "    %s = _delta_relation(_dk%d, %s)" % (wrapper, i, rows),
+            "_rel%d = %s if %s is not None else _E%d"
+            % (i, wrapper, wrapper, i),
+        )
+    else:
+        resolve = ("_rel%d = resolver(%d, _atom%d)" % (i, lit_index, i),)
 
     def count_probe(depth):
         if local:
@@ -238,7 +273,8 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None, local=False):
         state_alloc[0] += 1 if not positions else 2
         w(pad, "_rel%d = state[%d]" % (i, base))
     w(pad, "if _rel%d is None:" % i)
-    w(pad + 1, "_rel%d = resolver(%d, _atom%d)" % (i, lit_index, i))
+    for line in resolve:
+        w(pad + 1, line)
     if base is not None and not positions:
         w(pad + 1, "state[%d] = _rel%d" % (base, i))
     if not positions:
@@ -296,9 +332,10 @@ def _scan_prologue(i, spec, ns, w, pad, state_alloc=None, local=False):
         w(pad + 1, "stats.batch_rows += _b%d" % i)
 
 
-def _scan_loop(i, spec, ns, w, pad, state_alloc=None, local=False):
+def _scan_loop(i, spec, ns, w, pad, state_alloc=None, local=False,
+               delta=None):
     """Emit the row loop with inlined ops; returns the body indent."""
-    _scan_prologue(i, spec, ns, w, pad, state_alloc, local)
+    _scan_prologue(i, spec, ns, w, pad, state_alloc, local, delta)
     w(pad, "for _r%d in _reversed(_c%d):" % (i, i))
     inner = pad + 1
     for j, (pos, kind, data) in enumerate(spec[5]):
@@ -314,16 +351,21 @@ def _scan_loop(i, spec, ns, w, pad, state_alloc=None, local=False):
     return inner
 
 
-def _step(i, step, ns, w, pad, abort, state_alloc=None, local=False):
-    """Emit step ``i``; returns the body indent (deeper iff it loops).
+def _step(i, step, ns, w, pad, abort, state_alloc=None, local=False,
+          delta=None):
+    """Emit step ``i``; returns the body indent (deeper iff it loops or
+    nests).
 
     ``abort`` is the statement that skips the current candidate when a
     filter fails — ``continue`` inside a loop, the enclosing function's
-    empty return outside one.
+    empty return outside one.  With ``abort`` None (a body inlined
+    among others, before its first loop) the rest of the body nests
+    under the filter's test instead.  ``delta``: see
+    :func:`_scan_prologue`.
     """
     kind = step[0]
     if kind == "scan":
-        return _scan_loop(i, step, ns, w, pad, state_alloc, local)
+        return _scan_loop(i, step, ns, w, pad, state_alloc, local, delta)
     name = "_f%d" % i
     inline = step[-1] if kind in ("filter", "assign") else None
     if kind == "assign":
@@ -335,16 +377,18 @@ def _step(i, step, ns, w, pad, abort, state_alloc=None, local=False):
         w(pad, "slots[%d] = %s" % (step[1], value))
         return pad
     if inline is not None:
-        w(pad, "if not %s: %s"
-          % (_inline_expr(name, inline, _slot, ns), abort))
-        return pad
-    ns[name] = step[1]
-    if kind == "each":
-        w(pad, "for _ in %s(slots):" % name)
+        test = _inline_expr(name, inline, _slot, ns)
+    else:
+        ns[name] = step[1]
+        if kind == "each":
+            w(pad, "for _ in %s(slots):" % name)
+            return pad + 1
+        test = ("%s(slots)" if kind == "filter"
+                else "%s(slots, resolver)") % name
+    if abort is None:
+        w(pad, "if %s:" % test)
         return pad + 1
-    call = ("%s(slots)" if kind == "filter"
-            else "%s(slots, resolver)") % name
-    w(pad, "if not %s: %s" % (call, abort))
+    w(pad, "if not %s: %s" % (test, abort))
     return pad
 
 
@@ -504,9 +548,9 @@ def _tuple_expr(exprs):
     )
 
 
-def _generate_batched(steps, projection, eager, entry=None, bound=False,
+def _generate_batched(steps, projection, entry=None, bound=False,
                       batch=False):
-    """Shared emitter/collector generation; None outside the shape.
+    """Shared collector generation; None outside the shape.
 
     Requirements: the last scan's ops are writes and checks only, the
     steps after it are ``filter`` / ``assign`` steps with an inline
@@ -534,7 +578,7 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
         return None
     last_spec = steps[last] if last >= 0 else None
 
-    tag = "collector" if eager else "emitter"
+    tag = "collector"
     ns = _namespace()
     lines = []
     state_alloc = [1] if bound else None
@@ -575,14 +619,13 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
             w(pad, "_res.append(%s)" % rows)
             w(1, "return _res")
         else:
-            w(pad, ("return %s" if eager else "yield %s") % rows)
+            w(pad, "return %s" % rows)
         fn = _compile_fn(lines, ns, tag)
         if bound:
             fn._state_size = state_alloc[0]
         return fn
 
-    if eager:
-        w(pad, "_out = []")
+    w(pad, "_out = []")
     if batch:
         # Appended first: a failed filter at the top of the batch loop
         # continues with the next values and leaves this list empty.
@@ -591,10 +634,7 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
     for i, step in enumerate(steps[:last]):
         if step[0] == "scan":
             scans.append(i)
-        if pad > 1:
-            abort = "continue"
-        else:
-            abort = "return _out" if eager else "return"
+        abort = "continue" if pad > 1 else "return _out"
         pad = _step(i, step, ns, w, pad, abort, state_alloc)
 
     i = last
@@ -619,38 +659,23 @@ def _generate_batched(steps, projection, eager, entry=None, bound=False,
             ["%s for _r%d in _reversed(_c%d)" % (tuple_expr, i, i)]
             + ["if %s" % cond for cond in conds] + clauses
         )
-        if eager:
-            w(pad, "_out += [%s]" % comp)
-            w(1, "return _out")
-        else:
-            w(pad, "yield [%s]" % comp)
+        w(pad, "_out += [%s]" % comp)
+        w(1, "return _out")
     fn = _compile_fn(lines, ns, tag, () if bound else scans)
     if bound:
         fn._state_size = state_alloc[0]
     return fn
 
 
-def generate_emitter(steps, projection):
-    """A generated batch emitter, or None outside the vectorizable shape.
-
-    The emitter is a generator yielding one ``list`` of projected
-    tuples per innermost scan invocation.  Callers that interleave
-    writes with iteration (the semi-naive loop) depend on that
-    batch-at-a-time visibility.
-    """
-    return _generate_batched(steps, projection, eager=False)
-
-
 def generate_collector(steps, projection):
     """A generated eager collector, or None outside the vectorizable shape.
 
-    Same shape restrictions as :func:`generate_emitter`, but the whole
-    match set materializes into one flat ``list`` that is returned —
-    no generator frames at all.  Only callers that drain every match
-    without interleaved relation writes (bound queries, and rule passes
-    that do not read their head) may use it: batch visibility is lost.
+    The whole match set materializes into one flat ``list`` that is
+    returned — no generator frames at all.  Only callers that drain
+    every match without interleaved relation writes (bound queries) may
+    use it: it has no batch-at-a-time visibility of in-pass writes.
     """
-    return _generate_batched(steps, projection, eager=True)
+    return _generate_batched(steps, projection)
 
 
 def generate_entry_collector(steps, projection, nslots, loader):
@@ -661,7 +686,7 @@ def generate_entry_collector(steps, projection, nslots, loader):
     ``loader`` maps value position -> slot index.
     """
     return _generate_batched(
-        steps, projection, eager=True, entry=(nslots, tuple(loader))
+        steps, projection, entry=(nslots, tuple(loader))
     )
 
 
@@ -682,12 +707,12 @@ def generate_bound_collector(steps, projection, nslots, loader,
     ``values`` of ``batch``, from one call.
     """
     return _generate_batched(
-        steps, projection, eager=True, entry=(nslots, tuple(loader)),
+        steps, projection, entry=(nslots, tuple(loader)),
         bound=True, batch=batch,
     )
 
 
-#: The answer loop's local counters and the ``stats`` fields each is
+#: The generated loops' local counters and the ``stats`` fields each is
 #: flushed to: a scan bumps ``tuples_scanned`` and ``batch_rows`` by
 #: the same batch length, so one local carries both.
 _LOOP_COUNTERS = (
@@ -714,11 +739,13 @@ def generate_answer_loop(rules):
     clique (see :meth:`repro.exec.counting_engine.CountingEngine.
     _answer_loop` for the contract).
 
-    ``rules`` holds one entry per step rule, by index: ``(head key,
-    label, steps, projection, nslots, loader, nvalues)``, where the
-    rule's body (``steps``, projecting ``projection``) takes the
-    state's ``nvalues`` answer values and then the step's arguments
-    through ``loader``.  A body in the batched shape is inlined — the
+    ``rules`` holds one entry per step rule, by index: ``(steps,
+    projection, nslots, loader, nvalues)``, where the rule's body
+    (``steps``, projecting ``projection``) takes the state's
+    ``nvalues`` answer values and then the step's arguments through
+    ``loader``.  Nothing else about a rule is baked in — its head key
+    and label arrive per call — so one function serves every clique of
+    the same bodies (see :func:`repro.engine.compile.answer_loop`).  A body in the batched shape is inlined — the
     probe of each scan, its counter bumps and the projection of each
     match; any other is run through the caller's ``runners[index]``,
     and the function's ``fallback`` attribute lists those indexes.
@@ -729,7 +756,9 @@ def generate_answer_loop(rules):
 
     The generated function takes ``(pending, seen, groups, goal_key,
     source_key, take, stats, budget, parents, resolver, runners,
-    frontier)`` and returns ``(answers, frontier)``.  Its counters live
+    frontier, heads, labels)`` — ``heads[index]`` / ``labels[index]``
+    the head key and label of step rule ``index`` — and returns
+    ``(answers, frontier)``.  Its counters live
     in locals, flushed to ``stats`` before every ``budget.check`` and
     every ``faults.fire("unwind")`` (once per state pop, both skipped
     as the no-ops they are without a budget and an injector) and when
@@ -740,14 +769,18 @@ def generate_answer_loop(rules):
     ns = _namespace()
     ns["_faults"] = faults
     ns["_fire"] = faults.fire
-    ns["_set"] = set
     lines = []
 
     def w(depth, text):
         lines.append("    " * depth + text)
 
     w(0, "def _run(pending, seen, groups, goal_key, source_key, take, "
-         "stats, budget, parents, resolver, runners, frontier):")
+         "stats, budget, parents, resolver, runners, frontier, heads, "
+         "labels):")
+    if rules:
+        names = ", ".join("_h%d" % index for index in range(len(rules)))
+        w(1, "%s, = heads" % names)
+        w(1, "%s, = labels" % names.replace("_h", "_l"))
     w(1, "answers = _set()")
     w(1, "_seen_add = seen.add")
     w(1, "_push = pending.append")
@@ -775,12 +808,11 @@ def generate_answer_loop(rules):
         if len(rules) > 1:
             w(4, "%s _ri == %d:" % ("if" if index == 0 else "elif", index))
             pad = 5
-        ns["_h%d" % index], ns["_l%d" % index] = rule[0], rule[1]
-        if not _inline_body(rule[2:], base, index, ns, w, pad, scans):
+        if not _inline_body(rule, base, index, ns, w, pad, scans):
             fallback.append(index)
             w(pad, "for _o in runners[%d](values + _args, stats):" % index)
             _admit(w, pad + 1, index, "_o")
-        base += len(rule[2])
+        base += len(rule[0])
     w(3, "_n = _len(pending)")
     w(3, "if _n > frontier:")
     w(4, "frontier = _n")
@@ -858,3 +890,288 @@ def _inline_body(rule, base, index, ns, w, pad, scans):
     w(pad, "for _o in _out:")
     _admit(w, pad + 1, index, "_o")
     return True
+
+
+#: The blocks a clique loop opens around every body it inlines: its
+#: ``try`` and the ``while`` over the rounds.
+_CLIQUE_BLOCKS = 2
+
+
+def generate_clique_loop(initial, passes):
+    """The semi-naive loop of one clique, one function per pass plan
+    (see :meth:`repro.engine.seminaive.SemiNaiveEngine._evaluate_clique`
+    for the contract).
+
+    ``initial`` holds one pass per rule of the naive first round,
+    ``passes`` one per pass of every later round, in run order; each is
+    ``(steps, head_spec, reads_head, head_key, delta_at, delta_key,
+    skippable, runner, nslots)``: the body of a compiled rule or delta
+    variant (``delta_at`` the index of its literal reading the delta,
+    None for a pass over full relations alone) and its head.  A body
+    is inlined — every probe of every scan, the insert of each batch
+    into the head's relation and of its new rows into the round's
+    delta — or, when its loops would not fit one code object, run
+    through ``runner`` (the body's generated runner).  A
+    ``skippable`` pass (its delta scan comes first and keys on nothing
+    computed) only counts its firing in a round with no delta rows
+    for it.
+
+    The generated function takes ``(head, resolver, stats, budget,
+    max_iterations, labels, boundary)``: ``head(key, width)`` is the
+    head relation, ``resolver(index, atom)`` the full relation a body
+    literal reads and ``labels`` the label of every pass, initial ones
+    first.  Each relation is resolved on its scan's first reach and
+    kept for the rest of the clique, its probe view with it: relations
+    only grow in place.  A delta is a ``set`` filled in derivation
+    order, rebound once per round.  ``boundary(rounds)`` is the
+    engine's round checkpoint (iteration cap, budget, fault hook),
+    called before each round when any of them is set.  The counters
+    live in locals and are flushed to ``stats`` at the end of each
+    round, the per-rule profile with them — ``seconds``, ``calls``
+    and ``derived`` per pass — and, when a pass raises, as far as the
+    round had got: the counters the failing pass had bumped, the
+    profile of the passes before it.
+    """
+    from . import faults
+
+    ns = _namespace()
+    ns["_faults"] = faults
+    ns["_pc"] = perf_counter
+    ns["_delta_relation"] = _delta_relation
+    lines = []
+
+    def w(depth, text):
+        lines.append("    " * depth + text)
+
+    # Key h of the clique (a head, or a predicate a delta scan reads)
+    # has the locals _A<h> (its relation's insert), _N<h> / _D<h> (the
+    # delta this round fills / the last round's) and _W<h> (the probe
+    # view over _D<h>, built on first use per round).
+    keys = {}
+    for entry in tuple(initial) + tuple(passes):
+        keys.setdefault(entry[3], len(keys))
+    for entry in passes:
+        if entry[4] is not None:
+            keys.setdefault(entry[5], len(keys))
+    indexes = range(len(keys))
+    wrapped = sorted({
+        keys[entry[5]] for entry in passes if entry[4] is not None
+    })
+    nrules = len(initial)
+    total = nrules + len(passes)
+
+    w(0, "def _run(head, resolver, stats, budget, max_iterations, labels, "
+         "boundary):")
+    w(1, "%s = 0" % _LOOP_LOCALS)
+    w(1, "_done = _recursive = 0")
+    for k in range(total):
+        w(1, "_s%d = 0.0" % k)
+        w(1, "_d%d = 0" % k)
+    for h in indexes:
+        w(1, "_N%d = _W%d = None" % (h, h))
+    w(1, "_note = stats.note_rule")
+    w(1, "_guarded = max_iterations is not None or budget is not None")
+    w(1, "try:")
+    w(2, "if _guarded or _faults._ACTIVE is not None:")
+    w(3, "boundary(0)")
+    w(2, "_t = _pc()")
+    scans = []
+    base = 0
+    for k, entry in enumerate(initial):
+        ns["_hk%d" % k] = entry[3]
+        w(2, "_A%d = head(_hk%d, %d).add_trusted"
+          % (keys[entry[3]], k, len(entry[1])))
+        base = _clique_pass(k, entry, ns, w, 2, scans, base, keys)
+        w(2, "_done = %d" % (k + 1))
+    w(2, "_it += 1")
+    _flush(w, 2)
+    for k in range(nrules):
+        w(2, "_note(labels[%d], _s%d, _d%d)" % (k, k, k))
+    w(2, "_done = 0")
+    if passes:
+        # Every rule of a later round ran in the first: its head
+        # relation and its profile entry exist.
+        for k in range(nrules, total):
+            w(2, "_P%d = stats.rule_profile[labels[%d]]" % (k, k))
+        w(2, "_recursive = 1")
+        w(2, "rounds = 1")
+        for h in indexes:
+            w(2, "_D%d = _N%d" % (h, h))
+        w(2, "while %s:" % " or ".join(
+            "_D%d is not None" % h for h in indexes))
+        w(3, "if _guarded or _faults._ACTIVE is not None:")
+        w(4, "boundary(rounds)")
+        w(3, "rounds += 1")
+        w(3, "_it += 1")
+        w(3, "%s = None" % " = ".join(
+            ["_N%d" % h for h in indexes] + ["_W%d" % h for h in wrapped]))
+        w(3, "_t = _pc()")
+        for k, entry in enumerate(passes, nrules):
+            base = _clique_pass(k, entry, ns, w, 3, scans, base, keys)
+            w(3, "_done = %d" % (k - nrules + 1))
+        _flush(w, 3)
+        for k in range(nrules, total):
+            _flush_profile(w, 3, k)
+        w(3, "_done = 0")
+        for h in indexes:
+            w(3, "_D%d = _N%d" % (h, h))
+    w(1, "finally:")
+    _flush(w, 2)
+    if nrules:
+        w(2, "if _done and not _recursive:")
+        for k in range(nrules):
+            w(3, "if _done > %d:" % k)
+            w(4, "_note(labels[%d], _s%d, _d%d)" % (k, k, k))
+    if passes:
+        w(2, "if _done and _recursive:")
+        for k in range(nrules, total):
+            w(3, "if _done > %d:" % (k - nrules))
+            _flush_profile(w, 4, k)
+    return _compile_fn(lines, ns, "clique-loop", scans)
+
+
+def _delta_relation(key, rows):
+    """A probe view over a delta set: a relation holding ``rows`` as its
+    tuple set (nothing logged), for a delta scan with a probe key — its
+    indexes are built, and counted, like a delta relation's."""
+    relation = Relation(*key)
+    relation.tuples = rows
+    return relation
+
+
+def _flush_profile(w, pad, k):
+    """Emit the flush of pass ``k``'s profile locals into its entry."""
+    w(pad, "_P%d['seconds'] += _s%d" % (k, k))
+    w(pad, "_P%d['calls'] += 1" % k)
+    w(pad, "_P%d['derived'] += _d%d" % (k, k))
+    w(pad, "_s%d = 0.0" % k)
+    w(pad, "_d%d = 0" % k)
+
+
+def _insert(w, pad, k, h, batch):
+    """Emit the insert of ``batch`` by pass ``k`` into head relation
+    ``h`` and of its new rows into the round's delta ``_N<h>``."""
+    w(pad, "_new = _A%d(%s)" % (h, batch))
+    w(pad, "_fu += _len(%s) - _len(_new)" % batch)
+    w(pad, "if _new:")
+    w(pad + 1, "_n = _len(_new)")
+    w(pad + 1, "_fd += _n")
+    w(pad + 1, "_d%d += _n" % k)
+    w(pad + 1, "if _N%d is None:" % h)
+    w(pad + 2, "_N%d = _set(_new)" % h)
+    w(pad + 1, "else:")
+    w(pad + 2, "_N%d.update(_new)" % h)
+
+
+def _clique_pass(k, entry, ns, w, pad, scans, base, keys):
+    """Emit pass ``k`` of a clique loop; returns the next free scan
+    index (scan ``j`` of the body is ``base + j``)."""
+    (steps, head_spec, reads_head, head_key, delta_at, delta_key,
+     skippable, runner, nslots) = entry
+    h = keys[head_key]
+    tag = "p%d_" % k
+    delta = None
+    if delta_at is not None:
+        d = keys[delta_key]
+        delta = ("_D%d" % d, "_W%d" % d)
+    w(pad, "_rf += 1")
+    if skippable:
+        w(pad, "if %s is not None:" % delta[0])
+        pad += 1
+    loops = sum(step[0] in ("scan", "each") for step in steps)
+    if loops + _CLIQUE_BLOCKS > _MAX_LOOPS:
+        _clique_runner(k, entry, ns, w, pad, h, delta)
+    else:
+        last = _last_scan(steps, _CLIQUE_BLOCKS)
+        inner = None
+        if last is not None and last >= 0:
+            inner = _innermost(base + last, steps[last], steps[last + 1:],
+                               head_spec, ns, tag)
+        upto = last if inner is not None else len(steps)
+        for j, step in enumerate(steps):
+            if step[0] == "scan" and j != delta_at:
+                scans.append(base + j)
+        if delta_at is not None and steps[delta_at][3]:
+            # The delta is rebound every round: so is its probe view.
+            w(pad, "_rel%d = None" % (base + delta_at))
+        w(pad, "slots = [_none] * %d" % nslots)
+        if not reads_head:
+            w(pad, "_o = []")
+        depth = pad
+        in_loop = False
+        for j, step in enumerate(steps[:upto]):
+            depth = _step(base + j, step, ns, w, depth,
+                          "continue" if in_loop else None, local=True,
+                          delta=delta if j == delta_at else None)
+            in_loop = in_loop or step[0] in ("scan", "each")
+        if inner is not None:
+            i = base + last
+            _scan_prologue(i, steps[last], ns, w, depth, local=True,
+                           delta=delta if last == delta_at else None)
+            conds, statements, _clauses, row = inner
+            out = "_b" if reads_head else "_o"
+            if reads_head:
+                w(depth, "_b = []")
+            w(depth, "for _r%d in _reversed(_c%d):" % (i, i))
+            if conds:
+                w(depth + 1, "if not (%s): continue" % " and ".join(conds))
+            for statement in statements:
+                w(depth + 1, statement)
+            w(depth + 1, "%s.append(%s)" % (out, row))
+            if reads_head:
+                w(depth, "if _b:")
+                _insert(w, depth + 1, k, h, "_b")
+        else:
+            row = _tuple_expr(_projection_exprs(head_spec, {}, ns, tag))
+            if reads_head:
+                w(depth, "_b = [%s]" % row)
+                _insert(w, depth, k, h, "_b")
+            else:
+                w(depth, "_o.append(%s)" % row)
+        if not reads_head:
+            w(pad, "if _o:")
+            _insert(w, pad + 1, k, h, "_o")
+    w(pad, "_u = _pc()")
+    w(pad, "_s%d += _u - _t" % k)
+    w(pad, "_t = _u")
+    return base + len(steps)
+
+
+def _clique_runner(k, entry, ns, w, pad, h, delta):
+    """Emit pass ``k`` through its body's runner, for a body too deep to
+    inline; a delta pass resolves its delta literal through
+    ``_delta_resolver``."""
+    (_steps, head_spec, reads_head, _head_key, delta_at, delta_key,
+     _skippable, runner, nslots) = entry
+    ns["_run%d" % k] = runner
+    resolver = "resolver"
+    if delta is not None:
+        rows, wrapper = delta
+        ns["_E%d_" % k] = EmptyRelation(*delta_key)
+        ns["_dk%d_" % k] = delta_key
+        ns["_delta_resolver"] = _delta_resolver
+        w(pad, "if %s is None and %s is not None:" % (wrapper, rows))
+        w(pad + 1, "%s = _delta_relation(_dk%d_, %s)" % (wrapper, k, rows))
+        w(pad, "_rz = _delta_resolver(resolver, %d, %s if %s is not None "
+               "else _E%d_)" % (delta_at, wrapper, wrapper, k))
+        resolver = "_rz"
+    row = _tuple_expr(_projection_exprs(head_spec, {}, ns, "p%d_" % k))
+    if not reads_head:
+        w(pad, "_o = []")
+    w(pad, "for slots in _run%d(%s, [_none] * %d, stats):"
+      % (k, resolver, nslots))
+    if reads_head:
+        w(pad + 1, "_b = [%s]" % row)
+        _insert(w, pad + 1, k, h, "_b")
+    else:
+        w(pad + 1, "_o.append(%s)" % row)
+        w(pad, "if _o:")
+        _insert(w, pad + 1, k, h, "_o")
+
+
+def _delta_resolver(resolver, delta_at, relation):
+    """``resolver`` with body literal ``delta_at`` reading ``relation``."""
+    def resolve(index, atom):
+        return relation if index == delta_at else resolver(index, atom)
+
+    return resolve

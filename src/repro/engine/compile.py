@@ -70,9 +70,10 @@ from .codegen import (
     OP_CHECK,
     OP_MATCH,
     OP_WRITE,
+    generate_answer_loop,
     generate_bound_collector,
+    generate_clique_loop,
     generate_collector,
-    generate_emitter,
     generate_entry_collector,
     generate_runner,
 )
@@ -461,9 +462,10 @@ class CompiledBody:
 
     ``steps`` are the step specs :mod:`repro.engine.codegen` generates
     the body's executors from: the runner behind :meth:`execute`, built
-    with the body, and the batched forms (:meth:`emitter` and the
-    collectors), built on first request and ``None`` for a body whose
-    shape has no batched form.
+    with the body, and the batched forms (the collectors), built on
+    first request and ``None`` for a body whose shape has no batched
+    form.  The semi-naive engine inlines the steps into its clique loop
+    (:func:`clique_loop`) instead.
     """
 
     __slots__ = ("body", "bound_names", "slot_of", "nslots", "steps",
@@ -514,31 +516,19 @@ class CompiledBody:
             )
             return fn
 
-    def emitter(self, projection):
-        """A generated batch emitter for ``projection``, or None.
-
-        ``projection`` is a row spec as produced by
-        :func:`compile_row_spec`.  The emitter is a generator taking
-        ``(resolver, slots, stats)`` and yielding one *list* of
-        projected result tuples per innermost scan invocation, in the
-        exact enumeration order of :meth:`execute` — callers drain each
-        batch (e.g. into ``relation.add``) before the next one is
-        produced, which preserves row-at-a-time visibility of in-pass
-        mutations.  Returns None when the shape is not vectorizable;
-        callers drive :meth:`execute` instead.
-        """
-        return self._generated(generate_emitter, projection)
-
     def collector(self, projection):
         """A generated eager collector for ``projection``, or None.
 
-        Like :meth:`emitter` but the generated function *returns* one
-        flat list of every projected result tuple — no generator
-        frames, one call per body pass.  Enumeration order and counter
-        updates are identical to :meth:`execute`; what is lost is
-        batch-at-a-time visibility of in-pass mutations, so only
-        callers that write to no scanned relation before the call
-        returns (bound queries; rule passes not reading their head) may.
+        ``projection`` is a row spec as produced by
+        :func:`compile_row_spec`.  The generated function takes
+        ``(resolver, slots, stats)`` and *returns* one flat list of
+        every projected result tuple — no generator frames, one call
+        per body run.  Enumeration order and counter updates are
+        identical to :meth:`execute`; there is no batch-at-a-time
+        visibility of in-pass mutations, so only callers that write to
+        no scanned relation before the call returns (bound queries)
+        may.  Returns None when the shape is not vectorizable; callers
+        drive :meth:`execute` instead.
         """
         return self._generated(generate_collector, projection)
 
@@ -803,17 +793,20 @@ def bound_query(body, in_names, out_names):
 class CompiledRule:
     """A whole rule compiled for the semi-naive engine.
 
-    ``compiled`` is the body, ``head_spec`` the row spec the batch
-    emitters consume and ``head`` the same projection as a closure over
+    ``compiled`` is the body, ``head_spec`` the row spec the clique
+    loop projects and ``head`` the same projection as a closure over
     a match; ``premises`` (read only when tracing) holds one such
     closure per positive body atom, in the *written* body order.
     ``delta_at`` (on a :meth:`delta_variant`) is the index of its literal
     reading the delta; ``reads_head``: a literal reading a *full* relation
     reads the head's — else no probe of a pass sees what the pass derives.
+    ``skippable``: the delta drives the outermost loop and its probe key
+    evaluates nothing, so with no delta rows the pass scans and probes
+    nothing — it only counts its firing.
     """
 
     __slots__ = ("rule", "compiled", "head", "head_spec", "premises",
-                 "delta_at", "reads_head", "_variants")
+                 "delta_at", "skippable", "reads_head", "_variants")
 
     def __init__(self, rule):
         self._build(rule, rule, None)
@@ -840,6 +833,9 @@ class CompiledRule:
             for atom in written.body_atoms()
         )
         self.delta_at = delta_at
+        self.skippable = delta_at == 0 and all(
+            kind != KEY_EVAL for kind, _data in compiled.steps[0][4]
+        )
         self.reads_head = any(
             getattr(lit, "atom", lit).key == head.key
             for at, lit in enumerate(rule.body)
@@ -857,6 +853,19 @@ class CompiledRule:
                            delta_position(self.rule, index))
             self._variants[index] = variant
         return variant
+
+    def delta_key(self):
+        """The predicate key the delta literal of this variant reads."""
+        return self.compiled.body[self.delta_at].key
+
+    def loop_entry(self):
+        """This rule as one pass of :func:`~repro.engine.codegen.
+        generate_clique_loop`."""
+        body = self.compiled
+        return (body.steps, self.head_spec, self.reads_head,
+                self.rule.head.key, self.delta_at,
+                None if self.delta_at is None else self.delta_key(),
+                self.skippable, body.execute, body.nslots)
 
 
 #: Structural rule -> CompiledRule, mirroring ``_BOUND_QUERY_CACHE``:
@@ -891,3 +900,53 @@ def compiled_rule(rule, factory=None):
         cached = CompiledRule(rule)
         _COMPILED_RULE_CACHE[rule] = cached
     return cached
+
+
+#: Pass plan -> generated clique loop, and step bodies -> generated
+#: answer loop.  A key holds the structurally cached instances a loop
+#: is generated from — :class:`CompiledRule` and occurrence per pass,
+#: :class:`BoundQuery` and value count per step rule — so equal
+#: structure is one key, hashed by identity without walking a term.
+#: Labels and, for the answer loop, head keys are arguments of the
+#: generated function, never part of it: rule equality ignores labels.
+#: A rule the structural caches refuse (their ``TypeError`` fallback)
+#: arrives as a fresh instance and misses here too; the bound keeps
+#: such misses from piling up.
+_LOOP_CACHE = {}
+_LOOP_LIMIT = 1024
+
+
+def _cached_loop(key, generate):
+    loop = _LOOP_CACHE.get(key)
+    if loop is None:
+        if len(_LOOP_CACHE) >= _LOOP_LIMIT:
+            _LOOP_CACHE.clear()
+        loop = _LOOP_CACHE[key] = generate()
+    return loop
+
+
+def clique_loop(initial, passes):
+    """The shared generated semi-naive loop of one clique.
+
+    ``initial`` holds the :class:`CompiledRule` of each rule of the
+    first round, ``passes`` a ``(CompiledRule, occurrence)`` pair per
+    pass of every later round — its :meth:`~CompiledRule.delta_variant`
+    at ``occurrence``, or the rule itself over full relations for None.
+    """
+    return _cached_loop(("clique", initial, passes), lambda: (
+        generate_clique_loop(
+            [rule.loop_entry() for rule in initial],
+            [(rule if occurrence is None
+              else rule.delta_variant(occurrence)).loop_entry()
+             for rule, occurrence in passes],
+        )
+    ))
+
+
+def answer_loop(steps):
+    """The shared generated answer loop of the counting evaluators;
+    ``steps`` holds a ``(BoundQuery, nvalues)`` pair per step rule (see
+    :meth:`BoundQuery.loop_entry`)."""
+    return _cached_loop(("answer", steps), lambda: generate_answer_loop(
+        [query.loop_entry(nvalues) for query, nvalues in steps]
+    ))

@@ -162,15 +162,9 @@ class Relation:
             if len(tuples) != size:
                 size += 1
                 keep(row)
-        self._logged(new)
+        if new:
+            self._logged(new)
         return new
-
-    def extend_new(self, rows):
-        """Insert distinct rows known to be absent and of the right
-        arity — a pass's new rows into its delta relation — without
-        deduplicating them again."""
-        self.tuples.update(rows)
-        self._logged(rows)
 
     def _logged(self, new):
         """Log and index rows just added to the tuple set."""
@@ -472,7 +466,7 @@ class _FrozenRelation(Relation):
                                             self.epoch)
         )
 
-    add_all = add_trusted = extend_new = add
+    add_all = add_trusted = add
 
 
 class EmptyRelation:

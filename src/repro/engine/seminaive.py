@@ -17,8 +17,7 @@ from ..datalog.analysis import ProgramAnalysis
 from ..datalog.atoms import Atom
 from ..errors import EvaluationError
 from . import faults
-from .codegen import KEY_EVAL
-from .compile import compiled_rule
+from .compile import clique_loop, compiled_rule
 from .instrumentation import EvalStats
 from .relation import EmptyRelation, Relation
 from .stratify import check_stratified
@@ -119,128 +118,46 @@ class SemiNaiveEngine:
             compiled = self._compiled[id(rule)] = compiled_rule(rule)
         return compiled
 
-    def _rule_pass(self, rule, occurrence=None):
-        """Plan one rule's pass once; returns ``run(delta, deltas)``.
-
-        ``run`` evaluates the rule into the head relation, recording the
-        new rows in ``delta`` — with ``occurrence``, as the
-        ``delta_first`` variant whose body literal ``occurrence`` reads
-        ``deltas`` (the previous round's new rows).  Everything that
-        does not change between the rounds of a clique is fixed here:
-        the compiled variant, its batched function, the head relation
-        and, once resolved, the full relations the other literals read.
-        """
-        stats = self.stats
-        compiled = self._compiled_rule(rule)
-        key = rule.head.key
+    def _head(self, key, width):
+        """The relation a rule head of ``width`` arguments derives into."""
         relation = self._relation(key)
-        if len(compiled.head_spec) != relation.arity:
+        if width != relation.arity:
             raise ValueError(
                 "arity mismatch for %s: expected %d, got a head of %d"
-                % (key[0], relation.arity, len(compiled.head_spec))
+                % (key[0], relation.arity, width)
             )
+        return relation
+
+    def _rule_pass(self, rule, occurrence, delta, deltas):
+        """One traced rule pass into the head relation, recording the
+        new rows in ``delta`` — with ``occurrence``, as the
+        ``delta_first`` variant whose body literal ``occurrence`` reads
+        ``deltas`` (the previous round's new rows)."""
+        stats = self.stats
+        compiled = self._compiled_rule(rule)
+        relation = self._head(rule.head.key, len(compiled.head_spec))
         resolver = self._full_resolver
-        current = [None]
-        skip = None
         if occurrence is not None:
             compiled = compiled.delta_variant(occurrence)
-            resolver = self._plan_resolver(compiled, current)
-            first = compiled.compiled.steps[0]
-            if compiled.delta_at == 0 and all(
-                kind != KEY_EVAL for kind, _data in first[4]
-            ):
-                # The delta drives the outermost loop, and its probe key
-                # evaluates nothing: with no delta rows the pass scans
-                # and probes nothing.
-                skip = first[2].key
-        label = rule.label
-        if self.trace is not None:
-            def apply(delta):
-                self._apply_traced(rule, compiled, resolver, relation, delta)
-        else:
-            apply = self._apply_batched(compiled, resolver, relation)
-
-        def run(delta, deltas):
-            if skip is not None and skip not in deltas:
+            key = compiled.delta_key()
+            if compiled.skippable and key not in deltas:
                 stats.rule_firings += 1
-                stats.note_rule(label, 0.0, 0)
+                stats.note_rule(rule.label, 0.0, 0)
                 return
-            started = perf_counter()
-            derived_before = stats.facts_derived
-            current[0] = deltas
-            apply(delta)
-            stats.note_rule(
-                label,
-                perf_counter() - started,
-                stats.facts_derived - derived_before,
-            )
+            delta_at = compiled.delta_at
+            rows = deltas.get(key) or EmptyRelation(*key)
+            full = self.full
 
-        return run
-
-    def _plan_resolver(self, compiled, current):
-        """The resolver of a delta pass: literal ``compiled.delta_at``
-        reads ``current[0]``, the round's deltas; every other literal
-        its full relation, resolved on first use and kept."""
-        delta_at = compiled.delta_at
-        delta_key = compiled.compiled.body[delta_at].key
-        empty = EmptyRelation(*delta_key)
-        fixed = {}
-        full = self.full
-
-        def resolver(index, atom):
-            if index == delta_at:
-                return current[0].get(delta_key) or empty
-            relation = fixed.get(index)
-            if relation is None:
-                relation = fixed[index] = full(atom.key)
-            return relation
-
-        return resolver
-
-    def _apply_batched(self, compiled, resolver, relation):
-        """The set-at-a-time pass body: batched probes, batched writes.
-
-        A pass that reads the head's relation inserts one batch per
-        innermost probe (per match without a vectorized body) before
-        the next is produced: later probes see derivations exactly as
-        they would row at a time.  Any other pass cannot observe what
-        it derives: it is collected eagerly and inserted once.  Rows
-        have the head's width by construction (checked when the pass is
-        planned), so they go in through the trusted insert, and the new
-        ones into the delta without a second deduplication.
-        """
-        stats = self.stats
-        key = relation.name, relation.arity
-        body = compiled.compiled
-        head = compiled.head
-        reads_head = compiled.reads_head
-        if reads_head:
-            emit = body.emitter(compiled.head_spec)
-        else:
-            collect = body.collector(compiled.head_spec)
-
-        def apply(delta):
-            stats.rule_firings += 1
-            args = (resolver, body.make_slots(), stats)
-            if reads_head:
-                batches = emit(*args) if emit is not None else (
-                    (head(match),) for match in body.execute(*args)
-                )
-            else:
-                batches = (collect(*args) if collect is not None else list(
-                    map(head, body.execute(*args))
-                ),)
-            for batch in filter(None, batches):
-                new = relation.add_trusted(batch)
-                stats.facts_duplicate += len(batch) - len(new)
-                if new:
-                    stats.facts_derived += len(new)
-                    target = delta.get(key)
-                    if target is None:
-                        target = delta[key] = Relation(key[0], key[1])
-                    target.extend_new(new)
-
-        return apply
+            def resolver(index, atom):
+                return rows if index == delta_at else full(atom.key)
+        started = perf_counter()
+        derived_before = stats.facts_derived
+        self._apply_traced(rule, compiled, resolver, relation, delta)
+        stats.note_rule(
+            rule.label,
+            perf_counter() - started,
+            stats.facts_derived - derived_before,
+        )
 
     def _apply_traced(self, rule, compiled, resolver, relation, delta):
         """Rule pass recording the first derivation of every fact."""
@@ -282,7 +199,55 @@ class SemiNaiveEngine:
             self.budget.check(self.stats)
         faults.fire("round", self.stats)
 
+    def _passes(self, clique):
+        """The ``(rule, occurrence)`` passes of a recursive round.
+
+        Semi-naive: one pass per (rule, body index), that literal
+        restricted to the delta.  Positive atoms only: a Negation
+        wrapping a same-clique atom must never become a delta-driven
+        occurrence (stratification already rejects such programs at
+        construction time), and duck typing on ``.key`` would silently
+        misclassify literal kinds.  Naive: every recursive rule over
+        the full relations (occurrence None).
+        """
+        if not self.seminaive:
+            return [(rule, None) for rule in clique.recursive_rules]
+        return [
+            (rule, index)
+            for rule in clique.recursive_rules
+            for index, lit in enumerate(rule.body)
+            if isinstance(lit, Atom) and lit.key in clique.predicates
+        ]
+
     def _evaluate_clique(self, clique):
+        """Evaluate one clique to its fixpoint.
+
+        Untraced, the clique runs in one generated function
+        (:func:`~repro.engine.compile.clique_loop`, shared by every
+        clique of the same rules and pass plan): an initial naive round
+        over every rule, then rounds of the :meth:`_passes` while the
+        last round derived anything.  Its counters and the per-rule
+        profile are flushed to ``stats`` once per round.  Traced, the
+        same rounds run pass by pass (:meth:`_evaluate_passes`).
+        """
+        if self.trace is not None:
+            return self._evaluate_passes(clique)
+        rules = [rule for rule in clique.rules if not rule.is_fact()]
+        passes = self._passes(clique) if clique.is_recursive() else []
+        compiled = self._compiled_rule
+        loop = clique_loop(
+            tuple(map(compiled, rules)),
+            tuple((compiled(rule), index) for rule, index in passes),
+        )
+        loop(self._head, self._full_resolver, self.stats, self.budget,
+             self.max_iterations,
+             tuple(rule.label for rule in rules)
+             + tuple(rule.label for rule, _index in passes),
+             self._round_boundary)
+
+    def _evaluate_passes(self, clique):
+        """The rounds of :meth:`_evaluate_clique`, one :meth:`_rule_pass`
+        at a time, over delta relations."""
         delta = {}
         rounds = 0
         self._round_boundary(rounds)
@@ -290,34 +255,19 @@ class SemiNaiveEngine:
         for rule in clique.rules:
             if rule.is_fact():
                 continue
-            self._rule_pass(rule)(delta, None)
+            self._rule_pass(rule, None, delta, None)
         rounds += 1
         self.stats.iterations += 1
         if not clique.is_recursive() or not delta:
             return
-        if self.seminaive:
-            # Recursive occurrences: one pass per (rule, body index),
-            # that literal restricted to the delta.  Positive atoms
-            # only: a Negation wrapping a same-clique atom must never
-            # become a delta-driven occurrence (stratification already
-            # rejects such programs at construction time), and duck
-            # typing on ``.key`` would silently misclassify literal
-            # kinds.
-            passes = [
-                self._rule_pass(rule, index)
-                for rule in clique.recursive_rules
-                for index, lit in enumerate(rule.body)
-                if isinstance(lit, Atom) and lit.key in clique.predicates
-            ]
-        else:
-            passes = [self._rule_pass(rule) for rule in clique.recursive_rules]
+        passes = self._passes(clique)
         while delta:
             self._round_boundary(rounds)
             rounds += 1
             self.stats.iterations += 1
             new_delta = {}
-            for run in passes:
-                run(new_delta, delta)
+            for rule, occurrence in passes:
+                self._rule_pass(rule, occurrence, new_delta, delta)
             delta = new_delta
 
 

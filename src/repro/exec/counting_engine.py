@@ -46,8 +46,7 @@ from array import array
 from collections import deque
 from itertools import chain
 
-from ..engine.codegen import generate_answer_loop
-from ..engine.compile import bound_query
+from ..engine.compile import answer_loop, bound_query
 from ..engine.instrumentation import EvalStats
 from ..errors import EvaluationError, NotApplicableError
 from ..graph.dfs import classify_ids, explore
@@ -313,9 +312,7 @@ class CountingEngine:
         #: positional bindings for every node/state, replacing the
         #: per-visit dict-substitution evaluation.  A prepared query
         #: passes a shared ``query_cache`` dict so the compilation
-        #: survives across engine instances for the same clique; the
-        #: clique's generated answer loop, which holds no engine state
-        #: either, is kept there too.
+        #: survives across engine instances for the same clique.
         self._queries = query_cache if query_cache is not None else {}
         #: Per-engine bound runners (``BoundQuery.bind``): these embed
         #: this engine's resolver and its hoisted relation/view state,
@@ -392,10 +389,14 @@ class CountingEngine:
                                                      out_names)
         return query
 
-    def _expand(self, wave):
-        """Left-graph successors of each node of ``wave``, as
-        ``(target, (label, shared))`` pairs: one compiled call per
-        arc-producing rule for all the wave's nodes it applies to."""
+    def _expand(self, wave, nodes, ids):
+        """Left-graph successors of each node of ``wave``, as ``(target
+        id, (label, shared))`` pairs: one compiled call per
+        arc-producing rule for all the wave's nodes it applies to (the
+        expander of :func:`~repro.graph.dfs.explore`).  ``ids`` maps
+        each predicate to its ``values -> id`` map: a target is looked
+        up by its values alone, and only a new one is built as a
+        ``(predicate, values)`` node."""
         entries = self._arc_entries
         if entries is None:
             # pred -> (rec key, label, split, batch runner) per rule.  A
@@ -421,11 +422,18 @@ class CountingEngine:
         for pred, (outs, batch) in groups.items():
             for rec_key, label, split, run in entries.get(pred, ()):
                 stats.rule_firings += len(batch)
+                known = ids.get(rec_key)
+                if known is None:
+                    known = ids[rec_key] = {}
                 for successors, rows in zip(outs, run(batch, stats)):
-                    successors += [
-                        ((rec_key, row[:split]), (label, row[split:]))
-                        for row in rows
-                    ]
+                    append = successors.append
+                    for row in rows:
+                        values = row[:split]
+                        target = known.get(values)
+                        if target is None:
+                            target = known[values] = len(nodes)
+                            nodes.append((rec_key, values))
+                        append((target, (label, row[split:])))
         return expanded
 
     def left_graph(self):
@@ -437,14 +445,18 @@ class CountingEngine:
         counting table's row ids.  Every reader of the left graph goes
         through here, so all see the same arcs in the same order.
         """
-        expand = self._expand
+        ids = {self.goal_key: {self.source_values: 0}}
         budget = self.budget
-        if budget is not None:
-            def expand(wave, _expand=expand, _stats=self.stats):
-                budget.check(_stats)
-                return _expand(wave)
+        stats = self.stats
+        expand = self._expand
+
+        def wave(nodes_of_wave, nodes):
+            if budget is not None:
+                budget.check(stats)
+            return expand(nodes_of_wave, nodes, ids)
+
         return classify_ids(
-            *explore((self.goal_key, self.source_values), expand)
+            *explore((self.goal_key, self.source_values), wave)
         )
 
     def classify(self):
@@ -545,31 +557,30 @@ class CountingEngine:
         return entry
 
     def _loop(self):
-        """``(generated answer loop, runners)`` of this clique; the loop
-        comes from the shared ``query_cache``, ``runners[index]`` is
-        this engine's bound runner for a step rule the loop could not
-        inline, None for the others."""
+        """``(generated answer loop, runners, heads, labels)`` of this
+        clique.  The loop is shared by every clique of the same step
+        bodies (:func:`~repro.engine.compile.answer_loop`) and reads
+        each step rule's head key and label from ``heads`` /
+        ``labels``; ``runners[index]`` is this engine's bound runner for
+        a step rule the loop could not inline, None for the others."""
         if self._answer_fn is None:
             rules = self.canonical.recursive_rules
-            key = ("loop", id(self.canonical))
-            loop = self._queries.get(key)
-            if loop is None:
-                entries = []
-                for rule in rules:
-                    query = self._shared_query("step", rule, rule.right,
-                                               *_step_names(rule))
-                    entries.append(
-                        (rule.head_key, rule.label)
-                        + query.loop_entry(len(rule.rec_free_vars))
-                    )
-                loop = self._queries[key] = generate_answer_loop(entries)
+            loop = answer_loop(tuple(
+                (self._shared_query("step", rule, rule.right,
+                                    *_step_names(rule)),
+                 len(rule.rec_free_vars))
+                for rule in rules
+            ))
             runners = [None] * len(rules)
             for index in loop.fallback:
                 rule = rules[index]
                 runners[index] = self._query(
                     "step", rule, rule.right, *_step_names(rule)
                 )
-            self._answer_fn = (loop, runners)
+            self._answer_fn = (
+                loop, runners, tuple(rule.head_key for rule in rules),
+                tuple(rule.label for rule in rules),
+            )
         return self._answer_fn
 
     def _answer_loop(self, name, seeds, stats, budget=None, parents=None):
@@ -597,12 +608,13 @@ class CountingEngine:
             pending.append(state)
             if parents is not None:
                 parents[state] = (label, None)
-        loop, runners = self._loop()
+        loop, runners, heads, labels = self._loop()
         answers, frontier = loop(
             pending, seen, groups, self.goal_key,
             key_of[self.table.source_id],
             pending.pop if self.answer_order == "dfs" else pending.popleft,
             stats, budget, parents, self._resolver, runners, len(pending),
+            heads, labels,
         )
         return frozenset(answers), len(seen), frontier
 

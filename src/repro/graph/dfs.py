@@ -123,15 +123,19 @@ class ArcClassification:
 def explore(source, expand):
     """The graph reachable from ``source``, as ``(nodes, adjacency)``.
 
-    ``expand(wave)`` returns a list holding, for each node of the list
-    ``wave`` in order, its ``(target, label)`` pairs; it is called once
-    per breadth wave.  ``nodes[i]`` is the node with id ``i`` (the
-    source is 0) and ``adjacency[i]`` its ``(target id, label)`` pairs
-    sorted by ``(repr(target), repr(label))`` — deterministic over
-    mixed types, with each text computed once.
+    ``nodes[i]`` is the node with id ``i`` (the source is 0) and
+    ``adjacency[i]`` its ``(target id, label)`` pairs sorted by
+    ``(repr(target), repr(label))`` — deterministic over mixed types,
+    with each text computed once.  ``expand(wave, nodes)`` is called
+    once per breadth wave, ``wave`` the list of the wave's nodes: it
+    returns, for each of them in order, the list of its ``(target id,
+    label)`` pairs, and gives each target it reaches for the first
+    time the next id by appending it to ``nodes``.  The expander keeps
+    the node -> id map, so a caller that knows the shape of its nodes
+    assigns ids without building them (see
+    :meth:`repro.exec.counting_engine.CountingEngine._expand`).
     """
     nodes = [source]
-    ident = {source: 0}
     adjacency = []
     target_texts = {}
     label_texts = {}
@@ -148,17 +152,10 @@ def explore(source, expand):
 
     while len(adjacency) < len(nodes):
         wave = nodes[len(adjacency):]
-        expanded = expand(wave)
+        expanded = expand(wave, nodes)
         if len(expanded) != len(wave):
             raise ValueError("expand must answer every node of a wave")
-        for successors in expanded:
-            arcs = []
-            for target, label in successors:
-                target_id = ident.get(target)
-                if target_id is None:
-                    target_id = ident[target] = len(nodes)
-                    nodes.append(target)
-                arcs.append((target_id, label))
+        for arcs in expanded:
             if len(arcs) > 1:
                 arcs.sort(key=sort_key)
             adjacency.append(arcs)
@@ -264,9 +261,22 @@ def classify_arcs(source, successors):
     ``successors(node)`` must yield ``(target, label)`` pairs; the same
     pair may be yielded once per distinct arc.
     """
-    return classify_ids(*explore(
-        source, lambda wave: [successors(node) for node in wave]
-    )).view()
+    ident = {source: 0}
+
+    def expand(wave, nodes):
+        expanded = []
+        for node in wave:
+            arcs = []
+            for target, label in successors(node):
+                target_id = ident.get(target)
+                if target_id is None:
+                    target_id = ident[target] = len(nodes)
+                    nodes.append(target)
+                arcs.append((target_id, label))
+            expanded.append(arcs)
+        return expanded
+
+    return classify_ids(*explore(source, expand)).view()
 
 
 def adjacency_successors(arcs):

@@ -28,6 +28,7 @@ from repro.datalog.terms import Compound
 from repro.data import WORKLOADS
 from repro.data.workloads import SG_TEXT
 from repro.engine import EvalStats, codegen, faults
+from repro.engine import compile as compile_module
 from repro.engine.faults import FaultInjector, InjectedFault
 from repro.engine.guard import ResourceBudget
 from repro.errors import BudgetExceededError
@@ -449,6 +450,7 @@ class TestMutantIsCaught:
 
         monkeypatch.setattr(codegen, "_flush", mutant)
         monkeypatch.setattr(codegen, "_CODE_CACHE", {})
+        monkeypatch.setattr(compile_module, "_LOOP_CACHE", {})
         with pytest.raises(AssertionError):
             # A whole run sees the flush at the end, an abort the one
             # before the check.

@@ -43,16 +43,22 @@ class ReferenceEngine(SemiNaiveEngine):
     """The semi-naive fixpoint with every rule pass driven through the
     tuple-at-a-time reference evaluator instead of generated code:
     each derivation enters the relation before the next is computed,
-    so equal work counters prove the compiled engine's pass-level
-    drain changes nothing a probe can see.  Nothing is planned and no
-    pass is skipped: an occurrence reading an empty delta runs."""
+    so equal work counters prove the generated clique loop's
+    pass-level drain changes nothing a probe can see.  Rounds run pass
+    by pass, nothing is planned and no pass is skipped: an occurrence
+    reading an empty delta runs.  Each pass is noted in the per-rule
+    profile (no time), so its ``calls`` / ``derived`` compare too."""
 
-    def _rule_pass(self, rule, occurrence=None):
-        def run(delta, deltas):
-            self._reference_pass(rule, delta, deltas, occurrence)
-        return run
+    def _evaluate_clique(self, clique):
+        self._evaluate_passes(clique)
 
-    def _reference_pass(self, rule, delta, deltas, occurrence):
+    def _rule_pass(self, rule, occurrence, delta, deltas):
+        stats = self.stats
+        derived = stats.facts_derived
+        self._reference_pass(rule, occurrence, delta, deltas)
+        stats.note_rule(rule.label, 0.0, stats.facts_derived - derived)
+
+    def _reference_pass(self, rule, occurrence, delta, deltas):
         stats = self.stats
         key = rule.head.key
         relation = self._relation(key)
@@ -664,7 +670,7 @@ class TestTrailingArithmetic:
         rule = parse_program(text).rules[1]
         compiled = CompiledRule(rule)
         assert compiled.reads_head
-        assert compiled.compiled.emitter(compiled.head_spec) is not None
+        assert compiled.compiled.collector(compiled.head_spec) is not None
         assert_trailing_parity(text, facts)
 
     def test_inline_and_closures_agree_on_every_counter(
@@ -707,19 +713,27 @@ class TestEmptyDeltaPass:
     def test_rule_firings_equal_with_and_without_the_fast_path(
         self, monkeypatch
     ):
+        from repro.engine import codegen
+        from repro.engine import compile as compile_module
+
         program = parse_program(self.TEXT)
         applied = []
-        planned = SemiNaiveEngine._apply_batched
+        entry = compile_module.CompiledRule.loop_entry
 
-        def counting(self, *args):
-            apply = planned(self, *args)
+        def counting(self):
+            *plan, runner, nslots = entry(self)
 
-            def run(delta):
+            def run(*args):
                 applied.append(1)
-                apply(delta)
-            return run
+                return runner(*args)
+            return (*plan, run, nslots)
 
-        monkeypatch.setattr(SemiNaiveEngine, "_apply_batched", counting)
+        # Every body runs through its runner, so each pass that runs is
+        # seen; the loops are generated afresh under the patch.
+        monkeypatch.setattr(codegen, "_CLIQUE_BLOCKS", codegen._MAX_LOOPS)
+        monkeypatch.setattr(compile_module, "_LOOP_CACHE", {})
+        monkeypatch.setattr(compile_module.CompiledRule, "loop_entry",
+                            counting)
         got, stats = outcome(SemiNaiveEngine, program, self.FACTS)
         expected, reference = outcome(ReferenceEngine, program, self.FACTS)
         assert got == expected

@@ -1,6 +1,9 @@
 """WAL, checkpoint, recovery, and audit-log unit contracts."""
 
 import os
+import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -125,6 +128,59 @@ class TestWalRoundTrip:
         assert "% record 1:" in text
         assert "p(a, b)." in text
         assert "q(7)." in text
+
+
+def earlier_layout_record(seq, stamps, facts):
+    """A record as the layout before runs wrote it: ``(stamps, facts)``
+    pickled whole, one ``(name, values)`` pair per fact."""
+    payload = struct.pack("<Q", seq) + pickle.dumps(
+        (stamps, facts), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+class TestWalRecordLayout:
+    """Consecutive facts of one name are logged as one run; records of
+    the earlier per-fact layout still read and replay."""
+
+    MIXED = [("p", ("a", "b")), ("p", ("a", "b")), ("q", ("x",)),
+             ("p", ("c", "d")), ("q", ("y",)), ("q", ("y",))]
+
+    def test_runs_round_trip_order_and_duplicates(self, tmp_path):
+        path = wal_path(tmp_path)
+        with WriteAheadLog.create(path, LINEAGE, fsync="off") as wal:
+            for batch in (self.MIXED, SG_FACTS, [("p", ("z", "z"))] * 3):
+                wal.append(batch, {})
+        records = WalReader(path).records
+        assert [record.facts for record in records] == [
+            self.MIXED, SG_FACTS, [("p", ("z", "z"))] * 3
+        ]
+
+    def test_a_name_is_pickled_once_per_run(self):
+        one = _encode_record(1, {}, [("relation_name", (i,))
+                                     for i in range(50)])
+        assert one.count(b"relation_name") == 1
+
+    def test_record_of_the_earlier_layout_replays(self, tmp_path):
+        directory = tmp_path / "d"
+        directory.mkdir()
+        path = str(directory / "wal.log")
+        with open(path, "wb") as handle:
+            handle.write(MAGIC + LINEAGE.encode("ascii") + b"\n")
+            handle.write(earlier_layout_record(1, {}, SG_FACTS))
+        [record] = WalReader(path).records
+        assert record.facts == SG_FACTS
+        # An earlier log keeps growing in the current layout, and
+        # replays whole.
+        wal, reader = WriteAheadLog.open(path, fsync="off")
+        wal.append([("up", ("c", "d"))], {("up", 2): 2})
+        wal.close()
+        recovered, report = recover(str(directory), fsync="off")
+        expected = Database.from_facts(SG_FACTS + [("up", ("c", "d"))])
+        assert recovered.to_text() == expected.to_text()
+        assert report.replayed == 2
+        assert recovered.lineage == LINEAGE
+        recovered.close()
 
 
 class TestWalTailDamage:
